@@ -59,11 +59,8 @@ from .wallcross import (
     SplittingCase,
     VanishingRoot,
     delta_table,
-    orth_root_sum,
-    pairing_cancellation,
     splittings,
     vanishing_roots,
-    weighted_balance,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,8 @@
 """Command-line front end: enumerations, table regeneration, and verification reports.
 
-Exit codes: 0 all checks passed, 1 at least one failed record, 2 usage error.
+Exit codes: 0 all checks passed, 1 at least one failed record, 2 usage or
+config error (bad arguments, a non-integer DP1_MAX_ENUM_DEPTH, an unwritable
+--out path).
 Output is deterministic for a fixed invocation; JSON uses lower_snake_case keys
 and unquoted integers.
 """
@@ -11,8 +13,8 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 from . import counting, golden, real_forms, report, wallcross
 from .lattice import ENUM_DEPTH_ENV
@@ -20,16 +22,6 @@ from .lattice import ENUM_DEPTH_ENV
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 FORMATS = ("json", "csv", "md")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    class_id: str
-    stratum: int | None
-    fmt: str
-    out: str | None
-    verbose: bool
 
 
 # -- payload builders ---------------------------------------------------------
@@ -147,14 +139,13 @@ def wallcross_payload(scope: str) -> dict:
         roots = wallcross.vanishing_roots(c)
         block = {"class": cid, "rank": c.rank, "vanishing_roots": len(roots)}
         if roots:
-            e = roots[0]
-            dt = wallcross.delta_table(c, e)
+            dt = wallcross.delta_table(c, roots[0])
             block.update({
-                "orth_root_sum": wallcross.orth_root_sum(c, e),
+                "orth_root_sum": dt.orth,
                 "delta": {"4,1": dt.d41, "4,2": dt.d42, "2,0": dt.d20,
                           "2,1": dt.d21, "2,2": dt.d22},
                 "cited": list(dt.cited),
-                "weighted_balance": wallcross.weighted_balance(c, e),
+                "weighted_balance": dt.balance,
             })
         blocks.append(block)
     return {"wallcross": blocks}
@@ -237,6 +228,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _config_error(msg: str) -> int:
+    print(f"dp1: error: {msg}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 # -- entry point --------------------------------------------------------------
 
 
@@ -279,22 +275,29 @@ def main(argv: list[str] | None = None) -> int:
         known = {c.id for c in real_forms.deformation_classes()}
         if class_id not in known:
             parser.error(f"unknown class {class_id!r}; choose from {sorted(known)} or 'all'")
-    cfg = RunConfig(args.command, class_id, getattr(args, "stratum", None),
-                    getattr(args, "fmt", "json"), getattr(args, "out", None), args.verbose)
-    if cfg.command == "classes":
+    try:
+        int(os.environ.get(ENUM_DEPTH_ENV, 0))
+    except ValueError:
+        return _config_error(f"{ENUM_DEPTH_ENV} must be an integer, "
+                             f"got {os.environ[ENUM_DEPTH_ENV]!r}")
+    if args.command == "classes":
         payload = classes_payload()
-    elif cfg.command == "enumerate":
-        payload = enumerate_payload(cfg.class_id, cfg.stratum)
-    elif cfg.command == "tables":
+    elif args.command == "enumerate":
+        payload = enumerate_payload(class_id, args.stratum)
+    elif args.command == "tables":
         payload = tables_payload(args.number)
-    elif cfg.command == "wallcross":
-        payload = wallcross_payload(cfg.class_id)
+    elif args.command == "wallcross":
+        payload = wallcross_payload(class_id)
     else:
-        payload = verify_payload(cfg.class_id)
-    _emit(render(payload, cfg.fmt), cfg.out)
-    if cfg.command == "verify":
+        payload = verify_payload(class_id)
+    text = render(payload, args.fmt)
+    try:
+        _emit(text, args.out)
+    except OSError as err:
+        return _config_error(f"cannot write {args.out}: {err.strerror or err}")
+    if args.command == "verify":
         failed = payload["summary"]["failed"]
-        if cfg.verbose:
+        if args.verbose:
             print(f"verify: {payload['summary']['total']} records, {failed} failed",
                   file=sys.stderr)
         return EXIT_FAIL if failed else EXIT_OK

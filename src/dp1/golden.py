@@ -120,9 +120,6 @@ FOUR_VECTOR_COUNTS = {
     "3A1": 12, "2A1": 4, "A1": 0, "0": 0,
 }
 
-# Real four-vector count of the (M-1)-model inside the full 2160.
-E7_REAL_FOUR_VECTORS = 756
-
 # Splitting of the 252 D6 four-vectors by quadratic value: the twelve doubled
 # roots plus nine of the fifteen sign-pattern families carry value 0, the
 # remaining six families carry value 2 (16 vectors per family): 156 vs 96.

@@ -213,15 +213,14 @@ def enumeration_closure(n: int, rng: random.Random) -> PropertyResult:
     for c in real_forms.deformation_classes():
         if c.rank == 0:
             continue
-        lat = real_forms.lambda_basis(c.id).sublattice
-        for norm in (-2, -4):
-            vs = enumerate_vectors(lat, norm)
+        roots = [b.v for b in counting.b_classes(c, 1)]
+        for k in (1, 2):
+            vs = [b.v for b in counting.b_classes(c, k)]
             if not vs:
                 continue
             coeff_set = {v.coeffs for v in vs}
             fails += any((-v).coeffs not in coeff_set for v in vs)
             checks += len(vs)
-            roots = enumerate_vectors(lat, -2)
             for _ in range(min(n, len(roots))):
                 e = rng.choice(roots)
                 v = rng.choice(vs)

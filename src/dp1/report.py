@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import counting, golden, pin, properties, real_forms, wallcross
-from .lattice import dot_tuples, enumerate_coordinates, enumerate_vectors
+from .lattice import enumerate_coordinates, enumerate_vectors
 from .roots import ROOT_COUNTS, root_system_type
 
 ENUMERATED = "enumerated"
@@ -39,7 +39,7 @@ def _rec(name: str, anchor: str, provenance: str, expected: Any, actual: Any,
 
 def _fail(name: str, anchor: str, err: Exception, classes: tuple[str, ...]) -> VerificationRecord:
     return VerificationRecord(name, anchor, ENUMERATED, "ok",
-                              f"error: {err}", False, classes)
+                              f"error: {type(err).__name__}: {err}", False, classes)
 
 
 def _rows_as_lists(rows) -> list[list]:
@@ -208,63 +208,27 @@ def _wallcross_records(c: real_forms.DeformationClass) -> list[VerificationRecor
                              8, len(roots), cs))
         if not roots:
             return recs
-        b_all = [(b.stratum, b) for k in (0, 1, 2) for b in counting.b_classes(c, k)]
-        by_v = {2: {b.v.coeffs: b.qhat for b in counting.b_classes(c, 1)},
-                4: {b.v.coeffs: b.qhat for b in counting.b_classes(c, 2)}}
-        split_bad = 0
-        orth_vals, p2_vals, p4_vals, deltas, balances = set(), set(), set(), set(), set()
-        for root in roots:
-            ec = root.e.coeffs
-            seen: dict[tuple[int, int], counting.BClass] = {}
-            for stratum, b in b_all:
-                t = dot_tuples(b.v.coeffs, ec)
-                seen.setdefault((stratum, t), b)
-            for (stratum, t), b in sorted(seen.items(), key=lambda kv: kv[0]):
-                got = tuple(s.summary for s in wallcross.splittings(b, root))
-                if got != wallcross.SPLITTING_TABLE[(stratum, t)]:
-                    split_bad += 1
-            orth = 0
-            for vc, q in by_v[2].items():
-                if dot_tuples(vc, ec) == 0:
-                    orth += counting.sign_of(q)
-            orth_vals.add(orth)
-            sums = {}
-            for stratum in (2, 4):
-                total = 0
-                for vc, q in by_v[stratum].items():
-                    t = dot_tuples(vc, ec)
-                    image = tuple(x + t * y for x, y in zip(vc, ec))
-                    qi = by_v[stratum][image]
-                    if abs(t) == 1:
-                        if qi != (q + 2) % 4:
-                            raise wallcross.LatticeError(f"pairing shift failed at {vc}")
-                        total += counting.sign_of(q)
-                    elif qi != q:
-                        raise wallcross.LatticeError(f"reflection invariance failed at {vc}")
-                sums[stratum] = total
-            p2_vals.add(sums[2])
-            p4_vals.add(sums[4])
-            delta = (sums[4], 2 * orth, -2 * orth, sums[2], -2 * (c.rank - (8 - c.rank)))
-            deltas.add(delta)
-            balances.add(2 * delta[1] + delta[2] + delta[4])
+        tables = [wallcross.delta_table(c, root) for root in roots]
+        orth_vals = sorted({t.orth for t in tables})
         r = c.rank
         recs.append(_rec(f"splitting_table:{cid}", "splitting-tables", ENUMERATED,
-                         0, split_bad, cs))
+                         0, sum(t.split_mismatches for t in tables), cs))
         recs.append(_rec(f"orth_root_sum:{cid}", "sum:orthogonal-roots", ENUMERATED,
-                         [2 * (r - 1)], sorted(orth_vals), cs))
+                         [2 * (r - 1)], orth_vals, cs))
         recs.append(_rec(f"pairing_zero_b2:{cid}", "pairing-cancellation", ENUMERATED,
-                         [0], sorted(p2_vals), cs))
+                         [0], sorted({t.d21 for t in tables}), cs))
         recs.append(_rec(f"pairing_zero_b4:{cid}", "pairing-cancellation", ENUMERATED,
-                         [0], sorted(p4_vals), cs))
+                         [0], sorted({t.d41 for t in tables}), cs))
         recs.append(_rec(f"delta_table:{cid}", "table7/rows", CITED,
-                         [list(wallcross.delta_expected(c))], sorted(map(list, deltas)), cs))
+                         [list(wallcross.delta_expected(c))],
+                         [list(d) for d in sorted({t.as_tuple() for t in tables})], cs))
         recs.append(_rec(f"delta_antisymmetry:{cid}", "table7/cancellation", ENUMERATED,
-                         [0], sorted({d[1] + d[2] for d in deltas}), cs))
+                         [0], sorted({t.d42 + t.d20 for t in tables}), cs))
         recs.append(_rec(f"weighted_balance_12:{cid}", "balance:twelve", CITED,
-                         [12], sorted(balances), cs))
+                         [12], sorted({t.balance for t in tables}), cs))
         recs.append(_rec(f"orth_sum_vs_table_row:{cid}", "table7/factor-two", ENUMERATED,
                          [2 * (r - 1), 4 * (r - 1)],
-                         [sorted(orth_vals)[0], sorted({d[1] for d in deltas})[0]], cs))
+                         [orth_vals[0], min(t.d42 for t in tables)], cs))
     except Exception as err:
         recs.append(_fail(f"wallcross_block:{cid}", "wallcross-block", err, cs))
     return recs

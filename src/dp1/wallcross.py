@@ -1,5 +1,6 @@
 """Lattice-level wall-crossing checks: limit splittings, orthogonal-root sums,
-reflection pairing, and the per-degeneration balance table.
+reflection pairing, and the per-degeneration balance table, all computed by
+the one kernel `delta_table`.
 
 A nodal degeneration contributes a root E of the class lattice with q(E) = 0.
 Curves limit onto D + rE; the admissible (r, D) are cut out by the numeric
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples, reflect
+from .lattice import MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples
 from .counting import BClass, b_classes, model_qhat, sign_of
 from .real_forms import DeformationClass, get_class
 
@@ -104,66 +105,75 @@ def splittings(alpha: BClass, root: VanishingRoot) -> list[SplittingCase]:
     return cases
 
 
-def orth_root_sum(c: DeformationClass, root: VanishingRoot) -> int:
-    """Sum of i^q over roots of the class lattice orthogonal to E; equals 2(r-1)."""
-    _check_root(c, root)
-    ec = root.e.coeffs
-    return sum(sign_of(b.qhat) for b in b_classes(c, 1) if dot_tuples(b.v.coeffs, ec) == 0)
-
-
-def pairing_cancellation(c: DeformationClass, root: VanishingRoot, k: int) -> int:
-    """Signed sum over the B^{2k} classes with |alpha.E| = 1; always 0.
-
-    The reflection in E is a fixed-point-free involution on that set shifting
-    the quadratic value by 2; the elementwise shift (and invariance for
-    alpha.E in {0, +-2}) is verified along the way.
-    """
-    _check_root(c, root)
-    e = root.e
-    ec = e.coeffs
-    by_v = {b.v.coeffs: b.qhat for b in b_classes(c, k)}
-    total = 0
-    for b in b_classes(c, k):
-        t = dot_tuples(b.v.coeffs, ec)
-        image = tuple(x + t * y for x, y in zip(b.v.coeffs, ec))  # v + (v.E)E
-        q_image = by_v.get(image)
-        if q_image is None:
-            raise LatticeError(f"reflection left the stratum: {b.v} by {e}")
-        if abs(t) == 1:
-            if q_image != (b.qhat + 2) % 4:
-                raise LatticeError(f"pairing shift failed at {b.v}")
-            total += sign_of(b.qhat)
-        else:
-            if q_image != b.qhat:
-                raise LatticeError(f"reflection invariance failed at {b.v}")
-    return total
-
-
 @dataclass(frozen=True)
 class DeltaTable:
-    """The five signed edge-count differences of one degeneration."""
+    """The five signed edge-count differences of one degeneration, with the
+    orthogonal-root sum behind d42/d20 and the count of (stratum, v.E) keys
+    whose limit splittings disagree with SPLITTING_TABLE."""
 
     d41: int
     d42: int
     d20: int
     d21: int
     d22: int
+    orth: int
+    split_mismatches: int
     cited: tuple[str, ...] = ("d22",)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.d41, self.d42, self.d20, self.d21, self.d22)
 
+    @property
+    def balance(self) -> int:
+        """Doubled deep-stratum delta plus the genus-one deltas; always 12."""
+        return 2 * self.d42 + self.d20 + self.d22
+
 
 def delta_table(c: DeformationClass, root: VanishingRoot) -> DeltaTable:
-    """Delta values computed from lattice sums (d22 is the cited Euler input)."""
+    """The wall-crossing kernel: one pass over B^0, B^2 and B^4 against E.
+
+    Each v.E is computed once.  The first class seen for every (stratum, v.E)
+    key has its limit splittings checked against SPLITTING_TABLE.  The orthogonal
+    sum adds i^q over the roots with v.E = 0; it equals 2(r-1).  The reflection
+    in E must keep each stratum, shift q by 2 when |v.E| = 1 (a fixed-point-free
+    pairing, so i^q summed over those classes cancels to d21 = d41 = 0) and leave
+    q unchanged otherwise.  d22 is the cited Euler input.
+    """
     _check_root(c, root)
-    orth = orth_root_sum(c, root)
+    ec = root.e.coeffs
+    seen: set[tuple[int, int]] = set()
+    mismatches = orth = 0
+    pairing = {2: 0, 4: 0}
+    for k in (0, 1, 2):
+        bs = b_classes(c, k)
+        by_v = {b.v.coeffs: b.qhat for b in bs}
+        for b in bs:
+            vc = b.v.coeffs
+            t = dot_tuples(vc, ec)
+            key = (b.stratum, t)
+            if key not in seen:
+                seen.add(key)
+                got = tuple(s.summary for s in splittings(b, root))
+                mismatches += got != SPLITTING_TABLE.get(key)
+            q_image = by_v.get(tuple(x + t * y for x, y in zip(vc, ec)))  # v + (v.E)E
+            if q_image is None:
+                raise LatticeError(f"reflection left the stratum: {b.v} by {root.e}")
+            if abs(t) == 1:
+                if q_image != (b.qhat + 2) % 4:
+                    raise LatticeError(f"pairing shift failed at {b.v}")
+                pairing[b.stratum] += sign_of(b.qhat)
+            elif q_image != b.qhat:
+                raise LatticeError(f"reflection invariance failed at {b.v}")
+            elif t == 0 and k == 1:
+                orth += sign_of(b.qhat)
     return DeltaTable(
-        d41=pairing_cancellation(c, root, 2),
+        d41=pairing[4],
         d42=2 * orth,
         d20=-2 * orth,
-        d21=pairing_cancellation(c, root, 1),
+        d21=pairing[2],
         d22=-2 * (c.rank - (8 - c.rank)),
+        orth=orth,
+        split_mismatches=mismatches,
     )
 
 
@@ -171,12 +181,6 @@ def delta_expected(c: DeformationClass) -> tuple[int, int, int, int, int]:
     """The tabulated formulas at this class's rank: (0, 4(r-1), -4(r-1), 0, -2(r-r'))."""
     r, rd = c.rank, 8 - c.rank
     return (0, 4 * (r - 1), -4 * (r - 1), 0, -2 * (r - rd))
-
-
-def weighted_balance(c: DeformationClass, root: VanishingRoot) -> int:
-    """Doubled deep-stratum delta plus the genus-one deltas; always 12."""
-    t = delta_table(c, root)
-    return 2 * t.d42 + t.d20 + t.d22
 
 
 def _check_root(c: DeformationClass, root: VanishingRoot) -> None:

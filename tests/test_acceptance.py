@@ -120,10 +120,11 @@ def test_criterion_7_wall_crossing(records, all_classes):
     # Spot re-verification straight from the library, one class per model kind.
     for cid in ("M-connected", "M-2-connected"):
         c = real_forms.get_class(cid)
-        root = wallcross.vanishing_roots(c)[0]
-        assert wallcross.delta_table(c, root).as_tuple() == wallcross.delta_expected(c)
-        assert wallcross.weighted_balance(c, root) == 12
-        assert wallcross.orth_root_sum(c, root) == 2 * (c.rank - 1)
+        dt = wallcross.delta_table(c, wallcross.vanishing_roots(c)[0])
+        assert dt.as_tuple() == wallcross.delta_expected(c)
+        assert dt.balance == 12
+        assert dt.orth == 2 * (c.rank - 1)
+        assert dt.split_mismatches == 0
     _ok(7, "splitting tables, orthogonal sums 2(r-1), cancellations, balance 12")
 
 

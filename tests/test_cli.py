@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import clear_model_caches
-from dp1 import cli, real_forms
+from dp1 import cli, real_forms, wallcross
 from dp1.lattice import pic
 
 
@@ -98,6 +98,41 @@ def test_wallcross_payload(capsys):
     assert block["cited"] == ["d22"]
 
 
+def test_wallcross_deltas_match_table_7():
+    table = cli.tables_payload(7)["rows"]
+    blocks = [b for b in cli.wallcross_payload("all")["wallcross"] if b["vanishing_roots"]]
+    assert len(blocks) == 10
+    for block in blocks:
+        column = {r["type"]: r["enumerated_value"] for r in table if r["class"] == block["class"]}
+        assert block["delta"] == column, block["class"]
+
+
+def test_verify_fails_on_corrupted_splitting_table(monkeypatch, capsys):
+    # B^0 is {-2K} with v = 0, so its key (0, 0) is checked for every root.
+    monkeypatch.setitem(wallcross.SPLITTING_TABLE, (0, 0), ())
+    code, out = run_cli(capsys, "verify", "--class", "M-4")
+    assert code == 1
+    failing = [r["name"] for r in json.loads(out)["records"] if not r["passed"]]
+    assert failing == ["splitting_table:M-4"]
+
+
+@pytest.mark.parametrize("argv", [("verify", "--class", "M-4"), ("tables", "4")])
+def test_non_integer_depth_cap_is_a_config_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", "abc")
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "DP1_MAX_ENUM_DEPTH" in err
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert cli.main(["classes", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(target) in err
+    assert not target.exists()
+
+
 def test_verify_scoped_passes_and_roundtrips(capsys):
     code, out = run_cli(capsys, "verify", "--class", "M-4")
     assert code == 0
@@ -119,10 +154,16 @@ def test_verify_deterministic_across_processes():
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import dp1
+
+    # The child must import the same dp1, installed or not.
+    src = str(Path(dp1.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "dp1.cli", "verify", "--class", "M-1-split"],
             capture_output=True, text=True, env=env, check=True)
@@ -162,4 +203,4 @@ def test_verify_fails_on_corrupted_embedding(fresh_caches, monkeypatch, capsys):
     assert payload["summary"]["failed"] >= 1
     failing = [r for r in payload["records"] if not r["passed"]]
     assert any(r["name"] == "class_block:M-4" for r in failing)
-    assert any("error" in str(r["actual"]) for r in failing)
+    assert any(str(r["actual"]).startswith("error: LatticeError: ") for r in failing)

@@ -10,11 +10,8 @@ from dp1.wallcross import (
     VanishingRoot,
     delta_expected,
     delta_table,
-    orth_root_sum,
-    pairing_cancellation,
     splittings,
     vanishing_roots,
-    weighted_balance,
 )
 
 RNG = random.Random(7)
@@ -108,20 +105,19 @@ def test_splittings_depend_only_on_stratum_and_t():
 
 
 def test_orth_root_sum_values():
-    assert orth_root_sum(E8, vanishing_roots(E8)[0]) == 14
+    assert delta_table(E8, vanishing_roots(E8)[0]).orth == 14
     a1 = get_class("M-1-split")
-    assert orth_root_sum(a1, vanishing_roots(a1)[0]) == 0
+    assert delta_table(a1, vanishing_roots(a1)[0]).orth == 0
     d6 = get_class("M-2-connected")
-    assert orth_root_sum(d6, vanishing_roots(d6)[0]) == 10
+    assert delta_table(d6, vanishing_roots(d6)[0]).orth == 10
 
 
 def test_pairing_cancellation_zero():
     for cid in ("M-connected", "M-2-connected", "M-4"):
         c = get_class(cid)
-        root = vanishing_roots(c)[0]
-        assert pairing_cancellation(c, root, 1) == 0
-        assert pairing_cancellation(c, root, 2) == 0
-        assert pairing_cancellation(c, root, 0) == 0
+        dt = delta_table(c, vanishing_roots(c)[0])
+        assert (dt.d21, dt.d41) == (0, 0)
+        assert dt.split_mismatches == 0
 
 
 def test_reflection_shifts_qhat_by_two_on_unit_pairing():
@@ -153,15 +149,15 @@ def test_delta_tables():
         dt = delta_table(c, roots[0])
         assert dt.as_tuple() == delta_expected(c)
         assert dt.d42 + dt.d20 == 0
-        assert weighted_balance(c, roots[0]) == 12
+        assert dt.orth == 2 * (c.rank - 1)
+        assert dt.balance == 12
 
 
 def test_invalid_vanishing_root_rejected():
     c = get_class("M-connected")
-    bad = VanishingRoot("M-connected", b_classes(c, 1)[0].v)
-    if model_qhat(c, bad.e) != 0:
-        with pytest.raises(LatticeError):
-            orth_root_sum(c, bad)
+    bad = next(b.v for b in b_classes(c, 1) if b.qhat != 0)
+    with pytest.raises(LatticeError, match="nonzero quadratic value"):
+        delta_table(c, VanishingRoot("M-connected", bad))
     nonroot = VanishingRoot("M-connected", MINUS_2K)
     with pytest.raises(LatticeError):
-        orth_root_sum(c, nonroot)
+        delta_table(c, nonroot)
