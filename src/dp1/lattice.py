@@ -2,7 +2,9 @@
 
 Divisor classes are integer 9-tuples in the ordered basis (h, l1, ..., l8)
 with the diagonal intersection form h.h = +1, li.li = -1.  Everything here is
-integer or Fraction arithmetic; no floats enter any decision.
+integer or Fraction arithmetic; no floats enter any decision.  Fractions appear
+only in the once-per-basis LDL and coordinate solves: the short-vector search
+itself runs on integers.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 RANK = 9
 
@@ -193,19 +195,13 @@ def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [a[i][k] for i in range(k)]
 
 
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
-
-
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
-
-
 def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
     """All integer coordinate tuples x with (sum x_i b_i)^2 = norm, in lex order.
 
     Bounded recursive search on the negated (positive-definite) gram matrix with
-    completed-square bounds; exact rationals throughout.
+    completed-square bounds (Fincke-Pohst).  The exact LDL data is scaled once to
+    integers, Q(x) * scale = sum_i w_i s_i^2 with s_i = den_i x_i + sum_{j>i} U_ij x_j,
+    so the search itself is integer-only.
     """
     if norm >= 0:
         raise LatticeError(f"enumeration requires a negative norm, got {norm}")
@@ -216,27 +212,31 @@ def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
     if cap is not None and k > int(cap):
         raise EnumerationDepthError(f"rank {k} exceeds {ENUM_DEPTH_ENV}={cap}")
     d, u = _ldl([[-x for x in row] for row in lat.gram])
-    target = Fraction(-norm)
+    den = [lcm(*(u[i][j].denominator for j in range(i + 1, k))) for i in range(k)]
+    big_u = [[int(u[i][j] * den[i]) for j in range(k)] for i in range(k)]
+    w_frac = [d[i] / den[i] ** 2 for i in range(k)]
+    scale = lcm(*(f.denominator for f in w_frac))
+    w = [int(f * scale) for f in w_frac]
     found: list[tuple[int, ...]] = []
     x = [0] * k
 
-    def descend(i: int, budget: Fraction) -> None:
-        center = sum((u[i][j] * x[j] for j in range(i + 1, k)), Fraction(0))
-        # |x_i + center| <= sqrt(budget/d_i) < isqrt(floor(budget/d_i)) + 1.
-        radius = isqrt(_floor(budget / d[i])) + 1
-        for xi in range(_ceil(-center - radius), _floor(-center + radius) + 1):
-            term = d[i] * (xi + center) ** 2
-            if term > budget:
-                continue
+    def descend(i: int, budget: int) -> None:
+        row, di, wi = big_u[i], den[i], w[i]
+        c = sum(row[j] * x[j] for j in range(i + 1, k))
+        # w s^2 <= budget  <=>  |s| <= isqrt(budget // w), with s = di*xi + c.
+        r = isqrt(budget // wi)
+        for xi in range(-((c + r) // di), (r - c) // di + 1):
+            s = di * xi + c
+            rest = budget - wi * s * s
             x[i] = xi
             if i == 0:
-                if term == budget:
+                if rest == 0:
                     found.append(tuple(x))
             else:
-                descend(i - 1, budget - term)
+                descend(i - 1, rest)
         x[i] = 0
 
-    descend(k - 1, target)
+    descend(k - 1, scale * -norm)
     return sorted(found)
 
 

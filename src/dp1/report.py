@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from . import counting, golden, pin, properties, real_forms, wallcross
 from .lattice import enumerate_coordinates, enumerate_vectors
@@ -18,6 +18,9 @@ from .roots import ROOT_COUNTS, root_system_type
 
 ENUMERATED = "enumerated"
 CITED = "cited-formula"
+
+# Scope predicate: true when a record naming these class ids can be in scope.
+Wanted = Callable[..., bool]
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,11 @@ _NAMED_B4 = {"M-connected": 112, "M-1-connected": 84, "M-2-connected": 60,
              "M-3-connected": 40, "M-2-I-a": 24, "M-2-I-b": 24}
 
 
-def _named_sum_records() -> list[VerificationRecord]:
+def _named_sum_records(wanted: Wanted) -> list[VerificationRecord]:
     recs = []
     for cid, want in _NAMED_B4.items():
+        if not wanted(cid):
+            continue
         try:
             got = counting.c4_total(real_forms.get_class(cid))
             recs.append(_rec(f"four_sum_named:{cid}", "table6/row-c4", ENUMERATED,
@@ -106,10 +111,12 @@ def _named_sum_records() -> list[VerificationRecord]:
     return recs
 
 
-def _pair_records() -> list[VerificationRecord]:
+def _pair_records(wanted: Wanted) -> list[VerificationRecord]:
     recs = []
     for c, d in real_forms.bertini_pairs():
         cs = (c.id, d.id)
+        if not wanted(*cs):
+            continue
         try:
             recs.append(_rec(f"pair_rank_sum:{c.id}", "table1/pairing", ENUMERATED,
                              8, c.rank + d.rank, cs))
@@ -124,7 +131,7 @@ def _pair_records() -> list[VerificationRecord]:
     return recs
 
 
-def _table_records() -> list[VerificationRecord]:
+def _table_records(wanted: Wanted) -> list[VerificationRecord]:
     e8 = real_forms.get_class("M-connected")
     e7 = real_forms.get_class("M-1-connected")
     builders = [
@@ -135,6 +142,8 @@ def _table_records() -> list[VerificationRecord]:
     ]
     recs = []
     for name, expected, build, cs in builders:
+        if not wanted(*cs):
+            continue
         try:
             rows = build()
             recs.append(_rec(f"{name}_rows", f"{name}/rows", ENUMERATED,
@@ -144,6 +153,8 @@ def _table_records() -> list[VerificationRecord]:
                              sum(r.count for r in rows), cs))
         except Exception as err:
             recs.append(_fail(f"{name}_rows", f"{name}/rows", err, cs))
+    if not wanted("M-1-connected"):
+        return recs
     try:
         recs.append(_rec("table5_bilevel_rule", "table5/bilevel", ENUMERATED, [], [
             list(r.key) for r in counting.classify_levels(e7, 2)
@@ -154,10 +165,12 @@ def _table_records() -> list[VerificationRecord]:
     return recs
 
 
-def _table6_records() -> list[VerificationRecord]:
+def _table6_records(wanted: Wanted) -> list[VerificationRecord]:
     recs = []
     for col in golden.TABLE6_COLUMNS:
         plus_id, minus_id = golden.TABLE6_PAIRS[col]
+        if not wanted(plus_id, minus_id):
+            continue
         try:
             plus = real_forms.get_class(plus_id)
             minus = real_forms.get_class(minus_id)
@@ -169,6 +182,8 @@ def _table6_records() -> list[VerificationRecord]:
                 recs.append(_rec(f"table6:{col}:{row}", f"table6/{col}/{row}", prov,
                                  want, got, (plus_id, minus_id)))
             for side in dict.fromkeys((plus, minus)):
+                if not wanted(side.id):
+                    continue
                 r = side.rank
                 recs.append(_rec(f"table6_form_c2:{side.id}", "table6/margin-c2", CITED,
                                  golden.ROW_FORMS["c2"](r), counting.c2_total(side), (side.id,)))
@@ -234,9 +249,11 @@ def _wallcross_records(c: real_forms.DeformationClass) -> list[VerificationRecor
     return recs
 
 
-def _cross_model_records() -> list[VerificationRecord]:
+def _cross_model_records(wanted: Wanted) -> list[VerificationRecord]:
     recs = []
     for cid in ("M-connected", "M-1-connected"):
+        if not wanted(cid):
+            continue
         try:
             c = real_forms.get_class(cid)
             lat = real_forms.lambda_basis(cid).sublattice
@@ -327,27 +344,25 @@ def _property_records() -> list[VerificationRecord]:
 def build_records(scope: str = "all") -> list[VerificationRecord]:
     """Verification records; a class-id scope restricts to that class's checks.
 
-    The randomized property suite and the global structure records run only for
-    the full scope.
+    A scoped run builds only the records that can name the scope: each block
+    builder skips the items whose class ids exclude it.  The randomized property
+    suite and the global structure records run only for the full scope.
     """
     recs: list[VerificationRecord] = []
     if scope == "all":
+        wanted: Wanted = lambda *ids: True
         recs.extend(_structure_records())
         recs.extend(_polynomial_records())
-    wanted = None
-    if scope != "all":
-        c = real_forms.get_class(scope)
-        wanted = {scope, c.bertini_dual_id}
+    else:
+        real_forms.get_class(scope)  # unknown ids raise here
+        wanted = lambda *ids: scope in ids
     for c in real_forms.deformation_classes():
-        if wanted is not None and c.id not in wanted:
-            continue
-        recs.extend(_class_records(c))
-        recs.extend(_wallcross_records(c))
-    recs.extend(_named_sum_records())
-    recs.extend(_pair_records())
-    recs.extend(_table_records())
-    recs.extend(_table6_records())
-    recs.extend(_cross_model_records())
+        if wanted(c.id):
+            recs.extend(_class_records(c))
+            recs.extend(_wallcross_records(c))
+    for block in (_named_sum_records, _pair_records, _table_records, _table6_records,
+                  _cross_model_records):
+        recs.extend(block(wanted))
     if scope == "all":
         recs.extend(_property_records())
     else:

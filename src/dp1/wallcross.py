@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples
-from .counting import BClass, b_classes, model_qhat, sign_of
+from .counting import BClass, b_classes, sign_of
 from .real_forms import DeformationClass, get_class
 
 
@@ -139,14 +139,15 @@ def delta_table(c: DeformationClass, root: VanishingRoot) -> DeltaTable:
     pairing, so i^q summed over those classes cancels to d21 = d41 = 0) and leave
     q unchanged otherwise.  d22 is the cited Euler input.
     """
-    _check_root(c, root)
+    strata = [b_classes(c, k) for k in (0, 1, 2)]
+    q_of = [{b.v.coeffs: b.qhat for b in bs} for bs in strata]
+    _check_root(c, root, q_of[1])
     ec = root.e.coeffs
     seen: set[tuple[int, int]] = set()
     mismatches = orth = 0
     pairing = {2: 0, 4: 0}
-    for k in (0, 1, 2):
-        bs = b_classes(c, k)
-        by_v = {b.v.coeffs: b.qhat for b in bs}
+    for k, bs in enumerate(strata):
+        by_v = q_of[k]
         for b in bs:
             vc = b.v.coeffs
             t = dot_tuples(vc, ec)
@@ -183,10 +184,16 @@ def delta_expected(c: DeformationClass) -> tuple[int, int, int, int, int]:
     return (0, 4 * (r - 1), -4 * (r - 1), 0, -2 * (r - rd))
 
 
-def _check_root(c: DeformationClass, root: VanishingRoot) -> None:
+def _check_root(c: DeformationClass, root: VanishingRoot,
+                root_q: dict[tuple[int, ...], int]) -> None:
+    """Reject E unless it is a root of the class lattice with q(E) = 0; root_q maps
+    the B^2 stratum vectors (the class lattice's roots) to their q."""
     if root.class_id != c.id:
         raise LatticeError(f"root belongs to {root.class_id}, not {c.id}")
     if root.e.square != -2 or root.e.dot(MINUS_K) != 0:
         raise LatticeError(f"{root.e} is not a root of the degree-0 lattice")
-    if model_qhat(c, root.e) != 0:
+    q = root_q.get(root.e.coeffs)
+    if q is None:
+        raise LatticeError(f"{root.e} is not a root of the {c.id} class lattice")
+    if q != 0:
         raise LatticeError(f"{root.e} has nonzero quadratic value")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import clear_model_caches
-from dp1 import cli, real_forms, wallcross
+from dp1 import cli, real_forms, report, wallcross
 from dp1.lattice import pic
 
 
@@ -204,3 +204,33 @@ def test_verify_fails_on_corrupted_embedding(fresh_caches, monkeypatch, capsys):
     failing = [r for r in payload["records"] if not r["passed"]]
     assert any(r["name"] == "class_block:M-4" for r in failing)
     assert any(str(r["actual"]).startswith("error: LatticeError: ") for r in failing)
+
+
+def test_scoped_records_equal_the_filtered_full_build():
+    # What a scoped run used to do: build every block for every class, then filter.
+    def everything(*ids):
+        return True
+
+    full = []
+    for c in real_forms.deformation_classes():
+        full += report._class_records(c) + report._wallcross_records(c)
+    for block in (report._named_sum_records, report._pair_records, report._table_records,
+                  report._table6_records, report._cross_model_records):
+        full += block(everything)
+    for c in real_forms.deformation_classes():
+        assert report.build_records(c.id) == [r for r in full if c.id in r.classes], c.id
+
+
+def test_scoped_verify_skips_the_dual_wall_crossing(monkeypatch, capsys):
+    calls = []
+    kernel = wallcross.delta_table
+
+    def counted(c, root):
+        calls.append(c.id)
+        return kernel(c, root)
+
+    monkeypatch.setattr(wallcross, "delta_table", counted)
+    code, _ = run_cli(capsys, "verify", "--class", "M-split")
+    assert code == 0 and calls == []
+    run_cli(capsys, "verify", "--class", "M-4")
+    assert calls == ["M-4"] * 8

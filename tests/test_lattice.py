@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dp1 import real_forms
 from dp1.lattice import (
     ENUM_DEPTH_ENV,
     EnumerationDepthError,
@@ -100,6 +101,8 @@ def test_enumerate_rejects_bad_norm(kperp):
         enumerate_vectors(kperp, 0)
     with pytest.raises(LatticeError):
         enumerate_vectors(kperp, 2)
+    with pytest.raises(LatticeError, match="negative norm"):
+        enumerate_coordinates(Sublattice.span([]), 0)
 
 
 def test_e8_cardinalities(kperp):
@@ -129,11 +132,59 @@ def test_orthogonal_seeds_count():
 
 
 def test_depth_cap(kperp, monkeypatch):
+    d4, three_a1 = (real_forms.lambda_basis(cid).sublattice for cid in ("M-2-I-a", "M-3-split"))
     monkeypatch.setenv(ENUM_DEPTH_ENV, "3")
     with pytest.raises(EnumerationDepthError):
         enumerate_vectors(kperp, -2)
     monkeypatch.setenv(ENUM_DEPTH_ENV, "8")
     assert len(enumerate_vectors(kperp, -2)) == 240
+    monkeypatch.setenv(ENUM_DEPTH_ENV, "3")
+    with pytest.raises(EnumerationDepthError):
+        enumerate_coordinates(d4, -2)
+    assert len(enumerate_coordinates(three_a1, -2)) == 6  # 3A1: rank 3 is within the cap
+
+
+# Theta-series coefficients of each class lattice: the number of vectors of
+# norm -2, -4, -6, -8 (E8: 240 sigma_3(n)).
+SHELLS = {
+    "E8": (240, 2160, 6720, 17520),
+    "E7": (126, 756, 2072, 4158),
+    "D6": (60, 252, 544, 1020),
+    "D4+A1": (26, 72, 144, 218),
+    "D4": (24, 24, 96, 24),
+    "4A1": (8, 24, 32, 24),
+    "3A1": (6, 12, 8, 6),
+    "2A1": (4, 4, 0, 4),
+    "A1": (2, 0, 0, 2),
+    "0": (0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("c", real_forms.deformation_classes(), ids=lambda c: c.id)
+def test_class_lattice_shell_counts(c):
+    lat = real_forms.lambda_basis(c.id).sublattice
+    got = tuple(len(enumerate_coordinates(lat, n)) for n in (-2, -4, -6, -8))
+    assert got == SHELLS[c.lambda_type]
+
+
+@pytest.mark.parametrize("c", [c for c in real_forms.deformation_classes() if c.rank],
+                         ids=lambda c: c.id)
+def test_weyl_moved_bases_give_the_same_vectors(c):
+    # Reflections skew the gram matrix (large LDL denominators) but keep the lattice,
+    # so each shell must come back as the same set of ambient vectors.
+    rng = random.Random(f"weyl:{c.id}")
+    lat = real_forms.lambda_basis(c.id).sublattice
+    roots = enumerate_vectors(lat, -2)
+    want = {n: set(enumerate_vectors(lat, n)) for n in (-2, -4, -6)}
+    for _ in range(3):
+        basis = list(lat.basis)
+        for _ in range(rng.randint(3, 6)):
+            e = rng.choice(roots)
+            basis = [reflect(b, e) for b in basis]
+        moved = Sublattice.span(basis)
+        for n, vectors in want.items():
+            got = enumerate_vectors(moved, n)
+            assert len(got) == len(vectors) and set(got) == vectors
 
 
 def test_integer_kernel_saturation():

@@ -161,3 +161,13 @@ def test_invalid_vanishing_root_rejected():
     nonroot = VanishingRoot("M-connected", MINUS_2K)
     with pytest.raises(LatticeError):
         delta_table(c, nonroot)
+
+
+def test_root_outside_the_class_lattice_rejected():
+    # Roots of K-perp = E8 that the class lattice does not contain.
+    for cid in ("M-1-connected", "M-2-connected", "M-4"):
+        c = get_class(cid)
+        inside = {b.v for b in b_classes(c, 1)}
+        outside = next(b.v for b in b_classes(E8, 1) if b.v not in inside)
+        with pytest.raises(LatticeError, match=f"not a root of the {cid} class lattice"):
+            delta_table(c, VanishingRoot(cid, outside))
