@@ -38,7 +38,7 @@ def classes_payload() -> dict:
             "rank": c.rank,
             "euler_char": c.euler_char,
             "bertini_dual": c.bertini_dual_id,
-            "qhat_model": c.qhat_model,
+            "qhat_model": "basis" if c.code is None else "code",
         })
     pairs = [[a.id, b.id] for a, b in real_forms.bertini_pairs()]
     return {"classes": rows, "pairs": pairs}

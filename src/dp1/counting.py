@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import MINUS_2K, ZERO, LatticeError, PicClass, enumerate_coordinates
-from .pin import NEGATIVE_CODE, POSITIVE_CODE, qhat_code, qhat_from_coordinates
+from .pin import qhat_code, qhat_from_coordinates
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
-
-CODES = {"M-connected": POSITIVE_CODE, "M-1-connected": NEGATIVE_CODE}
 
 
 @dataclass(frozen=True)
@@ -30,14 +28,13 @@ class BClass:
     qhat: int
 
 
-def model_qhat(c: DeformationClass, v: PicClass, coords: tuple[int, ...] | None = None) -> int:
-    """Quadratic value of a vector of the class lattice, via the class's model."""
-    if c.qhat_model == "code":
-        return qhat_code(CODES[c.id], v)
-    lat = lambda_basis(c.id).sublattice
-    if coords is None:
-        coords = lat.coordinates_of(v)
-    return qhat_from_coordinates(coords, v.square)
+def twist(c: DeformationClass) -> tuple[int, ...]:
+    """The class's q as data: t_i = q(b_i) - b_i.b_i on its simple roots, read off
+    its blowup-model code, or 2 each where q vanishes on them."""
+    basis = lambda_basis(c.id).sublattice.basis
+    if c.code is None:
+        return (2,) * len(basis)
+    return tuple(qhat_code(c.code, b) - b.square for b in basis)
 
 
 @lru_cache(maxsize=None)
@@ -48,10 +45,11 @@ def b_classes_cached(class_id: str, k: int) -> tuple[BClass, ...]:
     lat = lambda_basis(class_id).sublattice
     if lat.rank == 0:
         return ()
+    t = twist(c)
     out = []
     for coords in enumerate_coordinates(lat, -2 * k):
         v = lat.from_coordinates(coords)
-        q = model_qhat(c, v, coords)
+        q = qhat_from_coordinates(coords, -2 * k, t)
         out.append(BClass(class_id, 2 * k, v, MINUS_2K - v, q))
     return tuple(out)
 
@@ -154,7 +152,7 @@ def _split_coeffs(x: PicClass, r: int) -> tuple[int, tuple[int, ...], int | None
 
 def classify_roots(c: DeformationClass) -> list[TableRow]:
     """Root table of a code class: rows by (level, type), roots folded by sign."""
-    code = CODES.get(c.id)
+    code = c.code
     if code is None:
         raise LatticeError(f"{c.id} has no blowup-model code")
     items = []
@@ -219,7 +217,7 @@ def classify_levels(c: DeformationClass, k: int) -> list[TableRow] | list[Aggreg
     """Level/bi-level rows of B^{2k} for the code classes; aggregate row otherwise."""
     if k not in (1, 2):
         raise LatticeError(f"stratum index must be 1 or 2, got {k}")
-    code = CODES.get(c.id)
+    code = c.code
     if code is None:
         bs = b_classes(c, k)
         return [AggregateRow(len(bs), sum(sign_of(b.qhat) for b in bs))]

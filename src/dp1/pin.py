@@ -1,14 +1,17 @@
 """The Z/4-valued quadratic function on real divisor classes.
 
-Two evaluation models:
+One rule evaluates it: for x = sum n_i b_i over a basis b_i,
 
-* a blowup-model code: residues (a0, a1, ..., a_{8-2r}) in {+1, -1} mod 4
-  giving the values on h and on the real exceptional classes, with value 0 on
-  each imaginary pair-sum;
-* a root basis of the class lattice on which the function vanishes, where the
-  quadratic law closes to q(x) = x.x + 2*sum(coords) mod 4.
+    q(x) = x.x + sum n_i t_i  (mod 4),  with twist t_i = q(b_i) - b_i.b_i,
 
-Both satisfy q(x+y) = q(x) + q(y) + 2(x.y) and q(n*b) = n*q(b) + (n^2-n)(b.b).
+which is the quadratic law q(x+y) = q(x) + q(y) + 2(x.y) summed over the basis
+(the cross terms add up to x.x).  Each model is a twist on a basis:
+
+* a blowup-model code: residues (a0, a1, ..., a_{8-2r}) in {+1, -1} mod 4, the
+  values on h and on the real exceptional classes, with value 0 on each
+  imaginary pair-sum: twist (a0 - 1, a_i + 1, 2) on {h, real l_i, pair sums};
+* a root basis of the class lattice on which q vanishes: twist (2, ..., 2).
+
 Cremona moves act on codes exactly as the corresponding reflections act on
 classes.
 """
@@ -47,6 +50,12 @@ class Code:
     def n_real(self) -> int:
         return len(self.residues) - 1
 
+    @property
+    def twist(self) -> tuple[int, ...]:
+        """q(b) - b.b on h, the real l_i and the pair sums, in that order."""
+        a0, *real = self.residues
+        return (a0 - 1, *(a + 1 for a in real), *(2,) * self.r)
+
 
 # Blowup-model codes of the two connected classes that admit one.
 POSITIVE_CODE = Code((1,) * 9)  # M-connected, 8 real points
@@ -60,36 +69,22 @@ def check_real(code: Code, x: PicClass) -> None:
 
 
 def qhat_code(code: Code, x: PicClass) -> int:
-    """Value of the quadratic function on a real class, via the code model.
-
-    Decomposes x over the orthogonal family {h, real l_i, pair sums} and applies
-    the scaling rule q(n*b) = n*q(b) + (n^2 - n)(b.b); pair sums carry q = 0.
-    """
+    """Value on a real class via the code: its coordinates over {h, real l_i,
+    pair sums} are c0, the real c_i and the first slot of each imaginary pair."""
     check_real(code, x)
     c = x.coeffs
-    n0 = c[0]
-    val = n0 * code.residues[0] + (n0 * n0 - n0)
-    for i in range(1, code.n_real + 1):
-        ni = c[i]
-        val += ni * code.residues[i] - (ni * ni - ni)
-    for i, _ in PAIRS[: code.r]:
-        m = c[i]
-        val -= 2 * (m * m - m)
-    return val % 4
+    coords = c[: code.n_real + 1] + tuple(c[i] for i, _ in PAIRS[: code.r])
+    return qhat_from_coordinates(coords, x.square, code.twist)
 
 
 def qhat_vanishing_basis(lat: Sublattice, x: PicClass) -> int:
-    """Value on x in the span of a root basis on which the function vanishes.
-
-    With every basis square equal to -2 the quadratic law closes to
-    q(x) = x.x + 2*sum(coords) mod 4.
-    """
-    coords = lat.coordinates_of(x)
-    return qhat_from_coordinates(coords, x.square)
+    """Value on x in the span of a root basis on which the function vanishes."""
+    return qhat_from_coordinates(lat.coordinates_of(x), x.square, (2,) * lat.rank)
 
 
-def qhat_from_coordinates(coords: tuple[int, ...], square: int) -> int:
-    return (square + 2 * sum(coords)) % 4
+def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int, ...]) -> int:
+    """q(sum n_i b_i) = x.x + sum n_i t_i mod 4, given x.x and the twist t on the basis."""
+    return (square + sum(n * t for n, t in zip(coords, twist))) % 4
 
 
 def _norm(residues: list[int]) -> tuple[int, ...]:

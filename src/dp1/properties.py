@@ -17,6 +17,7 @@ from .lattice import (
     K,
     PicClass,
     Sublattice,
+    _solve_fraction_system,
     enumerate_coordinates,
     enumerate_vectors,
     pic,
@@ -71,27 +72,32 @@ def quadratic_law_code(n: int, rng: random.Random) -> PropertyResult:
     return PropertyResult("quadratic_law_code", n, fails)
 
 
+def _vanishing_basis_lattices() -> list[Sublattice]:
+    return [real_forms.lambda_basis(c.id).sublattice
+            for c in real_forms.deformation_classes()
+            if c.code is None and c.rank >= 1]
+
+
 def quadratic_law_basis(n: int, rng: random.Random) -> PropertyResult:
-    """Same law for the vanishing-basis evaluator, on random span elements."""
-    lattices = [real_forms.lambda_basis(c.id).sublattice
-                for c in real_forms.deformation_classes()
-                if c.qhat_model == "basis" and c.rank >= 1]
+    """Same law for the vanishing-basis twist, on random span elements."""
+    lattices = _vanishing_basis_lattices()
     fails = 0
     for _ in range(n):
         lat = rng.choice(lattices)
+        t = (2,) * lat.rank
         cx = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
         cy = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
         x, y = lat.from_coordinates(cx), lat.from_coordinates(cy)
         cxy = tuple(a + b for a, b in zip(cx, cy))
-        lhs = pin.qhat_from_coordinates(cxy, (x + y).square)
-        rhs = (pin.qhat_from_coordinates(cx, x.square)
-               + pin.qhat_from_coordinates(cy, y.square) + 2 * x.dot(y)) % 4
+        lhs = pin.qhat_from_coordinates(cxy, (x + y).square, t)
+        rhs = (pin.qhat_from_coordinates(cx, x.square, t)
+               + pin.qhat_from_coordinates(cy, y.square, t) + 2 * x.dot(y)) % 4
         fails += lhs != rhs
     return PropertyResult("quadratic_law_basis", n, fails)
 
 
 def parity_and_negation(n: int, rng: random.Random) -> PropertyResult:
-    """q(x) = x.x mod 2 and q(-x) = q(x), across both evaluators."""
+    """q(x) = x.x mod 2 and q(-x) = q(x), for code and vanishing-basis twists."""
     fails = 0
     for _ in range(n):
         if rng.random() < 0.5:
@@ -100,19 +106,18 @@ def parity_and_negation(n: int, rng: random.Random) -> PropertyResult:
             q, qn = pin.qhat_code(code, x), pin.qhat_code(code, -x)
         else:
             lat = real_forms.lambda_basis("M-2-connected").sublattice
+            t = (2,) * lat.rank
             cx = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
             x = lat.from_coordinates(cx)
-            q = pin.qhat_from_coordinates(cx, x.square)
-            qn = pin.qhat_from_coordinates(tuple(-a for a in cx), x.square)
+            q = pin.qhat_from_coordinates(cx, x.square, t)
+            qn = pin.qhat_from_coordinates(tuple(-a for a in cx), x.square, t)
         fails += (q - x.square) % 2 != 0 or q != qn
     return PropertyResult("parity_and_negation", n, fails)
 
 
 def vanishing_basis_closed_form(n: int, rng: random.Random) -> PropertyResult:
-    """Closed form x.x + 2*sum(coords) equals the recursive quadratic expansion."""
-    lattices = [real_forms.lambda_basis(c.id).sublattice
-                for c in real_forms.deformation_classes()
-                if c.qhat_model == "basis" and c.rank >= 1]
+    """Twist rule x.x + 2*sum(coords) equals the recursive quadratic expansion."""
+    lattices = _vanishing_basis_lattices()
     fails = 0
     for _ in range(n):
         lat = rng.choice(lattices)
@@ -125,7 +130,7 @@ def vanishing_basis_closed_form(n: int, rng: random.Random) -> PropertyResult:
             step = ni * b
             q = (q + (ni * ni - ni) * (-2) + 2 * partial.dot(step)) % 4
             partial = partial + step
-        fails += q != pin.qhat_from_coordinates(coords, x.square)
+        fails += q != pin.qhat_from_coordinates(coords, x.square, (2,) * lat.rank)
     return PropertyResult("vanishing_basis_closed_form", n, fails)
 
 
@@ -187,7 +192,7 @@ def weyl_basis_robustness(images: int, rng: random.Random) -> PropertyResult:
     """Signed sums are unchanged on Weyl-transformed vanishing root bases."""
     checks = fails = 0
     for c in real_forms.deformation_classes():
-        if c.qhat_model != "basis" or c.rank == 0:
+        if c.code is not None or c.rank == 0:
             continue
         lat = real_forms.lambda_basis(c.id).sublattice
         roots = enumerate_vectors(lat, -2)
@@ -198,9 +203,10 @@ def weyl_basis_robustness(images: int, rng: random.Random) -> PropertyResult:
                 e = rng.choice(roots)
                 basis = [reflect(b, e) for b in basis]
             moved = Sublattice.span(basis)
-            s2 = sum(1 if pin.qhat_from_coordinates(t, -2) == 0 else -1
+            vanishing = (2,) * moved.rank
+            s2 = sum(1 if pin.qhat_from_coordinates(t, -2, vanishing) == 0 else -1
                      for t in enumerate_coordinates(moved, -2))
-            s4 = sum(1 if pin.qhat_from_coordinates(t, -4) == 0 else -1
+            s4 = sum(1 if pin.qhat_from_coordinates(t, -4, vanishing) == 0 else -1
                      for t in enumerate_coordinates(moved, -4))
             checks += 1
             fails += (s2, s4) != (want2, want4)
@@ -233,11 +239,11 @@ def _box_scan(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
     """Independent oracle: scan the full coordinate box |x_i| <= sqrt(n * (Q^-1)_ii)."""
     k = lat.rank
     q = [[Fraction(-lat.gram[i][j]) for j in range(k)] for i in range(k)]
-    inv = _invert(q)
     n = -norm
     bounds = []
     for i in range(k):
-        b = n * inv[i][i]
+        # (Q^-1)_ii is entry i of the solution of Q y = e_i.
+        b = n * _solve_fraction_system(q, [Fraction(int(i == j)) for j in range(k)])[i]
         r = 0
         while (r + 1) * (r + 1) <= b:
             r += 1
@@ -248,21 +254,6 @@ def _box_scan(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
         if val == n:
             out.append(combo)
     return sorted(out)
-
-
-def _invert(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(m)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[k:] for row in a]
 
 
 def box_scan_oracle() -> PropertyResult:
@@ -285,16 +276,18 @@ def box_scan_oracle() -> PropertyResult:
 
 
 def alpha_qhat_consistency(n: int, rng: random.Random) -> PropertyResult:
-    """For code classes, q(-2K - v) evaluated directly equals q(v)."""
+    """For code classes, the ambient code's q(-2K - v) equals the stored q(v),
+    which the simple-root twist gave."""
     fails = 0
     pool = []
-    for cid in ("M-connected", "M-1-connected"):
-        c = real_forms.get_class(cid)
+    for c in real_forms.deformation_classes():
+        if c.code is None:
+            continue
         pool += [(c, b) for b in counting.b_classes(c, 1)]
         pool += [(c, b) for b in counting.b_classes(c, 2)]
     sample = rng.sample(pool, min(n, len(pool)))
     for c, b in sample:
-        fails += pin.qhat_code(counting.CODES[c.id], b.alpha) != b.qhat
+        fails += pin.qhat_code(c.code, b.alpha) != b.qhat
     return PropertyResult("alpha_qhat_consistency", len(sample), fails)
 
 

@@ -19,11 +19,11 @@ from .lattice import (
     LatticeError,
     PicClass,
     Sublattice,
-    enumerate_vectors,
     form_row,
     integer_kernel,
     pic,
 )
+from .pin import NEGATIVE_CODE, POSITIVE_CODE, Code
 from .roots import ROOT_COUNTS, cartan_gram, identify, root_system_type
 
 
@@ -37,7 +37,7 @@ class DeformationClass:
     lambda_type: str
     rank: int
     bertini_dual_id: str
-    qhat_model: str  # "code" or "basis"
+    code: Code | None  # blowup-model code; None: q vanishes on the simple roots
 
     @property
     def euler_char(self) -> int:
@@ -45,17 +45,17 @@ class DeformationClass:
 
 
 _CLASSES = (
-    DeformationClass("M-connected", "RP2#4T2", "M", "E8", 8, "M-split", "code"),
-    DeformationClass("M-1-connected", "RP2#3T2", "M-1", "E7", 7, "M-1-split", "code"),
-    DeformationClass("M-2-connected", "RP2#2T2", "M-2", "D6", 6, "M-2-split", "basis"),
-    DeformationClass("M-3-connected", "RP2#T2", "M-3", "D4+A1", 5, "M-3-split", "basis"),
-    DeformationClass("M-4", "RP2", "M-4", "4A1", 4, "M-4", "basis"),
-    DeformationClass("M-2-I-a", "RP2+K2", "(M-2)_I", "D4", 4, "M-2-I-a", "basis"),
-    DeformationClass("M-2-I-b", "(RP2#T2)+S2", "(M-2)_I", "D4", 4, "M-2-I-b", "basis"),
-    DeformationClass("M-split", "RP2+4S2", "M", "0", 0, "M-connected", "basis"),
-    DeformationClass("M-1-split", "RP2+3S2", "M-1", "A1", 1, "M-1-connected", "basis"),
-    DeformationClass("M-2-split", "RP2+2S2", "M-2", "2A1", 2, "M-2-connected", "basis"),
-    DeformationClass("M-3-split", "RP2+S2", "M-3", "3A1", 3, "M-3-connected", "basis"),
+    DeformationClass("M-connected", "RP2#4T2", "M", "E8", 8, "M-split", POSITIVE_CODE),
+    DeformationClass("M-1-connected", "RP2#3T2", "M-1", "E7", 7, "M-1-split", NEGATIVE_CODE),
+    DeformationClass("M-2-connected", "RP2#2T2", "M-2", "D6", 6, "M-2-split", None),
+    DeformationClass("M-3-connected", "RP2#T2", "M-3", "D4+A1", 5, "M-3-split", None),
+    DeformationClass("M-4", "RP2", "M-4", "4A1", 4, "M-4", None),
+    DeformationClass("M-2-I-a", "RP2+K2", "(M-2)_I", "D4", 4, "M-2-I-a", None),
+    DeformationClass("M-2-I-b", "(RP2#T2)+S2", "(M-2)_I", "D4", 4, "M-2-I-b", None),
+    DeformationClass("M-split", "RP2+4S2", "M", "0", 0, "M-connected", None),
+    DeformationClass("M-1-split", "RP2+3S2", "M-1", "A1", 1, "M-1-connected", None),
+    DeformationClass("M-2-split", "RP2+2S2", "M-2", "2A1", 2, "M-2-connected", None),
+    DeformationClass("M-3-split", "RP2+S2", "M-3", "3A1", 3, "M-3-connected", None),
 )
 
 _BY_ID = {c.id: c for c in _CLASSES}
@@ -168,12 +168,12 @@ def lambda_basis(class_id: str) -> LambdaEmbedding:
     """Canonical simple-root basis of the class lattice, with all invariants enforced."""
     c = get_class(class_id)
     lat = _raw_lattice(class_id)
-    label, simple = identify(lat)
+    label, simple, roots = identify(lat)
     if label != c.lambda_type:
         raise LatticeError(f"{class_id}: stored lattice has root type {label}, expected {c.lambda_type}")
     if len(simple) != c.rank or lat.rank != c.rank:
         raise LatticeError(f"{class_id}: rank mismatch")
-    n_roots = len(enumerate_vectors(lat, -2)) if c.rank else 0
+    n_roots = len(roots)
     if n_roots != ROOT_COUNTS[c.lambda_type]:
         raise LatticeError(f"{class_id}: {n_roots} roots, expected {ROOT_COUNTS[c.lambda_type]}")
     basis = Sublattice.span(simple)

@@ -61,15 +61,13 @@ def _class_records(c: real_forms.DeformationClass) -> list[VerificationRecord]:
     cs = (cid,)
     recs: list[VerificationRecord] = []
     try:
-        emb = real_forms.lambda_basis(cid)
-        lat = emb.sublattice
+        lat = real_forms.lambda_basis(cid).sublattice
         comp_type = root_system_type(real_forms.orthogonal_complement(lat))
         dual_type = real_forms.get_class(c.bertini_dual_id).lambda_type
         recs.append(_rec(f"complement_type:{cid}", "table1/pairing", ENUMERATED,
                          dual_type, comp_type, cs))
-        n2 = len(enumerate_vectors(lat, -2)) if c.rank else 0
         recs.append(_rec(f"card_roots:{cid}", "table1/root-count", ENUMERATED,
-                         ROOT_COUNTS[c.lambda_type], n2, cs))
+                         ROOT_COUNTS[c.lambda_type], len(counting.b_classes(c, 1)), cs))
         n4 = len(counting.b_classes(c, 2))
         recs.append(_rec(f"card_four_vectors:{cid}", "four-vector-count", ENUMERATED,
                          golden.FOUR_VECTOR_COUNTS[c.lambda_type], n4, cs))
@@ -257,9 +255,10 @@ def _cross_model_records(wanted: Wanted) -> list[VerificationRecord]:
         try:
             c = real_forms.get_class(cid)
             lat = real_forms.lambda_basis(cid).sublattice
-            vb2 = sum(1 if pin.qhat_from_coordinates(t, -2) == 0 else -1
+            vanishing = (2,) * lat.rank
+            vb2 = sum(1 if pin.qhat_from_coordinates(t, -2, vanishing) == 0 else -1
                       for t in enumerate_coordinates(lat, -2))
-            vb4 = sum(1 if pin.qhat_from_coordinates(t, -4) == 0 else -1
+            vb4 = sum(1 if pin.qhat_from_coordinates(t, -4, vanishing) == 0 else -1
                       for t in enumerate_coordinates(lat, -4))
             recs.append(_rec(f"cross_model_roots:{cid}", "code-vs-basis", ENUMERATED,
                              counting.signed_sum(c, 1), vb2, (cid,)))

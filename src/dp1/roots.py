@@ -24,9 +24,8 @@ def _lex_positive(v: PicClass) -> bool:
     return False
 
 
-def simple_system(lat: Sublattice) -> list[PicClass]:
-    """Indecomposable positive roots of lat, canonically ordered per component."""
-    roots = enumerate_vectors(lat, -2)
+def simple_system(roots: list[PicClass]) -> list[PicClass]:
+    """Indecomposable positive roots of a root set, canonically ordered per component."""
     pos = [v for v in roots if _lex_positive(v)]
     pos_set = {v.coeffs for v in pos}
     simple = []
@@ -130,16 +129,17 @@ def _canonical_order(simple: list[PicClass]) -> list[PicClass]:
     return out
 
 
-def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
-    """ADE label of the root system of lat together with its canonical simple system."""
-    simple = simple_system(lat)
+def identify(lat: Sublattice) -> tuple[str, list[PicClass], list[PicClass]]:
+    """ADE label of the root system of lat, its canonical simple system, and its roots."""
+    roots = enumerate_vectors(lat, -2)
+    simple = simple_system(roots)
     if not simple:
-        return "0", []
+        return "0", [], roots
     labels = []
     for comp in _components(simple):
         label, _ = _classify_component(simple, comp)
         if label == "unknown":
-            return "unknown", simple
+            return "unknown", simple, roots
         labels.append(label)
     labels.sort(key=lambda s: (-int(s[1:]), s[0]))
     merged = []
@@ -150,7 +150,7 @@ def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
             j += 1
         merged.append((f"{j - i}" if j - i > 1 else "") + labels[i])
         i = j
-    return "+".join(merged), simple
+    return "+".join(merged), simple, roots
 
 
 def root_system_type(lat: Sublattice) -> str:

@@ -71,6 +71,13 @@ def vanishing_roots_cached(class_id: str) -> tuple[VanishingRoot, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
+    """{v: q} of the B^0, B^2 and B^4 stratum vectors of the class."""
+    c = get_class(class_id)
+    return tuple({b.v.coeffs: b.qhat for b in b_classes(c, k)} for k in (0, 1, 2))
+
+
 def vanishing_roots(c: DeformationClass) -> tuple[VanishingRoot, ...]:
     """All roots of the class lattice with vanishing quadratic value."""
     return vanishing_roots_cached(c.id)
@@ -140,7 +147,7 @@ def delta_table(c: DeformationClass, root: VanishingRoot) -> DeltaTable:
     q unchanged otherwise.  d22 is the cited Euler input.
     """
     strata = [b_classes(c, k) for k in (0, 1, 2)]
-    q_of = [{b.v.coeffs: b.qhat for b in bs} for bs in strata]
+    q_of = q_index_cached(c.id)
     _check_root(c, root, q_of[1])
     ec = root.e.coeffs
     seen: set[tuple[int, int]] = set()

@@ -10,6 +10,7 @@ def clear_model_caches() -> None:
     real_forms._kernel_sublattice.cache_clear()
     counting.b_classes_cached.cache_clear()
     wallcross.vanishing_roots_cached.cache_clear()
+    wallcross.q_index_cached.cache_clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -234,3 +235,30 @@ def test_scoped_verify_skips_the_dual_wall_crossing(monkeypatch, capsys):
     assert code == 0 and calls == []
     run_cli(capsys, "verify", "--class", "M-4")
     assert calls == ["M-4"] * 8
+
+
+# sha256 of stdout for each argv, taken from the release before the quadratic
+# function became a twist on simple roots; any drift in the bytes fails here.
+STDOUT_SHA256 = {
+    ("classes",): "9bf77071bd9d0765f42fc2f2fb43bb2b0456997263f0861b11ae34dd277e42de",
+    ("enumerate", "--class", "all"):
+        "3f241ea73da25c9231f7d7f9056585ccd42326eb899a0c45ff9c8ae8eeaaed6e",
+    ("tables", "2"): "ed2195b6e918eadf18ef748159b5e6b881945e1896cb059bde8ad5377f20472c",
+    ("tables", "3"): "a25701b0dec62e93f9f5d432fc7f058f8376c9b40cc0b05cb29ea746d813c2c4",
+    ("tables", "4"): "26c6488172fe24cb936087592fe5bc91ed98338f1d6a64d2b6d6e7bb757319b7",
+    ("tables", "5"): "c9b642844f532ab88f83cddaccc0a127b3990d8d7a9646bf3f99382fcbcfb5fb",
+    ("tables", "6"): "8ce4412b247c4bc295cdb23f5dad2aec4f2b170bab500247502c4fd7a2c05e90",
+    ("tables", "7"): "cee3fcab464fbb50af49f59c3d08cd0872a85c09cb4dc858666bae97a463f4d5",
+    ("wallcross", "--class", "all"):
+        "9cf222054ed317051655c2adde92ff24c4ef327dec4638da083b7bc94eb007d8",
+    ("verify",): "27f1168bcd611f9514453765e16c8700436c138d9948076d1a4fca4ace084595",
+    ("verify", "--class", "M-4"):
+        "0cf03bf119eeec8422a4509d7387a715f91f417ce3886e0090ff0a5f80f9af43",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_stdout_is_byte_identical(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from dp1 import counting, real_forms
 from dp1.counting import (
     AggregateRow,
     TableRow,
@@ -11,15 +14,15 @@ from dp1.counting import (
     classify_roots,
     count_report,
     line_count_identities,
-    model_qhat,
     pair_signed_total,
     sign_of,
     signed_sum,
     signed_total,
 )
 from dp1.lattice import MINUS_2K, LatticeError
-from dp1.pin import POSITIVE_CODE, qhat_code
-from dp1.real_forms import get_class
+from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code, qhat_vanishing_basis
+from dp1.real_forms import get_class, lambda_basis
+from dp1.report import build_records
 
 E8 = get_class("M-connected")
 E7 = get_class("M-1-connected")
@@ -144,13 +147,57 @@ def test_count_report_consistency(all_classes):
 
 
 def test_model_qhat_consistency_between_alpha_and_v():
-    from dp1.pin import NEGATIVE_CODE
-
     for b in b_classes(E7, 2)[:200]:
         assert qhat_code(NEGATIVE_CODE, b.alpha) == b.qhat
 
 
 def test_model_qhat_on_basis_class():
     c = get_class("M-3-connected")
+    lat = lambda_basis(c.id).sublattice
     for b in b_classes(c, 1)[:20]:
-        assert model_qhat(c, b.v) == b.qhat
+        assert qhat_vanishing_basis(lat, b.v) == b.qhat
+
+
+def test_twists_on_simple_roots():
+    assert POSITIVE_CODE.twist == (0,) + (2,) * 8
+    assert NEGATIVE_CODE.twist == (2,) + (4,) * 6 + (2,)
+    assert counting.twist(E8) == (4,) * 7 + (2,)
+    assert counting.twist(E7) == (4,) * 6 + (2,)
+    for cid in ("M-2-connected", "M-4", "M-split"):
+        c = get_class(cid)
+        assert counting.twist(c) == (2,) * c.rank
+
+
+def _failed_records(scope):
+    recs = build_records(scope)
+    return len(recs), {r.name for r in recs if not r.passed}
+
+
+def test_cremona_equivalent_code_fails_the_e8_tables(fresh_caches, monkeypatch):
+    # Same signed sums, different q per row: only the row-level records can see it.
+    moved = dataclasses.replace(E8, code=Code((1, 1, 1, 1, 1, 3, 3, 3, 3)))
+    monkeypatch.setitem(real_forms._BY_ID, E8.id, moved)
+    monkeypatch.setattr(real_forms, "_CLASSES",
+                        tuple(moved if c.id == E8.id else c for c in real_forms._CLASSES))
+    assert _failed_records(E8.id) == (32, {
+        "class_block:M-connected", "table2_rows", "table3_rows", "table4_rows"})
+
+
+def test_zeroed_d6_twist_entry_fails_the_d6_sums(fresh_caches, monkeypatch):
+    d6 = get_class("M-2-connected")
+    good = counting.twist
+
+    def bad(c):
+        t = good(c)
+        return (0,) + t[1:] if c.id == d6.id else t
+
+    monkeypatch.setattr(counting, "twist", bad)
+    assert (signed_sum(d6, 1), signed_sum(d6, 2)) == (4, -4)
+    assert _failed_records(d6.id) == (30, {
+        "root_sum:M-2-connected", "four_sum:M-2-connected", "four_sum_named:M-2-connected",
+        "rows_consistent:M-2-connected", "total_30:M-2-connected",
+        "pair_line_sum_16:M-2-connected", "pair_total_96:M-2-connected",
+        "table6:M-2:c2_plus", "table6:M-2:c4_plus",
+        "table6_form_c2:M-2-connected", "table6_form_c4:M-2-connected",
+        "orth_root_sum:M-2-connected", "orth_sum_vs_table_row:M-2-connected",
+        "delta_table:M-2-connected", "weighted_balance_12:M-2-connected"})

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from dp1.counting import b_classes, model_qhat
+from dp1.counting import b_classes
 from dp1.lattice import MINUS_2K, LatticeError, dot_tuples
-from dp1.real_forms import deformation_classes, get_class
+from dp1.pin import POSITIVE_CODE, qhat_code, qhat_vanishing_basis
+from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.wallcross import (
     SPLITTING_TABLE,
     VanishingRoot,
@@ -25,7 +26,7 @@ def test_vanishing_root_counts():
     assert len(vanishing_roots(M4)) == 8
     assert vanishing_roots(get_class("M-split")) == ()
     for root in vanishing_roots(E8)[:10]:
-        assert model_qhat(E8, root.e) == 0
+        assert qhat_code(POSITIVE_CODE, root.e) == 0
 
 
 def _alpha_with(c, stratum, t, root):
@@ -122,13 +123,14 @@ def test_pairing_cancellation_zero():
 
 def test_reflection_shifts_qhat_by_two_on_unit_pairing():
     c = get_class("M-2-connected")
+    lat = lambda_basis(c.id).sublattice
     root = vanishing_roots(c)[0]
     ec = root.e.coeffs
     hits = 0
     for b in b_classes(c, 2):
         t = dot_tuples(b.v.coeffs, ec)
         image = b.v + t * root.e
-        q_image = model_qhat(c, image)
+        q_image = qhat_vanishing_basis(lat, image)
         if abs(t) == 1:
             assert q_image == (b.qhat + 2) % 4
             hits += 1
