@@ -1,8 +1,8 @@
-"""Command-line front end: enumerations, table regeneration, and verification reports.
+"""Command-line front end: renders enumerations, the tables `report` derives, and reports.
 
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 usage or
-config error (bad arguments, a non-integer DP1_MAX_ENUM_DEPTH, an unwritable
---out path).
+config error (bad arguments, a negative or non-integer DP1_MAX_ENUM_DEPTH or,
+outside verify, one below the rank an enumeration needs, an unwritable --out path).
 Output is deterministic for a fixed invocation; JSON uses lower_snake_case keys
 and unquoted integers.
 """
@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import counting, golden, real_forms, report, wallcross
-from .lattice import ENUM_DEPTH_ENV
+from .lattice import ENUM_DEPTH_ENV, EnumerationDepthError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -56,7 +56,7 @@ def enumerate_payload(class_id: str, stratum: int | None) -> dict:
                 "class": cid,
                 "stratum": s,
                 "count": len(bs),
-                "signed_sum": sum(counting.sign_of(b.qhat) for b in bs),
+                "signed_sum": counting.signed_sum(c, s // 2),
                 "classes": [{"alpha": list(b.alpha.coeffs), "v": list(b.v.coeffs),
                              "qhat": b.qhat} for b in bs],
             })
@@ -65,7 +65,7 @@ def enumerate_payload(class_id: str, stratum: int | None) -> dict:
 
 def _row_dict(n: int, r: counting.TableRow) -> dict:
     d = {"level": r.level, "signature": list(r.signature), "count": r.count,
-         "qhat": r.qhat, "provenance": "enumerated",
+         "qhat": r.qhat, "provenance": report.ENUMERATED,
          "anchor": f"table{n}/level{r.level}"}
     if r.pair_coeff is not None:
         d["pair_coeff"] = r.pair_coeff
@@ -75,44 +75,18 @@ def _row_dict(n: int, r: counting.TableRow) -> dict:
 
 
 def tables_payload(n: int) -> dict:
-    e8 = real_forms.get_class("M-connected")
-    e7 = real_forms.get_class("M-1-connected")
-    if n == 2:
-        rows = [_row_dict(n, r) for r in counting.classify_roots(e8)]
-    elif n == 3:
-        rows = [_row_dict(n, r) for r in counting.classify_levels(e8, 1)]
-    elif n == 4:
-        rows = [_row_dict(n, r) for r in counting.classify_levels(e8, 2)]
-    elif n == 5:
-        rows = [_row_dict(n, r) for r in counting.classify_levels(e7, 2)]
+    if n in report.TABLES:
+        rows = [_row_dict(n, r) for r in report.table_rows(n)]
     elif n == 6:
-        rows = []
-        for col in golden.TABLE6_COLUMNS:
-            plus, minus = (real_forms.get_class(i) for i in golden.TABLE6_PAIRS[col])
-            vals = (counting.c2_total(plus), counting.c2_total(minus),
-                    counting.c4_total(plus), counting.c4_total(minus),
-                    counting.c0_total(plus), counting.c0_total(minus))
-            for name, v in zip(golden.TABLE6_ROWS, vals):
-                prov = "cited-formula" if name.startswith(("c0", "c2")) else "enumerated"
-                rows.append({"column": col, "row": name, "value": v,
-                             "provenance": prov, "anchor": f"table6/{col}/{name}"})
+        rows = [{"column": col, "row": row, "value": v, "provenance": prov,
+                 "anchor": f"table6/{col}/{row}"}
+                for col in golden.TABLE6_COLUMNS for row, v, prov in report.table6_cells(col)]
     elif n == 7:
-        rows = []
-        for c in real_forms.deformation_classes():
-            roots = wallcross.vanishing_roots(c)
-            expected = wallcross.delta_expected(c)
-            labels = [t[0] for t in golden.TABLE7]
-            signatures = [t[1] for t in golden.TABLE7]
-            if roots:
-                dt = wallcross.delta_table(c, roots[0]).as_tuple()
-                prov = ["enumerated"] * 4 + ["cited-formula"]
-            else:
-                dt = (None,) * 5
-                prov = ["enumerated"] * 5
-            for label, sig, want, got, pv in zip(labels, signatures, expected, dt, prov):
-                rows.append({"class": c.id, "type": label, "signature": sig,
-                             "formula_value": want, "enumerated_value": got,
-                             "provenance": pv, "anchor": f"table7/{c.id}/{label}"})
+        rows = [{"class": c.id, "type": label, "signature": sig, "formula_value": want,
+                 "enumerated_value": got, "provenance": prov,
+                 "anchor": f"table7/{c.id}/{label}"}
+                for c in real_forms.deformation_classes()
+                for label, sig, want, got, prov in report.table7_cells(c)]
     else:
         raise ValueError(f"no table {n}")
     return {"table": n, "rows": rows}
@@ -142,8 +116,7 @@ def wallcross_payload(scope: str) -> dict:
             dt = wallcross.delta_table(c, roots[0])
             block.update({
                 "orth_root_sum": dt.orth,
-                "delta": {"4,1": dt.d41, "4,2": dt.d42, "2,0": dt.d20,
-                          "2,1": dt.d21, "2,2": dt.d22},
+                "delta": dict(zip((t[0] for t in golden.TABLE7), dt.as_tuple())),
                 "cited": list(dt.cited),
                 "weighted_balance": dt.balance,
             })
@@ -195,14 +168,12 @@ def _flatten(payload: dict) -> tuple[list[str], list[list]]:
                          _cell(r["actual"]), r["passed"]] for r in payload["records"]]
     if "wallcross" in payload:
         header = ["class", "rank", "vanishing_roots", "orth_root_sum",
-                  "d41", "d42", "d20", "d21", "d22", "weighted_balance"]
+                  *wallcross.DELTA_FIELDS, "weighted_balance"]
         rows = []
         for b in payload["wallcross"]:
             d = b.get("delta", {})
-            rows.append([b["class"], b["rank"], b["vanishing_roots"],
-                         b.get("orth_root_sum"), d.get("4,1"), d.get("4,2"),
-                         d.get("2,0"), d.get("2,1"), d.get("2,2"),
-                         b.get("weighted_balance")])
+            rows.append([b["class"], b["rank"], b["vanishing_roots"], b.get("orth_root_sum"),
+                         *(d.get(t[0]) for t in golden.TABLE7), b.get("weighted_balance")])
         return header, rows
     rows = payload["rows"]
     if not rows:
@@ -276,20 +247,24 @@ def main(argv: list[str] | None = None) -> int:
         if class_id not in known:
             parser.error(f"unknown class {class_id!r}; choose from {sorted(known)} or 'all'")
     try:
-        int(os.environ.get(ENUM_DEPTH_ENV, 0))
+        if int(os.environ.get(ENUM_DEPTH_ENV, 0)) < 0:
+            raise ValueError
     except ValueError:
-        return _config_error(f"{ENUM_DEPTH_ENV} must be an integer, "
+        return _config_error(f"{ENUM_DEPTH_ENV} must be a non-negative integer, "
                              f"got {os.environ[ENUM_DEPTH_ENV]!r}")
-    if args.command == "classes":
-        payload = classes_payload()
-    elif args.command == "enumerate":
-        payload = enumerate_payload(class_id, args.stratum)
-    elif args.command == "tables":
-        payload = tables_payload(args.number)
-    elif args.command == "wallcross":
-        payload = wallcross_payload(class_id)
-    else:
-        payload = verify_payload(class_id)
+    try:
+        if args.command == "classes":
+            payload = classes_payload()
+        elif args.command == "enumerate":
+            payload = enumerate_payload(class_id, args.stratum)
+        elif args.command == "tables":
+            payload = tables_payload(args.number)
+        elif args.command == "wallcross":
+            payload = wallcross_payload(class_id)
+        else:
+            payload = verify_payload(class_id)  # its builders turn errors into failed records
+    except EnumerationDepthError as err:
+        return _config_error(str(err))
     text = render(payload, args.fmt)
     try:
         _emit(text, args.out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import MINUS_2K, ZERO, LatticeError, PicClass, enumerate_coordinates
+from .lattice import MINUS_2K, ZERO, LatticeError, PicClass, Sublattice, enumerate_coordinates
 from .pin import qhat_code, qhat_from_coordinates
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
@@ -70,6 +70,12 @@ def sign_of(qhat: int) -> int:
 def signed_sum(c: DeformationClass, k: int) -> int:
     """Sum of i^q over B^{2k}; exact integer (only even values occur)."""
     return sum(sign_of(b.qhat) for b in b_classes(c, k))
+
+
+def lattice_signed_sum(lat: Sublattice, k: int, twist: tuple[int, ...]) -> int:
+    """Sum of i^q over the vectors of square -2k in lat, q given by a twist on its basis."""
+    return sum(sign_of(qhat_from_coordinates(t, -2 * k, twist))
+               for t in enumerate_coordinates(lat, -2 * k))
 
 
 def c4_total(c: DeformationClass) -> int:
@@ -219,8 +225,7 @@ def classify_levels(c: DeformationClass, k: int) -> list[TableRow] | list[Aggreg
         raise LatticeError(f"stratum index must be 1 or 2, got {k}")
     code = c.code
     if code is None:
-        bs = b_classes(c, k)
-        return [AggregateRow(len(bs), sum(sign_of(b.qhat) for b in bs))]
+        return [AggregateRow(len(b_classes(c, k)), signed_sum(c, k))]
     items = []
     for b in b_classes(c, k):
         level, sig, pair = _split_coeffs(b.alpha, code.r)

@@ -204,10 +204,8 @@ def weyl_basis_robustness(images: int, rng: random.Random) -> PropertyResult:
                 basis = [reflect(b, e) for b in basis]
             moved = Sublattice.span(basis)
             vanishing = (2,) * moved.rank
-            s2 = sum(1 if pin.qhat_from_coordinates(t, -2, vanishing) == 0 else -1
-                     for t in enumerate_coordinates(moved, -2))
-            s4 = sum(1 if pin.qhat_from_coordinates(t, -4, vanishing) == 0 else -1
-                     for t in enumerate_coordinates(moved, -4))
+            s2 = counting.lattice_signed_sum(moved, 1, vanishing)
+            s4 = counting.lattice_signed_sum(moved, 2, vanishing)
             checks += 1
             fails += (s2, s4) != (want2, want4)
     return PropertyResult("weyl_basis_robustness", checks, fails)

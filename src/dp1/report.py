@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import counting, golden, pin, properties, real_forms, wallcross
-from .lattice import enumerate_coordinates, enumerate_vectors
+from .lattice import enumerate_vectors
 from .roots import ROOT_COUNTS, root_system_type
 
 ENUMERATED = "enumerated"
@@ -129,21 +129,51 @@ def _pair_records(wanted: Wanted) -> list[VerificationRecord]:
     return recs
 
 
+# Tables 2-5: golden rows, the class tabulated and its row builder.  Builders look
+# the counting functions up when called, so wrappers installed on them see the calls.
+TABLES = {
+    2: (golden.TABLE2, "M-connected", lambda c: counting.classify_roots(c)),
+    3: (golden.TABLE3, "M-connected", lambda c: counting.classify_levels(c, 1)),
+    4: (golden.TABLE4, "M-connected", lambda c: counting.classify_levels(c, 2)),
+    5: (golden.TABLE5, "M-1-connected", lambda c: counting.classify_levels(c, 2)),
+}
+
+
+def table_rows(n: int) -> list[counting.TableRow]:
+    """The enumerated rows of Table n, 2 <= n <= 5."""
+    _, cid, build = TABLES[n]
+    return build(real_forms.get_class(cid))
+
+
+def table6_cells(col: str) -> list[tuple[str, int, str]]:
+    """(row, value, provenance) for the six cells of one Table 6 column."""
+    plus, minus = (real_forms.get_class(i) for i in golden.TABLE6_PAIRS[col])
+    values = (counting.c2_total(plus), counting.c2_total(minus),
+              counting.c4_total(plus), counting.c4_total(minus),
+              counting.c0_total(plus), counting.c0_total(minus))
+    return [(row, v, CITED if row.startswith(("c0", "c2")) else ENUMERATED)
+            for row, v in zip(golden.TABLE6_ROWS, values)]
+
+
+def table7_cells(c: real_forms.DeformationClass) -> list[tuple[str, str, int, int | None, str]]:
+    """(type, signature, formula value, enumerated value, provenance) for each
+    Table 7 row of one class, enumerated at its first vanishing root if any."""
+    roots = wallcross.vanishing_roots(c)
+    dt = wallcross.delta_table(c, roots[0]) if roots else None
+    cited = dt.cited if dt else ()
+    return [(label, sig, want, getattr(dt, field, None), CITED if field in cited else ENUMERATED)
+            for (label, sig, _), want, field in zip(golden.TABLE7, wallcross.delta_expected(c),
+                                                    wallcross.DELTA_FIELDS)]
+
+
 def _table_records(wanted: Wanted) -> list[VerificationRecord]:
-    e8 = real_forms.get_class("M-connected")
-    e7 = real_forms.get_class("M-1-connected")
-    builders = [
-        ("table2", golden.TABLE2, lambda: counting.classify_roots(e8), ("M-connected",)),
-        ("table3", golden.TABLE3, lambda: counting.classify_levels(e8, 1), ("M-connected",)),
-        ("table4", golden.TABLE4, lambda: counting.classify_levels(e8, 2), ("M-connected",)),
-        ("table5", golden.TABLE5, lambda: counting.classify_levels(e7, 2), ("M-1-connected",)),
-    ]
     recs = []
-    for name, expected, build, cs in builders:
-        if not wanted(*cs):
+    for n, (expected, cid, _) in TABLES.items():
+        name, cs = f"table{n}", (cid,)
+        if not wanted(cid):
             continue
         try:
-            rows = build()
+            rows = table_rows(n)
             recs.append(_rec(f"{name}_rows", f"{name}/rows", ENUMERATED,
                              _golden_rows(expected), _rows_as_lists(rows), cs))
             recs.append(_rec(f"{name}_total", f"{name}/total", ENUMERATED,
@@ -155,7 +185,7 @@ def _table_records(wanted: Wanted) -> list[VerificationRecord]:
         return recs
     try:
         recs.append(_rec("table5_bilevel_rule", "table5/bilevel", ENUMERATED, [], [
-            list(r.key) for r in counting.classify_levels(e7, 2)
+            list(r.key) for r in table_rows(5)
             if (r.bilevel[0] + r.bilevel[1]) % 4 != r.qhat
         ], ("M-1-connected",)))
     except Exception as err:
@@ -170,25 +200,20 @@ def _table6_records(wanted: Wanted) -> list[VerificationRecord]:
         if not wanted(plus_id, minus_id):
             continue
         try:
-            plus = real_forms.get_class(plus_id)
-            minus = real_forms.get_class(minus_id)
-            actual = (counting.c2_total(plus), counting.c2_total(minus),
-                      counting.c4_total(plus), counting.c4_total(minus),
-                      counting.c0_total(plus), counting.c0_total(minus))
-            for row, want, got in zip(golden.TABLE6_ROWS, golden.TABLE6[col], actual):
-                prov = CITED if row.startswith(("c0", "c2")) else ENUMERATED
+            cells = table6_cells(col)
+            for (row, got, prov), want in zip(cells, golden.TABLE6[col]):
                 recs.append(_rec(f"table6:{col}:{row}", f"table6/{col}/{row}", prov,
                                  want, got, (plus_id, minus_id)))
-            for side in dict.fromkeys((plus, minus)):
-                if not wanted(side.id):
+            # Each side's rows against the closed forms in its rank (one side if both coincide).
+            by_row = {row: (got, prov) for row, got, prov in cells}
+            for side, cid in zip(("plus", "minus"), dict.fromkeys((plus_id, minus_id))):
+                if not wanted(cid):
                     continue
-                r = side.rank
-                recs.append(_rec(f"table6_form_c2:{side.id}", "table6/margin-c2", CITED,
-                                 golden.ROW_FORMS["c2"](r), counting.c2_total(side), (side.id,)))
-                recs.append(_rec(f"table6_form_c4:{side.id}", "table6/margin-c4", ENUMERATED,
-                                 golden.ROW_FORMS["c4"](r), counting.c4_total(side), (side.id,)))
-                recs.append(_rec(f"table6_form_c0:{side.id}", "table6/margin-c0", CITED,
-                                 golden.ROW_FORMS["c0"](r), counting.c0_total(side), (side.id,)))
+                r = real_forms.get_class(cid).rank
+                for form in ("c2", "c4", "c0"):
+                    got, prov = by_row[f"{form}_{side}"]
+                    recs.append(_rec(f"table6_form_{form}:{cid}", f"table6/margin-{form}", prov,
+                                     golden.ROW_FORMS[form](r), got, (cid,)))
         except Exception as err:
             recs.append(_fail(f"table6:{col}", f"table6/{col}", err, (plus_id, minus_id)))
     return recs
@@ -256,14 +281,12 @@ def _cross_model_records(wanted: Wanted) -> list[VerificationRecord]:
             c = real_forms.get_class(cid)
             lat = real_forms.lambda_basis(cid).sublattice
             vanishing = (2,) * lat.rank
-            vb2 = sum(1 if pin.qhat_from_coordinates(t, -2, vanishing) == 0 else -1
-                      for t in enumerate_coordinates(lat, -2))
-            vb4 = sum(1 if pin.qhat_from_coordinates(t, -4, vanishing) == 0 else -1
-                      for t in enumerate_coordinates(lat, -4))
             recs.append(_rec(f"cross_model_roots:{cid}", "code-vs-basis", ENUMERATED,
-                             counting.signed_sum(c, 1), vb2, (cid,)))
+                             counting.signed_sum(c, 1),
+                             counting.lattice_signed_sum(lat, 1, vanishing), (cid,)))
             recs.append(_rec(f"cross_model_four:{cid}", "code-vs-basis", ENUMERATED,
-                             counting.signed_sum(c, 2), vb4, (cid,)))
+                             counting.signed_sum(c, 2),
+                             counting.lattice_signed_sum(lat, 2, vanishing), (cid,)))
         except Exception as err:
             recs.append(_fail(f"cross_model:{cid}", "code-vs-basis", err, (cid,)))
     return recs
@@ -311,22 +334,11 @@ def _structure_records() -> list[VerificationRecord]:
 
 
 def _adjacent_rank_pairs(classes):
-    by_rank: dict[int, list] = {}
+    """One pair per adjacent rank step: the first class of each rank and of the rank below."""
+    first: dict[int, real_forms.DeformationClass] = {}
     for c in classes:
-        by_rank.setdefault(c.rank, []).append(c)
-    pairs = []
-    for r in range(8, 0, -1):
-        for a in by_rank.get(r, []):
-            for b in by_rank.get(r - 1, []):
-                pairs.append((a, b))
-    # One representative pair per adjacent rank step keeps the record small.
-    seen_steps = set()
-    out = []
-    for a, b in pairs:
-        if (a.rank, b.rank) not in seen_steps:
-            seen_steps.add((a.rank, b.rank))
-            out.append((a, b))
-    return out
+        first.setdefault(c.rank, c)
+    return [(first[r], first[r - 1]) for r in range(8, 0, -1) if r in first and r - 1 in first]
 
 
 def _property_records() -> list[VerificationRecord]:

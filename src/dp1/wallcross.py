@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import golden
 from .lattice import MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples
 from .counting import BClass, b_classes, sign_of
 from .real_forms import DeformationClass, get_class
@@ -59,6 +60,9 @@ SPLITTING_TABLE: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = 
 }
 
 MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the bound
+
+# The DeltaTable field behind each golden.TABLE7 row, in that order.
+DELTA_FIELDS = ("d41", "d42", "d20", "d21", "d22")
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +132,7 @@ class DeltaTable:
     cited: tuple[str, ...] = ("d22",)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.d41, self.d42, self.d20, self.d21, self.d22)
+        return tuple(getattr(self, f) for f in DELTA_FIELDS)
 
     @property
     def balance(self) -> int:
@@ -186,9 +190,8 @@ def delta_table(c: DeformationClass, root: VanishingRoot) -> DeltaTable:
 
 
 def delta_expected(c: DeformationClass) -> tuple[int, int, int, int, int]:
-    """The tabulated formulas at this class's rank: (0, 4(r-1), -4(r-1), 0, -2(r-r'))."""
-    r, rd = c.rank, 8 - c.rank
-    return (0, 4 * (r - 1), -4 * (r - 1), 0, -2 * (r - rd))
+    """The golden.TABLE7 formulas evaluated at this class's rank and its dual's."""
+    return tuple(formula(c.rank, 8 - c.rank) for _, _, formula in golden.TABLE7)
 
 
 def _check_root(c: DeformationClass, root: VanishingRoot,

@@ -1,19 +1,34 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dp1
 from conftest import clear_model_caches
-from dp1 import cli, real_forms, report, wallcross
+from dp1 import cli, golden, real_forms, report, wallcross
 from dp1.lattice import pic
+
+BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this same dp1, installed or not."""
+    src = str(Path(dp1.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_classes_json(capsys):
@@ -117,13 +132,51 @@ def test_verify_fails_on_corrupted_splitting_table(monkeypatch, capsys):
     assert failing == ["splitting_table:M-4"]
 
 
-@pytest.mark.parametrize("argv", [("verify", "--class", "M-4"), ("tables", "4")])
-def test_non_integer_depth_cap_is_a_config_error(monkeypatch, capsys, argv):
-    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", "abc")
-    assert cli.main(list(argv)) == 2
+# Each case is (DP1_MAX_ENUM_DEPTH, *argv).  A cap that is not a non-negative
+# integer is refused at startup; a cap below the rank that enumerate, tables or
+# wallcross needs ends the run with the same one-line error.
+@pytest.mark.parametrize("argv", [
+    ("abc", "verify", "--class", "M-4"),
+    ("abc", "tables", "4"),
+    ("-1", "verify", "--class", "M-4"),
+    ("3", "enumerate", "--class", "M-4"),
+    ("3", "tables", "4"),
+    ("3", "wallcross", "--class", "M-4"),
+])
+def test_non_integer_depth_cap_is_a_config_error(fresh_caches, monkeypatch, capsys, argv):
+    cap, *argv = argv
+    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", cap)
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "DP1_MAX_ENUM_DEPTH" in err
+
+
+def test_depth_cap_in_verify_fails_records_and_keeps_the_report(fresh_caches, monkeypatch,
+                                                                capsys):
+    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", "3")
+    code, out = run_cli(capsys, "verify", "--class", "M-4")
+    assert code == 1
+    failing = [r for r in json.loads(out)["records"] if not r["passed"]]
+    assert failing
+    assert all(r["actual"].startswith("error: EnumerationDepthError: ") for r in failing)
+
+
+def test_table7_formulas_have_one_source(monkeypatch, capsys):
+    # Perturb the "4,2" formula: verify fails exactly the delta_table record of each
+    # class with a vanishing root, and tables 7 prints the perturbed formula value.
+    perturbed = tuple((label, sig, (lambda r, rd: 4 * (r - 1) + 1) if label == "4,2" else f)
+                      for label, sig, f in golden.TABLE7)
+    monkeypatch.setattr(golden, "TABLE7", perturbed)
+    code, out = run_cli(capsys, "verify")
+    assert code == 1
+    failing = [r["name"] for r in json.loads(out)["records"] if not r["passed"]]
+    with_roots = [c.id for c in real_forms.deformation_classes() if wallcross.vanishing_roots(c)]
+    assert len(with_roots) == 10
+    assert sorted(failing) == sorted(f"delta_table:{cid}" for cid in with_roots)
+    e8 = {r["type"]: r["formula_value"] for r in cli.tables_payload(7)["rows"]
+          if r["class"] == "M-connected"}
+    assert e8 == {"4,1": 0, "4,2": 29, "2,0": -28, "2,1": 0, "2,2": -16}
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):
@@ -152,24 +205,31 @@ def test_verify_deterministic(capsys):
 
 def test_verify_deterministic_across_processes():
     # Distinct hash seeds shake out any set-ordering dependence in the report.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import dp1
-
-    # The child must import the same dp1, installed or not.
-    src = str(Path(dp1.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "dp1.cli", "verify", "--class", "M-1-split"],
-            capture_output=True, text=True, env=env, check=True)
+            capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed), check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_bench_tracer_finds_every_layer(capsys):
+    # The benchmark's per-layer figures come from bench/tracer.py, which rebinds every
+    # reference to each layer it names; a layer it cannot find or a call it misses
+    # would silently drop spans.
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    proc = subprocess.run([sys.executable, str(BENCH_TRACER), "tables", "3"],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    _, plain = run_cli(capsys, "tables", "3")
+    assert doc["exit"] == 0 and doc["stdout"] == plain
+    assert doc["names"] == [f"{module}.{path}" for module, path in tracer.LAYERS]
+    layer = doc["names"].index("counting.classify_levels")
+    assert any(span[0] == layer for span in doc["spans"])
 
 
 def test_verify_md_format(capsys):

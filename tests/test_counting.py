@@ -13,6 +13,7 @@ from dp1.counting import (
     classify_levels,
     classify_roots,
     count_report,
+    lattice_signed_sum,
     line_count_identities,
     pair_signed_total,
     sign_of,
@@ -95,6 +96,17 @@ def test_pair_total_decomposition_examples():
 def test_sign_of_rejects_odd():
     with pytest.raises(LatticeError):
         sign_of(1)
+
+
+def test_lattice_signed_sum_matches_the_strata_and_rejects_odd_values():
+    lat = lambda_basis("M-2-connected").sublattice
+    d6 = get_class("M-2-connected")
+    vanishing = (2,) * lat.rank
+    assert [lattice_signed_sum(lat, k, vanishing) for k in (1, 2)] == [
+        signed_sum(d6, 1), signed_sum(d6, 2)]
+    # A twist of 1 on a simple root b gives q(b) = -2 + 1, odd: no sign exists.
+    with pytest.raises(LatticeError):
+        lattice_signed_sum(lat, 1, (1,) + vanishing[1:])
 
 
 def test_classify_roots_rows():
