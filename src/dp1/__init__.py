@@ -3,7 +3,6 @@ degree-1 del Pezzo surfaces."""
 
 from .counting import (
     BClass,
-    CountReport,
     b_classes,
     c0_total,
     c2_total,
@@ -26,9 +25,7 @@ from .lattice import (
     LatticeError,
     PicClass,
     Sublattice,
-    degree,
     enumerate_vectors,
-    intersect,
     pic,
     reflect,
 )
@@ -38,11 +35,9 @@ from .pin import (
     cremona_imaginary,
     normalize_code,
     qhat_code,
-    qhat_vanishing_basis,
 )
 from .real_forms import (
     DeformationClass,
-    LambdaEmbedding,
     bertini_dual,
     bertini_pairs,
     deformation_classes,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import golden
 from .lattice import MINUS_2K, ZERO, LatticeError, PicClass, Sublattice, enumerate_coordinates
 from .pin import qhat_code, qhat_from_coordinates
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
@@ -31,7 +32,7 @@ class BClass:
 def twist(c: DeformationClass) -> tuple[int, ...]:
     """The class's q as data: t_i = q(b_i) - b_i.b_i on its simple roots, read off
     its blowup-model code, or 2 each where q vanishes on them."""
-    basis = lambda_basis(c.id).sublattice.basis
+    basis = lambda_basis(c.id).basis
     if c.code is None:
         return (2,) * len(basis)
     return tuple(qhat_code(c.code, b) - b.square for b in basis)
@@ -42,7 +43,7 @@ def b_classes_cached(class_id: str, k: int) -> tuple[BClass, ...]:
     c = get_class(class_id)
     if k == 0:
         return (BClass(class_id, 0, ZERO, MINUS_2K, 0),)
-    lat = lambda_basis(class_id).sublattice
+    lat = lambda_basis(class_id)
     if lat.rank == 0:
         return ()
     t = twist(c)
@@ -89,8 +90,7 @@ def c2_total(c: DeformationClass) -> int:
 
 def c0_total(c: DeformationClass) -> int:
     """Cited closed form for the base stratum count; not derived by enumeration."""
-    r = c.rank
-    return 2 * (r - 3) * (r - 4) + 6
+    return golden.ROW_FORMS["c0"](c.rank)
 
 
 def signed_total(c: DeformationClass) -> int:
@@ -124,14 +124,6 @@ class TableRow:
     @property
     def key(self) -> tuple:
         return (self.level, self.signature, self.pair_coeff)
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Whole-stratum summary for classes without a blowup-model code."""
-
-    count: int
-    signed: int
 
 
 def _group_rows(items: list[tuple[int, tuple[int, ...], int | None, int]], r: int) -> list[TableRow]:
@@ -177,55 +169,22 @@ def _sign_rep(v: PicClass) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Structured per-class enumeration results with internal consistency flags."""
-
-    class_id: str
-    cardinalities: dict[int, int]  # stratum -> set size
-    signed_sums: dict[int, int]  # stratum -> signed sum (strata 2 and 4)
-    c0: int
-    c2: int
-    c4: int
-    total: int
-    pair_total: int
-    checks: dict[str, bool]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
+def count_report(c: DeformationClass) -> tuple[list[list[int]], list[list[int]]]:
+    """Row totals of a code class: [count, signed sum] of B^2 and of B^4, once from
+    the strata and once from the classify_levels rows."""
+    strata = [[len(b_classes(c, k)), signed_sum(c, k)] for k in (1, 2)]
+    by_rows = [[sum(r.count for r in rows), sum(r.count * sign_of(r.qhat) for r in rows)]
+               for rows in (classify_levels(c, 1), classify_levels(c, 2))]
+    return strata, by_rows
 
 
-def count_report(c: DeformationClass) -> CountReport:
-    """Assemble the per-class counts; row totals are recomputed and cross-checked."""
-    cards = {2 * k: len(b_classes(c, k)) for k in (0, 1, 2)}
-    sums = {2 * k: signed_sum(c, k) for k in (1, 2)}
-    checks = {
-        "root_sum_is_2r": sums[2] == 2 * c.rank,
-        "four_sum_closed_form": sums[4] == 2 * c.rank * (c.rank - 1),
-        "total_is_30": signed_total(c) == 30,
-        "pair_total_is_96": pair_signed_total(c) == 96,
-    }
-    for k in (1, 2):
-        rows = classify_levels(c, k)
-        if rows and isinstance(rows[0], TableRow):
-            by_rows = sum(r.count * sign_of(r.qhat) for r in rows)
-            n_rows = sum(r.count for r in rows)
-        else:
-            by_rows = rows[0].signed if rows else 0
-            n_rows = rows[0].count if rows else 0
-        checks[f"rows_b{2 * k}_total"] = by_rows == sums[2 * k] and n_rows == cards[2 * k]
-    return CountReport(c.id, cards, sums, c0_total(c), c2_total(c), c4_total(c),
-                       signed_total(c), pair_signed_total(c), checks)
-
-
-def classify_levels(c: DeformationClass, k: int) -> list[TableRow] | list[AggregateRow]:
-    """Level/bi-level rows of B^{2k} for the code classes; aggregate row otherwise."""
+def classify_levels(c: DeformationClass, k: int) -> list[TableRow]:
+    """Level/bi-level rows of B^{2k} for a code class."""
     if k not in (1, 2):
         raise LatticeError(f"stratum index must be 1 or 2, got {k}")
     code = c.code
     if code is None:
-        return [AggregateRow(len(b_classes(c, k)), signed_sum(c, k))]
+        raise LatticeError(f"{c.id} has no blowup-model code")
     items = []
     for b in b_classes(c, k):
         level, sig, pair = _split_coeffs(b.alpha, code.r)

@@ -84,19 +84,9 @@ MINUS_2K = 2 * MINUS_K
 ZERO = pic(0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
-def intersect(a: PicClass, b: PicClass) -> int:
-    """Intersection number a.b for the diagonal form on Z^{1,8}."""
-    return a.dot(b)
-
-
 def form_row(v: PicClass) -> tuple[int, ...]:
     """Plain-dot row representing intersection with v: plain(form_row(v), x) = v.x."""
     return (v.coeffs[0],) + tuple(-c for c in v.coeffs[1:])
-
-
-def degree(a: PicClass) -> int:
-    """Canonical degree -a.K."""
-    return -a.dot(K)
 
 
 def reflect(a: PicClass, e: PicClass) -> PicClass:

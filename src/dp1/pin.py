@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .lattice import LatticeError, PicClass, Sublattice
+from .lattice import LatticeError, PicClass
 
 Move = tuple  # ("cremona", i, j, k) or ("swap", i)
 
@@ -75,11 +75,6 @@ def qhat_code(code: Code, x: PicClass) -> int:
     c = x.coeffs
     coords = c[: code.n_real + 1] + tuple(c[i] for i, _ in PAIRS[: code.r])
     return qhat_from_coordinates(coords, x.square, code.twist)
-
-
-def qhat_vanishing_basis(lat: Sublattice, x: PicClass) -> int:
-    """Value on x in the span of a root basis on which the function vanishes."""
-    return qhat_from_coordinates(lat.coordinates_of(x), x.square, (2,) * lat.rank)
 
 
 def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int, ...]) -> int:

@@ -12,9 +12,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import counting, pin, real_forms
+from . import counting, golden, pin, real_forms
 from .lattice import (
     K,
+    ZERO,
     PicClass,
     Sublattice,
     _solve_fraction_system,
@@ -73,13 +74,15 @@ def quadratic_law_code(n: int, rng: random.Random) -> PropertyResult:
 
 
 def _vanishing_basis_lattices() -> list[Sublattice]:
-    return [real_forms.lambda_basis(c.id).sublattice
+    return [real_forms.lambda_basis(c.id)
             for c in real_forms.deformation_classes()
             if c.code is None and c.rank >= 1]
 
 
 def quadratic_law_basis(n: int, rng: random.Random) -> PropertyResult:
-    """Same law for the vanishing-basis twist, on random span elements."""
+    """The vanishing-basis twist on random span elements: the law, negation and the
+    recursive expansion q(u + m*b) = q(u) + q(m*b) + 2 u.(m*b), q(m*b) = (m^2-m)(-2);
+    and parity q(x) = x.x mod 2 and negation q(-x) = q(x) for a code on a random class."""
     lattices = _vanishing_basis_lattices()
     fails = 0
     for _ in range(n):
@@ -88,50 +91,24 @@ def quadratic_law_basis(n: int, rng: random.Random) -> PropertyResult:
         cx = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
         cy = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
         x, y = lat.from_coordinates(cx), lat.from_coordinates(cy)
+        qx = pin.qhat_from_coordinates(cx, x.square, t)
+        qy = pin.qhat_from_coordinates(cy, y.square, t)
         cxy = tuple(a + b for a, b in zip(cx, cy))
-        lhs = pin.qhat_from_coordinates(cxy, (x + y).square, t)
-        rhs = (pin.qhat_from_coordinates(cx, x.square, t)
-               + pin.qhat_from_coordinates(cy, y.square, t) + 2 * x.dot(y)) % 4
-        fails += lhs != rhs
-    return PropertyResult("quadratic_law_basis", n, fails)
-
-
-def parity_and_negation(n: int, rng: random.Random) -> PropertyResult:
-    """q(x) = x.x mod 2 and q(-x) = q(x), for code and vanishing-basis twists."""
-    fails = 0
-    for _ in range(n):
-        if rng.random() < 0.5:
-            code = pin.POSITIVE_CODE if rng.random() < 0.5 else pin.NEGATIVE_CODE
-            x = _make_real(_rand_class(rng), code.r)
-            q, qn = pin.qhat_code(code, x), pin.qhat_code(code, -x)
-        else:
-            lat = real_forms.lambda_basis("M-2-connected").sublattice
-            t = (2,) * lat.rank
-            cx = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
-            x = lat.from_coordinates(cx)
-            q = pin.qhat_from_coordinates(cx, x.square, t)
-            qn = pin.qhat_from_coordinates(tuple(-a for a in cx), x.square, t)
-        fails += (q - x.square) % 2 != 0 or q != qn
-    return PropertyResult("parity_and_negation", n, fails)
-
-
-def vanishing_basis_closed_form(n: int, rng: random.Random) -> PropertyResult:
-    """Twist rule x.x + 2*sum(coords) equals the recursive quadratic expansion."""
-    lattices = _vanishing_basis_lattices()
-    fails = 0
-    for _ in range(n):
-        lat = rng.choice(lattices)
-        coords = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
-        x = lat.from_coordinates(coords)
-        # Recursive oracle: q(u + n*b) = q(u) + q(n*b) + 2 u.(n*b), q(n*b) = (n^2-n)(-2).
-        q = 0
-        partial = pic(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        for ni, b in zip(coords, lat.basis):
-            step = ni * b
-            q = (q + (ni * ni - ni) * (-2) + 2 * partial.dot(step)) % 4
+        fails += pin.qhat_from_coordinates(cxy, (x + y).square, t) != (qx + qy + 2 * x.dot(y)) % 4
+        fails += (qx - x.square) % 2 != 0
+        fails += pin.qhat_from_coordinates(tuple(-a for a in cx), x.square, t) != qx
+        oracle = 0
+        partial = ZERO
+        for m, b in zip(cx, lat.basis):
+            step = m * b
+            oracle = (oracle + (m * m - m) * (-2) + 2 * partial.dot(step)) % 4
             partial = partial + step
-        fails += q != pin.qhat_from_coordinates(coords, x.square, (2,) * lat.rank)
-    return PropertyResult("vanishing_basis_closed_form", n, fails)
+        fails += oracle != qx
+        code = pin.POSITIVE_CODE if rng.random() < 0.5 else pin.NEGATIVE_CODE
+        z = _make_real(_rand_class(rng), code.r)
+        qz = pin.qhat_code(code, z)
+        fails += (qz - z.square) % 2 != 0 or pin.qhat_code(code, -z) != qz
+    return PropertyResult("quadratic_law_basis", n, fails)
 
 
 def reflection_properties(n: int, rng: random.Random) -> PropertyResult:
@@ -170,7 +147,7 @@ def cremona_compatibility() -> PropertyResult:
         for x in roots8:
             checks += 1
             fails += pin.qhat_code(new, reflect(x, e)) != pin.qhat_code(code, x)
-    e7 = real_forms.lambda_basis("M-1-connected").sublattice
+    e7 = real_forms.lambda_basis("M-1-connected")
     roots7 = enumerate_vectors(e7, -2)
     code = pin.NEGATIVE_CODE
     for i, j, k in itertools.combinations(range(1, 7), 3):
@@ -194,9 +171,9 @@ def weyl_basis_robustness(images: int, rng: random.Random) -> PropertyResult:
     for c in real_forms.deformation_classes():
         if c.code is not None or c.rank == 0:
             continue
-        lat = real_forms.lambda_basis(c.id).sublattice
+        lat = real_forms.lambda_basis(c.id)
         roots = enumerate_vectors(lat, -2)
-        want2, want4 = 2 * c.rank, 2 * c.rank * (c.rank - 1)
+        want2, want4 = 2 * c.rank, golden.ROW_FORMS["c4"](c.rank)
         for _ in range(images):
             basis = list(lat.basis)
             for _ in range(rng.randint(1, 6)):
@@ -294,8 +271,6 @@ def run_all(seed: int = SEED) -> list[PropertyResult]:
     return [
         quadratic_law_code(1000, rng),
         quadratic_law_basis(1000, rng),
-        parity_and_negation(1000, rng),
-        vanishing_basis_closed_form(1000, rng),
         reflection_properties(1000, rng),
         minus_k_value_all_codes(),
         cremona_compatibility(),

@@ -113,18 +113,6 @@ def bertini_pairs() -> tuple[tuple[DeformationClass, DeformationClass], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class LambdaEmbedding:
-    """A verified simple-root basis of the class lattice inside K-perp."""
-
-    class_id: str
-    sublattice: Sublattice
-
-    @property
-    def rank(self) -> int:
-        return self.sublattice.rank
-
-
 def kperp() -> Sublattice:
     return _kernel_sublattice(())
 
@@ -164,7 +152,7 @@ def _raw_lattice(class_id: str) -> Sublattice:
 
 
 @lru_cache(maxsize=None)
-def lambda_basis(class_id: str) -> LambdaEmbedding:
+def lambda_basis(class_id: str) -> Sublattice:
     """Canonical simple-root basis of the class lattice, with all invariants enforced."""
     c = get_class(class_id)
     lat = _raw_lattice(class_id)
@@ -186,4 +174,4 @@ def lambda_basis(class_id: str) -> LambdaEmbedding:
     dual_label = get_class(c.bertini_dual_id).lambda_type
     if comp_label != dual_label:
         raise LatticeError(f"{class_id}: complement type {comp_label}, expected {dual_label}")
-    return LambdaEmbedding(class_id, basis)
+    return basis

@@ -1,7 +1,8 @@
 import pytest
 
 from dp1 import counting, real_forms, wallcross
-from dp1.lattice import PicClass, pic
+from dp1.lattice import PicClass, Sublattice, pic
+from dp1.pin import qhat_from_coordinates
 
 
 def clear_model_caches() -> None:
@@ -36,3 +37,9 @@ def l(i: int) -> PicClass:
 
 def root_h3(i: int, j: int, k: int) -> PicClass:
     return pic(1, *[-1 if t in (i, j, k) else 0 for t in range(1, 9)])
+
+
+def vanishing_qhat(lat: Sublattice, x: PicClass) -> int:
+    """q on x in the span of a root basis on which it vanishes: twist 2 on each root.
+    Raises LatticeError, from coordinates_of, when x is outside the span."""
+    return qhat_from_coordinates(lat.coordinates_of(x), x.square, (2,) * lat.rank)

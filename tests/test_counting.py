@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from dp1 import counting, real_forms
+from conftest import vanishing_qhat
+from dp1 import counting, golden, real_forms
 from dp1.counting import (
-    AggregateRow,
     TableRow,
     b_classes,
     c0_total,
@@ -21,7 +21,7 @@ from dp1.counting import (
     signed_total,
 )
 from dp1.lattice import MINUS_2K, LatticeError
-from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code, qhat_vanishing_basis
+from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code
 from dp1.real_forms import get_class, lambda_basis
 from dp1.report import build_records
 
@@ -99,7 +99,7 @@ def test_sign_of_rejects_odd():
 
 
 def test_lattice_signed_sum_matches_the_strata_and_rejects_odd_values():
-    lat = lambda_basis("M-2-connected").sublattice
+    lat = lambda_basis("M-2-connected")
     d6 = get_class("M-2-connected")
     vanishing = (2,) * lat.rank
     assert [lattice_signed_sum(lat, k, vanishing) for k in (1, 2)] == [
@@ -141,9 +141,11 @@ def test_classify_levels_e7_bilevel():
 
 
 def test_classify_levels_aggregate_for_basis_classes():
-    (row,) = classify_levels(get_class("M-2-connected"), 2)
-    assert isinstance(row, AggregateRow)
-    assert (row.count, row.signed) == (252, 60)
+    # A class without a code has no level rows; its stratum is summed whole.
+    d6 = get_class("M-2-connected")
+    with pytest.raises(LatticeError):
+        classify_levels(d6, 2)
+    assert (len(b_classes(d6, 2)), signed_sum(d6, 2)) == (252, 60)
 
 
 def test_classify_levels_rejects_bad_stratum():
@@ -152,10 +154,13 @@ def test_classify_levels_rejects_bad_stratum():
 
 
 def test_count_report_consistency(all_classes):
+    assert count_report(E8) == ([[240, 16], [2160, 112]],) * 2
+    assert count_report(E7) == ([[126, 14], [756, 84]],) * 2
     for c in all_classes:
-        rep = count_report(c)
-        assert rep.passed, rep.checks
-        assert rep.cardinalities[0] == 1
+        assert len(b_classes(c, 0)) == 1
+        if c.code is None:
+            with pytest.raises(LatticeError):
+                count_report(c)
 
 
 def test_model_qhat_consistency_between_alpha_and_v():
@@ -165,9 +170,9 @@ def test_model_qhat_consistency_between_alpha_and_v():
 
 def test_model_qhat_on_basis_class():
     c = get_class("M-3-connected")
-    lat = lambda_basis(c.id).sublattice
+    lat = lambda_basis(c.id)
     for b in b_classes(c, 1)[:20]:
-        assert qhat_vanishing_basis(lat, b.v) == b.qhat
+        assert vanishing_qhat(lat, b.v) == b.qhat
 
 
 def test_twists_on_simple_roots():
@@ -191,7 +196,7 @@ def test_cremona_equivalent_code_fails_the_e8_tables(fresh_caches, monkeypatch):
     monkeypatch.setitem(real_forms._BY_ID, E8.id, moved)
     monkeypatch.setattr(real_forms, "_CLASSES",
                         tuple(moved if c.id == E8.id else c for c in real_forms._CLASSES))
-    assert _failed_records(E8.id) == (32, {
+    assert _failed_records(E8.id) == (27, {
         "class_block:M-connected", "table2_rows", "table3_rows", "table4_rows"})
 
 
@@ -205,11 +210,47 @@ def test_zeroed_d6_twist_entry_fails_the_d6_sums(fresh_caches, monkeypatch):
 
     monkeypatch.setattr(counting, "twist", bad)
     assert (signed_sum(d6, 1), signed_sum(d6, 2)) == (4, -4)
-    assert _failed_records(d6.id) == (30, {
-        "root_sum:M-2-connected", "four_sum:M-2-connected", "four_sum_named:M-2-connected",
-        "rows_consistent:M-2-connected", "total_30:M-2-connected",
+    assert _failed_records(d6.id) == (24, {
+        "root_sum:M-2-connected", "four_sum:M-2-connected", "total_30:M-2-connected",
         "pair_line_sum_16:M-2-connected", "pair_total_96:M-2-connected",
-        "table6:M-2:c2_plus", "table6:M-2:c4_plus",
-        "table6_form_c2:M-2-connected", "table6_form_c4:M-2-connected",
-        "orth_root_sum:M-2-connected", "orth_sum_vs_table_row:M-2-connected",
-        "delta_table:M-2-connected", "weighted_balance_12:M-2-connected"})
+        "table6:M-2:c2_plus", "table6:M-2:c4_plus", "table6_form_c2:M-2-connected",
+        "orth_root_sum:M-2-connected", "delta_table:M-2-connected",
+        "weighted_balance_12:M-2-connected"})
+
+
+def _shift_row_form(row):
+    def patch(monkeypatch):
+        form = golden.ROW_FORMS[row]
+        monkeypatch.setitem(golden.ROW_FORMS, row, lambda r: form(r) + 1)
+    return patch
+
+
+def _bump_table6_c4_plus(monkeypatch):
+    cells = list(golden.TABLE6["M-4"])
+    cells[golden.TABLE6_ROWS.index("c4_plus")] += 1
+    monkeypatch.setitem(golden.TABLE6, "M-4", tuple(cells))
+
+
+def _cremona_equivalent_e7_code(monkeypatch):
+    moved = dataclasses.replace(E7, code=Code((1, 1, 1, 1, 3, 3, 3)))
+    monkeypatch.setitem(real_forms._BY_ID, E7.id, moved)
+    monkeypatch.setattr(real_forms, "_CLASSES",
+                        tuple(moved if c.id == E7.id else c for c in real_forms._CLASSES))
+
+
+# Fault-injection matrix: (scope, perturbation, the exact set of failing records).
+FAULTS = {
+    "row_form_c4_plus_1": ("M-4", _shift_row_form("c4"), {"four_sum:M-4"}),
+    "row_form_c0_plus_1": ("M-4", _shift_row_form("c0"), {
+        "table6:M-4:c0_plus", "table6:M-4:c0_minus", "total_30:M-4"}),
+    "table6_c4_plus_cell_plus_1": ("M-4", _bump_table6_c4_plus, {"table6:M-4:c4_plus"}),
+    "e7_cremona_equivalent_code": (E7.id, _cremona_equivalent_e7_code, {
+        "class_block:M-1-connected", "table5_rows", "table5_bilevel_rule"}),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_injection_matrix(fresh_caches, monkeypatch, fault):
+    scope, perturb, failing = FAULTS[fault]
+    perturb(monkeypatch)
+    assert _failed_records(scope)[1] == failing

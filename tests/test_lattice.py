@@ -14,11 +14,9 @@ from dp1.lattice import (
     LatticeError,
     PicClass,
     Sublattice,
-    degree,
     enumerate_coordinates,
     enumerate_vectors,
     integer_kernel,
-    intersect,
     pic,
     reflect,
 )
@@ -31,34 +29,34 @@ def rand_class(bound=5):
 
 
 def test_form_values():
-    assert intersect(H, H) == 1
-    assert intersect(K, K) == 1
+    assert H.dot(H) == 1
+    assert K.dot(K) == 1
     for i, li in enumerate(L):
-        assert intersect(li, li) == -1
-        assert intersect(H, li) == 0
+        assert li.dot(li) == -1
+        assert H.dot(li) == 0
         for lj in L[i + 1:]:
-            assert intersect(li, lj) == 0
+            assert li.dot(lj) == 0
 
 
 def test_intersect_expansion_example():
     a = pic(1, -1, -1, -1, 0, 0, 0, 0, 0)  # h - l1 - l2 - l3
     b = pic(0, 1, -1, 0, 0, 0, 0, 0, 0)  # l1 - l2
-    assert intersect(a, b) == 0
+    assert a.dot(b) == 0
 
 
 def test_intersect_symmetric_bilinear():
     for _ in range(200):
         a, b, c = rand_class(), rand_class(), rand_class()
-        assert intersect(a, b) == intersect(b, a)
-        assert intersect(a + b, c) == intersect(a, c) + intersect(b, c)
+        assert a.dot(b) == b.dot(a)
+        assert (a + b).dot(c) == a.dot(c) + b.dot(c)
         n = RNG.randint(-4, 4)
-        assert intersect(n * a, b) == n * intersect(a, b)
+        assert (n * a).dot(b) == n * a.dot(b)
 
 
 def test_degree():
-    assert degree(MINUS_K) == 1
-    assert degree(MINUS_2K) == 2
-    assert degree(L[0]) == 1
+    assert MINUS_K.degree == 1
+    assert MINUS_2K.degree == 2
+    assert L[0].degree == 1
     assert MINUS_2K.square == 4
 
 
@@ -66,12 +64,12 @@ def test_reflect_basics():
     e = pic(0, 1, -1, 0, 0, 0, 0, 0, 0)
     assert reflect(e, e) == -e
     a = pic(2, 1, 1, 0, 0, 0, 0, 0, 0)
-    assert intersect(a, e) == 0 and reflect(a, e) == a
+    assert a.dot(e) == 0 and reflect(a, e) == a
     for _ in range(200):
         x = rand_class()
         assert reflect(reflect(x, e), e) == x
         y = rand_class()
-        assert intersect(reflect(x, e), reflect(y, e)) == intersect(x, y)
+        assert reflect(x, e).dot(reflect(y, e)) == x.dot(y)
 
 
 def test_reflect_rejects_non_root():
@@ -115,7 +113,7 @@ def test_enumeration_is_sorted_and_deterministic(kperp):
     b = enumerate_coordinates(kperp, -2)
     assert a == b == sorted(a)
     va = enumerate_vectors(kperp, -2)
-    assert all(v.square == -2 and intersect(v, K) == 0 for v in va)
+    assert all(v.square == -2 and v.dot(K) == 0 for v in va)
 
 
 def test_enumerate_rank_zero():
@@ -132,7 +130,7 @@ def test_orthogonal_seeds_count():
 
 
 def test_depth_cap(kperp, monkeypatch):
-    d4, three_a1 = (real_forms.lambda_basis(cid).sublattice for cid in ("M-2-I-a", "M-3-split"))
+    d4, three_a1 = (real_forms.lambda_basis(cid) for cid in ("M-2-I-a", "M-3-split"))
     monkeypatch.setenv(ENUM_DEPTH_ENV, "3")
     with pytest.raises(EnumerationDepthError):
         enumerate_vectors(kperp, -2)
@@ -162,7 +160,7 @@ SHELLS = {
 
 @pytest.mark.parametrize("c", real_forms.deformation_classes(), ids=lambda c: c.id)
 def test_class_lattice_shell_counts(c):
-    lat = real_forms.lambda_basis(c.id).sublattice
+    lat = real_forms.lambda_basis(c.id)
     got = tuple(len(enumerate_coordinates(lat, n)) for n in (-2, -4, -6, -8))
     assert got == SHELLS[c.lambda_type]
 
@@ -173,7 +171,7 @@ def test_weyl_moved_bases_give_the_same_vectors(c):
     # Reflections skew the gram matrix (large LDL denominators) but keep the lattice,
     # so each shell must come back as the same set of ambient vectors.
     rng = random.Random(f"weyl:{c.id}")
-    lat = real_forms.lambda_basis(c.id).sublattice
+    lat = real_forms.lambda_basis(c.id)
     roots = enumerate_vectors(lat, -2)
     want = {n: set(enumerate_vectors(lat, n)) for n in (-2, -4, -6)}
     for _ in range(3):

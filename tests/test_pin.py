@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import root_h3
+from conftest import root_h3, vanishing_qhat
 from dp1.lattice import MINUS_K, MINUS_2K, LatticeError, ZERO, pic, reflect
 from dp1.pin import (
     NEGATIVE_CODE,
@@ -12,7 +12,6 @@ from dp1.pin import (
     cremona_imaginary,
     normalize_code,
     qhat_code,
-    qhat_vanishing_basis,
     reachable_codes,
 )
 from dp1.real_forms import lambda_basis
@@ -120,20 +119,20 @@ def test_cremona_matches_reflection_spotcheck():
 
 
 def test_vanishing_basis_values():
-    lat = lambda_basis("M-2-connected").sublattice
+    lat = lambda_basis("M-2-connected")
     b = lat.basis
     for bi in b:
-        assert qhat_vanishing_basis(lat, bi) == 0
-        assert qhat_vanishing_basis(lat, -bi) == 0
+        assert vanishing_qhat(lat, bi) == 0
+        assert vanishing_qhat(lat, -bi) == 0
     orth = next((i, j) for i in range(6) for j in range(i + 1, 6) if b[i].dot(b[j]) == 0)
     adj = next((i, j) for i in range(6) for j in range(i + 1, 6) if b[i].dot(b[j]) == 1)
-    assert qhat_vanishing_basis(lat, b[orth[0]] + b[orth[1]]) == 0
-    assert qhat_vanishing_basis(lat, b[adj[0]] + b[adj[1]]) == 2
+    assert vanishing_qhat(lat, b[orth[0]] + b[orth[1]]) == 0
+    assert vanishing_qhat(lat, b[adj[0]] + b[adj[1]]) == 2
 
 
 def test_vanishing_basis_rejects_outside_span():
-    lat = lambda_basis("M-4").sublattice
+    lat = lambda_basis("M-4")
     with pytest.raises(LatticeError):
-        qhat_vanishing_basis(lat, MINUS_K)
+        vanishing_qhat(lat, MINUS_K)
     with pytest.raises(LatticeError):
-        qhat_vanishing_basis(lat, pic(0, 1, 0, 0, 0, 0, 0, 0, 0))
+        vanishing_qhat(lat, pic(0, 1, 0, 0, 0, 0, 0, 0, 0))

@@ -51,9 +51,8 @@ def test_bertini_pairing(all_classes):
 
 def test_lambda_basis_shapes(all_classes):
     for c in all_classes:
-        emb = lambda_basis(c.id)
-        assert emb.rank == c.rank
-        lat = emb.sublattice
+        lat = lambda_basis(c.id)
+        assert lat.rank == c.rank
         if c.rank:
             assert lat.gram == cartan_gram(c.lambda_type)
             assert len(enumerate_vectors(lat, -2)) == ROOT_COUNTS[c.lambda_type]
@@ -62,7 +61,7 @@ def test_lambda_basis_shapes(all_classes):
 
 
 def test_e8_standard_basis():
-    basis = lambda_basis("M-connected").sublattice.basis
+    basis = lambda_basis("M-connected").basis
     chain = [pic(0, *[1 if t == i else (-1 if t == i + 1 else 0) for t in range(1, 9)])
              for i in range(1, 8)]
     assert list(basis[:7]) == chain
@@ -71,19 +70,19 @@ def test_e8_standard_basis():
 
 def test_complement_types(all_classes):
     for c in all_classes:
-        comp = orthogonal_complement(lambda_basis(c.id).sublattice)
+        comp = orthogonal_complement(lambda_basis(c.id))
         dual_type = get_class(c.bertini_dual_id).lambda_type
         assert root_system_type(comp) == dual_type
         assert comp.rank == 8 - c.rank
 
 
 def test_e7_complement_has_two_roots():
-    comp = orthogonal_complement(lambda_basis("M-1-connected").sublattice)
+    comp = orthogonal_complement(lambda_basis("M-1-connected"))
     assert len(enumerate_vectors(comp, -2)) == 2
 
 
 def test_four_a1_saturation_exactly_eight_roots():
-    lat = lambda_basis("M-4").sublattice
+    lat = lambda_basis("M-4")
     sat = saturate(lat)
     assert sat.rank == 4
     assert len(enumerate_vectors(sat, -2)) == 8
@@ -92,7 +91,7 @@ def test_four_a1_saturation_exactly_eight_roots():
 def test_root_system_type_labels(kperp):
     assert root_system_type(kperp) == "E8"
     assert root_system_type(Sublattice.span([])) == "0"
-    assert root_system_type(lambda_basis("M-2-connected").sublattice) == "D6"
+    assert root_system_type(lambda_basis("M-2-connected")) == "D6"
     rootless = Sublattice.span([2 * pic(0, 1, -1, 0, 0, 0, 0, 0, 0)])
     assert root_system_type(rootless) == "0"
 
@@ -122,8 +121,8 @@ def test_constructor_rejects_d4_saturating_quadruple(fresh_caches, monkeypatch):
 def test_connected_forms_complement_their_partners():
     for cid in ("M-2-connected", "M-3-connected"):
         c = get_class(cid)
-        mine = lambda_basis(cid).sublattice
-        partner = lambda_basis(c.bertini_dual_id).sublattice
+        mine = lambda_basis(cid)
+        partner = lambda_basis(c.bertini_dual_id)
         for a in mine.basis:
             for b in partner.basis:
                 assert a.dot(b) == 0

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from conftest import vanishing_qhat
 from dp1.counting import b_classes
 from dp1.lattice import MINUS_2K, LatticeError, dot_tuples
-from dp1.pin import POSITIVE_CODE, qhat_code, qhat_vanishing_basis
+from dp1.pin import POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.wallcross import (
     SPLITTING_TABLE,
@@ -123,14 +124,14 @@ def test_pairing_cancellation_zero():
 
 def test_reflection_shifts_qhat_by_two_on_unit_pairing():
     c = get_class("M-2-connected")
-    lat = lambda_basis(c.id).sublattice
+    lat = lambda_basis(c.id)
     root = vanishing_roots(c)[0]
     ec = root.e.coeffs
     hits = 0
     for b in b_classes(c, 2):
         t = dot_tuples(b.v.coeffs, ec)
         image = b.v + t * root.e
-        q_image = qhat_vanishing_basis(lat, image)
+        q_image = vanishing_qhat(lat, image)
         if abs(t) == 1:
             assert q_image == (b.qhat + 2) % 4
             hits += 1
