@@ -10,7 +10,6 @@ from .counting import (
     classify_levels,
     classify_roots,
     count_report,
-    line_count_identities,
     pair_signed_total,
     signed_sum,
     signed_total,

@@ -104,12 +104,6 @@ def pair_signed_total(c: DeformationClass) -> int:
     return (c2_total(c) + 2 * c4_total(c)) + (c2_total(d) + 2 * c4_total(d))
 
 
-def line_count_identities(c: DeformationClass) -> tuple[int, int]:
-    """(pair sum of line counts, line count plus rational anticanonical count) = (16, 8)."""
-    r = c.rank
-    return 2 * r + 2 * (8 - r), 2 * r + (c.euler_char - 1)
-
-
 @dataclass(frozen=True)
 class TableRow:
     """One coefficient-type row of a classification table."""
@@ -189,9 +183,4 @@ def classify_levels(c: DeformationClass, k: int) -> list[TableRow]:
     for b in b_classes(c, k):
         level, sig, pair = _split_coeffs(b.alpha, code.r)
         items.append((level, sig, pair, b.qhat))
-    rows = _group_rows(items, code.r)
-    if code.r == 1:
-        for row in rows:
-            if (row.bilevel[0] + row.bilevel[1]) % 4 != row.qhat:
-                raise LatticeError(f"bi-level rule violated on row {row.key}")
-    return rows
+    return _group_rows(items, code.r)

