@@ -9,6 +9,7 @@ here and are a hard error).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,16 +122,12 @@ class TableRow:
 
 
 def _group_rows(items: list[tuple[int, tuple[int, ...], int | None, int]], r: int) -> list[TableRow]:
-    grouped: dict[tuple, list[int]] = {}
-    for level, sig, pair, q in items:
-        grouped.setdefault((level, sig, pair), []).append(q)
-    rows = []
-    for (level, sig, pair), qs in grouped.items():
-        if len(set(qs)) != 1:
-            raise LatticeError(f"non-constant quadratic value on row {(level, sig, pair)}")
-        bilevel = (level % 2, sum(1 for s in sig if s % 2)) if r == 1 else None
-        rows.append(TableRow(level, sig, pair, bilevel, len(qs), qs[0]))
-    rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0)))
+    """Rows by (level, signature, pair, q): a q that varies on a coefficient type
+    gives that type one row per value."""
+    rows = [TableRow(level, sig, pair, (level % 2, sum(s % 2 for s in sig)) if r == 1 else None,
+                     count, q)
+            for (level, sig, pair, q), count in Counter(items).items()]
+    rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
     return rows
 
 

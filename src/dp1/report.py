@@ -2,13 +2,21 @@
 
 Each record is an exact integer (or integer-structure) comparison; provenance
 distinguishes values produced by enumeration from cited closed-form inputs.
-Builders never raise: a failing construction yields a failed record so partial
-reports survive corrupted inputs.
+`build_records` first declares every check: its name, anchor, provenance, the
+class ids it names, and a thunk returning (expected, actual).  Nothing is
+computed while checks are declared.  Two rules then make the report:
+
+- Scope: a run scoped to a class id holds exactly the checks whose classes
+  include that id.  Global checks name no class and run only in the full scope.
+- Failure: a check whose thunk raises fails under its own name, with actual
+  "error: <Type>: <message>"; every other check still runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable
 
 from . import counting, golden, pin, properties, real_forms, wallcross
@@ -17,9 +25,6 @@ from .roots import ROOT_COUNTS, root_system_type
 
 ENUMERATED = "enumerated"
 CITED = "cited-formula"
-
-# Scope predicate: true when a record naming these class ids can be in scope.
-Wanted = Callable[..., bool]
 
 
 @dataclass(frozen=True)
@@ -33,73 +38,30 @@ class VerificationRecord:
     classes: tuple[str, ...] = ()
 
 
-def _rec(name: str, anchor: str, provenance: str, expected: Any, actual: Any,
-         classes: tuple[str, ...] = ()) -> VerificationRecord:
-    return VerificationRecord(name, anchor, provenance, expected, actual,
-                              expected == actual, classes)
+@dataclass(frozen=True)
+class _Check:
+    name: str
+    anchor: str
+    provenance: str
+    classes: tuple[str, ...]
+    run: Callable[[], tuple[Any, Any]]
 
-
-def _fail(name: str, anchor: str, err: Exception, classes: tuple[str, ...]) -> VerificationRecord:
-    return VerificationRecord(name, anchor, ENUMERATED, "ok",
-                              f"error: {type(err).__name__}: {err}", False, classes)
+    def record(self) -> VerificationRecord:
+        try:
+            expected, actual = self.run()
+            passed = expected == actual
+        except Exception as err:  # a failing computation fails this record alone
+            expected, actual, passed = "ok", f"error: {type(err).__name__}: {err}", False
+        return VerificationRecord(self.name, self.anchor, self.provenance, expected, actual,
+                                  passed, self.classes)
 
 
 def _rows_as_lists(rows) -> list[list]:
-    out = []
-    for r in rows:
-        out.append([r.level, list(r.signature), r.pair_coeff, r.count, r.qhat])
-    return sorted(out)
+    return sorted([r.level, list(r.signature), r.pair_coeff, r.count, r.qhat] for r in rows)
 
 
 def _golden_rows(table) -> list[list]:
     return sorted([lvl, list(sig), pair, count, qhat] for lvl, sig, pair, count, qhat in table)
-
-
-def _class_records(c: real_forms.DeformationClass) -> list[VerificationRecord]:
-    cid = c.id
-    cs = (cid,)
-    recs: list[VerificationRecord] = []
-    try:
-        lat = real_forms.lambda_basis(cid)
-        comp_type = root_system_type(real_forms.orthogonal_complement(lat))
-        dual_type = real_forms.get_class(c.bertini_dual_id).lambda_type
-        recs.append(_rec(f"complement_type:{cid}", "table1/pairing", ENUMERATED,
-                         dual_type, comp_type, cs))
-        recs.append(_rec(f"card_roots:{cid}", "table1/root-count", ENUMERATED,
-                         ROOT_COUNTS[c.lambda_type], len(counting.b_classes(c, 1)), cs))
-        recs.append(_rec(f"card_four_vectors:{cid}", "four-vector-count", ENUMERATED,
-                         golden.FOUR_VECTOR_COUNTS[c.lambda_type], len(counting.b_classes(c, 2)), cs))
-        if c.code is not None:
-            from_strata, from_rows = counting.count_report(c)
-            recs.append(_rec(f"rows_consistent:{cid}", "row-totals", ENUMERATED,
-                             from_strata, from_rows, cs))
-        recs.append(_rec(f"root_sum:{cid}", "eq:rank-sum", ENUMERATED,
-                         2 * c.rank, counting.signed_sum(c, 1), cs))
-        recs.append(_rec(f"four_sum:{cid}", "table6/margin-c4", ENUMERATED,
-                         golden.ROW_FORMS["c4"](c.rank), counting.c4_total(c), cs))
-        recs.append(_rec(f"total_30:{cid}", "identity:total-30", ENUMERATED,
-                         30, counting.signed_total(c), cs))
-    except Exception as err:  # a failing construction must yield a failed record
-        recs.append(_fail(f"class_block:{cid}", "class-block", err, cs))
-    return recs
-
-
-def _pair_records(wanted: Wanted) -> list[VerificationRecord]:
-    recs = []
-    for c, d in real_forms.bertini_pairs():
-        cs = (c.id, d.id)
-        if not wanted(*cs):
-            continue
-        try:
-            recs.append(_rec(f"pair_rank_sum:{c.id}", "table1/pairing", ENUMERATED,
-                             8, c.rank + d.rank, cs))
-            s = counting.signed_sum(c, 1) + counting.signed_sum(d, 1)
-            recs.append(_rec(f"pair_line_sum_16:{c.id}", "eq:pair-16", ENUMERATED, 16, s, cs))
-            recs.append(_rec(f"pair_total_96:{c.id}", "identity:pair-96", ENUMERATED,
-                             96, counting.pair_signed_total(c), cs))
-        except Exception as err:
-            recs.append(_fail(f"pair_block:{c.id}", "pair-block", err, cs))
-    return recs
 
 
 # Tables 2-5: golden rows, the class tabulated and its row builder.  Builders look
@@ -118,14 +80,18 @@ def table_rows(n: int) -> list[counting.TableRow]:
     return build(real_forms.get_class(cid))
 
 
+def _provenance(row: str) -> str:
+    """Table 6 rows c0 and c2 rest on the cited closed form and Euler input."""
+    return CITED if row.startswith(("c0", "c2")) else ENUMERATED
+
+
 def table6_cells(col: str) -> list[tuple[str, int, str]]:
     """(row, value, provenance) for the six cells of one Table 6 column."""
     plus, minus = (real_forms.get_class(i) for i in golden.TABLE6_PAIRS[col])
     values = (counting.c2_total(plus), counting.c2_total(minus),
               counting.c4_total(plus), counting.c4_total(minus),
               counting.c0_total(plus), counting.c0_total(minus))
-    return [(row, v, CITED if row.startswith(("c0", "c2")) else ENUMERATED)
-            for row, v in zip(golden.TABLE6_ROWS, values)]
+    return [(row, v, _provenance(row)) for row, v in zip(golden.TABLE6_ROWS, values)]
 
 
 def table7_cells(c: real_forms.DeformationClass) -> list[tuple[str, str, int, int | None, str]]:
@@ -139,194 +105,173 @@ def table7_cells(c: real_forms.DeformationClass) -> list[tuple[str, str, int, in
                                                     wallcross.DELTA_FIELDS)]
 
 
-def _table_records(wanted: Wanted) -> list[VerificationRecord]:
-    recs = []
-    built: dict[int, list[counting.TableRow] | Exception] = {}  # rows, or what stopped them
-    for n, (expected, cid, _) in TABLES.items():
-        if not wanted(cid):
-            continue
-        try:
-            built[n] = table_rows(n)
-            recs.append(_rec(f"table{n}_rows", f"table{n}/rows", ENUMERATED,
-                             _golden_rows(expected), _rows_as_lists(built[n]), (cid,)))
-        except Exception as err:
-            built[n] = err
-            recs.append(_fail(f"table{n}_rows", f"table{n}/rows", err, (cid,)))
-    if 5 not in built:
-        return recs
-    # The bi-level rule q = level + odd real coefficients (mod 4) on every E7 row:
-    # B^2 and Table 5's B^4.  Lists the [stratum, level, signature, pair] breaking it.
-    try:
-        if isinstance(built[5], Exception):
-            raise built[5]
-        e7 = real_forms.get_class("M-1-connected")
-        recs.append(_rec("table5_bilevel_rule", "table5/bilevel", ENUMERATED, [], [
-            [s, *r.key] for s, rows in ((2, counting.classify_levels(e7, 1)), (4, built[5]))
-            for r in rows if (r.bilevel[0] + r.bilevel[1]) % 4 != r.qhat
-        ], ("M-1-connected",)))
-    except Exception as err:
-        recs.append(_fail("table5_bilevel_rule", "table5/bilevel", err, ("M-1-connected",)))
-    return recs
-
-
-def _table6_records(wanted: Wanted) -> list[VerificationRecord]:
-    recs = []
-    for col in golden.TABLE6_COLUMNS:
-        plus_id, minus_id = golden.TABLE6_PAIRS[col]
-        if not wanted(plus_id, minus_id):
-            continue
-        try:
-            cells = table6_cells(col)
-            for (row, got, prov), want in zip(cells, golden.TABLE6[col]):
-                recs.append(_rec(f"table6:{col}:{row}", f"table6/{col}/{row}", prov,
-                                 want, got, (plus_id, minus_id)))
-            # Each side's c2 row against the closed form in its rank (one side if both
-            # coincide); four_sum checks the c4 row, and c0 is the closed form itself.
-            by_row = {row: (got, prov) for row, got, prov in cells}
-            for side, cid in zip(("plus", "minus"), dict.fromkeys((plus_id, minus_id))):
-                if not wanted(cid):
-                    continue
-                got, prov = by_row[f"c2_{side}"]
-                recs.append(_rec(f"table6_form_c2:{cid}", "table6/margin-c2", prov,
-                                 golden.ROW_FORMS["c2"](real_forms.get_class(cid).rank),
-                                 got, (cid,)))
-        except Exception as err:
-            recs.append(_fail(f"table6:{col}", f"table6/{col}", err, (plus_id, minus_id)))
-    return recs
-
-
-def _polynomial_records() -> list[VerificationRecord]:
-    # The two totals as polynomials in the rank, checked at every integer 0..8.
-    totals30 = [golden.ROW_FORMS["c0"](r) + golden.ROW_FORMS["c2"](r) + golden.ROW_FORMS["c4"](r)
-                for r in range(9)]
-    totals96 = [golden.ROW_FORMS["c2"](r) + 2 * golden.ROW_FORMS["c4"](r)
-                + golden.ROW_FORMS["c2"](8 - r) + 2 * golden.ROW_FORMS["c4"](8 - r)
-                for r in range(9)]
+def _structure_checks() -> list[_Check]:
     return [
-        _rec("identity_total_30_poly", "identity:total-30", CITED, [30] * 9, totals30),
-        _rec("identity_pair_96_poly", "identity:pair-96", CITED, [96] * 9, totals96),
+        _Check("classes_count", "table1/count", ENUMERATED, (),
+               lambda: (11, len(real_forms.deformation_classes()))),
+        _Check("pairs_count", "table1/pairs", ENUMERATED, (),
+               lambda: (7, len(real_forms.bertini_pairs()))),
+        _Check("dual_involutive", "table1/pairing", ENUMERATED, (), lambda: (True, all(
+            real_forms.bertini_dual(real_forms.bertini_dual(c)) is c
+            for c in real_forms.deformation_classes()))),
+        _Check("four_a1_saturation", "saturation:exactly-8", ENUMERATED, ("M-4",), lambda: (
+            8, len(enumerate_vectors(real_forms.saturate(real_forms.lambda_basis("M-4")), -2)))),
+        _Check("d6_four_split", "d6:nine-six-split", ENUMERATED, ("M-2-connected",), lambda: (
+            sorted(golden.D6_FOUR_SPLIT.items()), sorted(Counter(
+                b.qhat for b in counting.b_classes(real_forms.get_class("M-2-connected"), 2)
+            ).items()))),
+        _Check("normalize_positive_seed", "code:all-plus", ENUMERATED, ("M-connected",),
+               lambda: ([1] * 9, list(pin.normalize_code(
+                   pin.Code((1, 1, 1, 1, 1, 3, 3, 3, 3)))[0].residues))),
+        _Check("normalize_negative_seed", "code:all-minus", ENUMERATED, ("M-1-connected",),
+               lambda: (True, (3,) * 7 in pin.reachable_codes(pin.Code((1, 1, 1, 1, 3, 3, 3))))),
     ]
 
 
-def _wallcross_records(c: real_forms.DeformationClass) -> list[VerificationRecord]:
-    cid = c.id
-    cs = (cid,)
-    recs: list[VerificationRecord] = []
-    try:
-        roots = wallcross.vanishing_roots(c)
-        if cid == "M-connected":
-            recs.append(_rec(f"vanishing_count:{cid}", "table2/q0-rows", ENUMERATED,
-                             128, len(roots), cs))
-        if cid == "M-4":
-            recs.append(_rec(f"vanishing_count:{cid}", "orthogonal-roots", ENUMERATED,
-                             8, len(roots), cs))
-        if not roots:
-            return recs
-        tables = [wallcross.delta_table(c, root) for root in roots]
-        recs.append(_rec(f"splitting_table:{cid}", "splitting-tables", ENUMERATED,
-                         0, sum(t.split_mismatches for t in tables), cs))
-        recs.append(_rec(f"orth_root_sum:{cid}", "sum:orthogonal-roots", ENUMERATED,
-                         [2 * (c.rank - 1)], sorted({t.orth for t in tables}), cs))
-        recs.append(_rec(f"delta_table:{cid}", "table7/rows", CITED,
-                         [list(wallcross.delta_expected(c))],
-                         [list(d) for d in sorted({t.as_tuple() for t in tables})], cs))
-    except Exception as err:
-        recs.append(_fail(f"wallcross_block:{cid}", "wallcross-block", err, cs))
-    return recs
+def _polynomial_checks() -> list[_Check]:
+    # The two totals as polynomials in the rank, checked at every integer 0..8.
+    def forms(r: int) -> tuple[int, int, int]:
+        return tuple(golden.ROW_FORMS[row](r) for row in ("c0", "c2", "c4"))
+
+    def pair_half(r: int) -> int:
+        _, c2, c4 = forms(r)
+        return c2 + 2 * c4
+
+    return [
+        _Check("identity_total_30_poly", "identity:total-30", CITED, (),
+               lambda: ([30] * 9, [sum(forms(r)) for r in range(9)])),
+        _Check("identity_pair_96_poly", "identity:pair-96", CITED, (),
+               lambda: ([96] * 9, [pair_half(r) + pair_half(8 - r) for r in range(9)])),
+    ]
 
 
-def _cross_model_records(wanted: Wanted) -> list[VerificationRecord]:
-    recs = []
-    for cid in ("M-connected", "M-1-connected"):
-        if not wanted(cid):
-            continue
-        try:
-            c = real_forms.get_class(cid)
-            lat = real_forms.lambda_basis(cid)
-            vanishing = (2,) * lat.rank
-            recs.append(_rec(f"cross_model_roots:{cid}", "code-vs-basis", ENUMERATED,
-                             counting.signed_sum(c, 1),
-                             counting.lattice_signed_sum(lat, 1, vanishing), (cid,)))
-            recs.append(_rec(f"cross_model_four:{cid}", "code-vs-basis", ENUMERATED,
-                             counting.signed_sum(c, 2),
-                             counting.lattice_signed_sum(lat, 2, vanishing), (cid,)))
-        except Exception as err:
-            recs.append(_fail(f"cross_model:{cid}", "code-vs-basis", err, (cid,)))
-    return recs
+# The classes whose vanishing-root count is tabulated: (anchor, count).
+_VANISHING_COUNTS = {"M-connected": ("table2/q0-rows", 128), "M-4": ("orthogonal-roots", 8)}
 
 
-def _structure_records() -> list[VerificationRecord]:
-    recs = []
-    try:
-        classes = real_forms.deformation_classes()
-        recs.append(_rec("classes_count", "table1/count", ENUMERATED, 11, len(classes)))
-        recs.append(_rec("pairs_count", "table1/pairs", ENUMERATED,
-                         7, len(real_forms.bertini_pairs())))
-        involutive = all(real_forms.bertini_dual(real_forms.bertini_dual(c)) is c
-                         for c in classes)
-        recs.append(_rec("dual_involutive", "table1/pairing", ENUMERATED, True, involutive))
-        sat = real_forms.saturate(real_forms.lambda_basis("M-4"))
-        recs.append(_rec("four_a1_saturation", "saturation:exactly-8", ENUMERATED,
-                         8, len(enumerate_vectors(sat, -2)), ("M-4",)))
-    except Exception as err:
-        recs.append(_fail("structure_block", "structure", err, ()))
-    try:
-        d6 = real_forms.get_class("M-2-connected")
-        split: dict[int, int] = {}
-        for b in counting.b_classes(d6, 2):
-            split[b.qhat] = split.get(b.qhat, 0) + 1
-        recs.append(_rec("d6_four_split", "d6:nine-six-split", ENUMERATED,
-                         sorted(golden.D6_FOUR_SPLIT.items()), sorted(split.items()),
-                         ("M-2-connected",)))
-    except Exception as err:
-        recs.append(_fail("d6_four_split", "d6:nine-six-split", err, ("M-2-connected",)))
-    try:
-        best, _ = pin.normalize_code(pin.Code((1, 1, 1, 1, 1, 3, 3, 3, 3)))
-        recs.append(_rec("normalize_positive_seed", "code:all-plus", ENUMERATED,
-                         [1] * 9, list(best.residues), ("M-connected",)))
-        seen = pin.reachable_codes(pin.Code((1, 1, 1, 1, 3, 3, 3)))
-        recs.append(_rec("normalize_negative_seed", "code:all-minus", ENUMERATED,
-                         True, (3,) * 7 in seen, ("M-1-connected",)))
-    except Exception as err:
-        recs.append(_fail("normalize_seeds", "code:normalization", err, ()))
-    return recs
+def _class_checks(c: real_forms.DeformationClass) -> list[_Check]:
+    cid, cs = c.id, (c.id,)
+    checks = [
+        _Check(f"complement_type:{cid}", "table1/pairing", ENUMERATED, cs, lambda: (
+            real_forms.get_class(c.bertini_dual_id).lambda_type,
+            root_system_type(real_forms.orthogonal_complement(real_forms.lambda_basis(cid))))),
+        _Check(f"card_roots:{cid}", "table1/root-count", ENUMERATED, cs,
+               lambda: (ROOT_COUNTS[c.lambda_type], len(counting.b_classes(c, 1)))),
+        _Check(f"card_four_vectors:{cid}", "four-vector-count", ENUMERATED, cs,
+               lambda: (golden.FOUR_VECTOR_COUNTS[c.lambda_type], len(counting.b_classes(c, 2)))),
+    ]
+    if c.code is not None:
+        checks.append(_Check(f"rows_consistent:{cid}", "row-totals", ENUMERATED, cs,
+                             lambda: counting.count_report(c)))
+    checks += [
+        _Check(f"root_sum:{cid}", "eq:rank-sum", ENUMERATED, cs,
+               lambda: (2 * c.rank, counting.signed_sum(c, 1))),
+        _Check(f"four_sum:{cid}", "table6/margin-c4", ENUMERATED, cs,
+               lambda: (golden.ROW_FORMS["c4"](c.rank), counting.c4_total(c))),
+        _Check(f"total_30:{cid}", "identity:total-30", ENUMERATED, cs,
+               lambda: (30, counting.signed_total(c))),
+    ]
+    if cid in _VANISHING_COUNTS:
+        anchor, count = _VANISHING_COUNTS[cid]
+        checks.append(_Check(f"vanishing_count:{cid}", anchor, ENUMERATED, cs,
+                             lambda: (count, len(wallcross.vanishing_roots(c)))))
+    if c.rank == 0:
+        return checks
+    tables = cache(lambda: [wallcross.delta_table(c, e) for e in wallcross.vanishing_roots(c)])
+    return checks + [
+        _Check(f"splitting_table:{cid}", "splitting-tables", ENUMERATED, cs,
+               lambda: (0, sum(t.split_mismatches for t in tables()))),
+        _Check(f"orth_root_sum:{cid}", "sum:orthogonal-roots", ENUMERATED, cs,
+               lambda: ([2 * (c.rank - 1)], sorted({t.orth for t in tables()}))),
+        _Check(f"delta_table:{cid}", "table7/rows", CITED, cs, lambda: (
+            [list(wallcross.delta_expected(c))],
+            [list(d) for d in sorted({t.as_tuple() for t in tables()})])),
+    ]
 
 
-def _property_records() -> list[VerificationRecord]:
-    recs = []
-    try:
-        for res in properties.run_all():
-            recs.append(_rec(f"property:{res.name}", f"property/{res.name}", ENUMERATED,
-                             [res.instances, 0], [res.instances, res.failures]))
-    except Exception as err:
-        recs.append(_fail("property_suite", "property-suite", err, ()))
-    return recs
+def _pair_checks(c: real_forms.DeformationClass, d: real_forms.DeformationClass) -> list[_Check]:
+    cs = (c.id, d.id)
+    return [
+        _Check(f"pair_rank_sum:{c.id}", "table1/pairing", ENUMERATED, cs,
+               lambda: (8, c.rank + d.rank)),
+        _Check(f"pair_line_sum_16:{c.id}", "eq:pair-16", ENUMERATED, cs,
+               lambda: (16, counting.signed_sum(c, 1) + counting.signed_sum(d, 1))),
+        _Check(f"pair_total_96:{c.id}", "identity:pair-96", ENUMERATED, cs,
+               lambda: (96, counting.pair_signed_total(c))),
+    ]
+
+
+def _table_checks() -> list[_Check]:
+    rows = {n: cache(lambda n=n: table_rows(n)) for n in TABLES}
+    checks = [_Check(f"table{n}_rows", f"table{n}/rows", ENUMERATED, (cid,),
+                     lambda n=n: (_golden_rows(TABLES[n][0]), _rows_as_lists(rows[n]())))
+              for n, (_, cid, _) in TABLES.items()]
+
+    # The bi-level rule q = level + odd real coefficients (mod 4) on every E7 row:
+    # B^2 and Table 5's B^4.  Lists the [stratum, level, signature, pair] breaking it.
+    def bilevel_breaks() -> list[list]:
+        b2 = counting.classify_levels(real_forms.get_class("M-1-connected"), 1)
+        return [[s, *r.key] for s, strat in ((2, b2), (4, rows[5]())) for r in strat
+                if (r.bilevel[0] + r.bilevel[1]) % 4 != r.qhat]
+
+    return checks + [_Check("table5_bilevel_rule", "table5/bilevel", ENUMERATED,
+                            ("M-1-connected",), lambda: ([], bilevel_breaks()))]
+
+
+def _table6_checks(col: str) -> list[_Check]:
+    cs = golden.TABLE6_PAIRS[col]
+    cells = cache(lambda: table6_cells(col))
+    checks = [_Check(f"table6:{col}:{row}", f"table6/{col}/{row}", _provenance(row), cs,
+                     lambda i=i: (golden.TABLE6[col][i], cells()[i][1]))
+              for i, row in enumerate(golden.TABLE6_ROWS)]
+    # Each side's c2 row against the closed form in its rank (one side if both
+    # coincide); four_sum checks the c4 row, and c0 is the closed form itself.
+    for side, cid in zip(("plus", "minus"), dict.fromkeys(cs)):
+        row = f"c2_{side}"
+        checks.append(_Check(f"table6_form_c2:{cid}", "table6/margin-c2", _provenance(row), (cid,),
+                             lambda cid=cid, i=golden.TABLE6_ROWS.index(row): (
+                                 golden.ROW_FORMS["c2"](real_forms.get_class(cid).rank),
+                                 cells()[i][1])))
+    return checks
+
+
+def _cross_model_checks(c: real_forms.DeformationClass) -> list[_Check]:
+    # The code's signed sums against those of q vanishing on the class's simple roots.
+    def sums(k: int) -> tuple[int, int]:
+        lat = real_forms.lambda_basis(c.id)
+        return counting.signed_sum(c, k), counting.lattice_signed_sum(lat, k, (2,) * lat.rank)
+
+    return [_Check(f"cross_model_{what}:{c.id}", "code-vs-basis", ENUMERATED, (c.id,),
+                   lambda k=k: sums(k)) for what, k in (("roots", 1), ("four", 2))]
+
+
+def _property_checks() -> list[_Check]:
+    suite = cache(lambda: {res.name: res for res in properties.run_all()})
+
+    def counts(name: str) -> tuple[list[int], list[int]]:
+        res = suite()[name]
+        return [res.instances, 0], [res.instances, res.failures]
+
+    return [_Check(f"property:{name}", f"property/{name}", ENUMERATED, (),
+                   lambda name=name: counts(name)) for name in properties.NAMES]
 
 
 def build_records(scope: str = "all") -> list[VerificationRecord]:
-    """Verification records; a class-id scope restricts to that class's checks.
-
-    A scoped run builds only the records that can name the scope: each block
-    builder skips the items whose class ids exclude it.  The randomized property
-    suite and the global structure records run only for the full scope.
-    """
-    recs: list[VerificationRecord] = []
-    if scope == "all":
-        wanted: Wanted = lambda *ids: True
-        recs.extend(_structure_records())
-        recs.extend(_polynomial_records())
-    else:
+    """Verification records; a class-id scope keeps the checks naming that class."""
+    classes = real_forms.deformation_classes()
+    checks = [
+        *_structure_checks(), *_polynomial_checks(),
+        *(ch for c in classes for ch in _class_checks(c)),
+        *(ch for c, d in real_forms.bertini_pairs() for ch in _pair_checks(c, d)),
+        *_table_checks(),
+        *(ch for col in golden.TABLE6_COLUMNS for ch in _table6_checks(col)),
+        *(ch for c in classes if c.code is not None for ch in _cross_model_checks(c)),
+        *_property_checks(),
+    ]
+    if scope != "all":
         real_forms.get_class(scope)  # unknown ids raise here
-        wanted = lambda *ids: scope in ids
-    for c in real_forms.deformation_classes():
-        if wanted(c.id):
-            recs.extend(_class_records(c))
-            recs.extend(_wallcross_records(c))
-    for block in (_pair_records, _table_records, _table6_records, _cross_model_records):
-        recs.extend(block(wanted))
-    if scope == "all":
-        recs.extend(_property_records())
-    return recs
+        checks = [ch for ch in checks if scope in ch.classes]
+    return [ch.record() for ch in checks]
 
 
 def summarize(records: list[VerificationRecord]) -> dict[str, int]:

@@ -5,6 +5,16 @@ from dp1.lattice import PicClass, Sublattice, pic
 from dp1.pin import qhat_from_coordinates
 
 
+# Four pairwise-orthogonal roots with integral half-sum: their saturation is a
+# full D4, so they are NOT a valid 4A1 model and the constructor must refuse.
+BAD_4A1 = [
+    pic(0, 0, 0, 0, 0, 0, 0, 1, -1),
+    pic(1, -1, 0, 0, 0, 0, 0, -1, -1),
+    pic(2, 0, -1, -1, -1, -1, 0, -1, -1),
+    pic(-3, 1, 1, 1, 1, 1, 2, 1, 1),
+]
+
+
 def clear_model_caches() -> None:
     """Reset every memoized lattice/model table (used by corruption tests)."""
     real_forms.lambda_basis.cache_clear()

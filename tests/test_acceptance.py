@@ -126,6 +126,7 @@ def test_criterion_7_wall_crossing(records, all_classes):
 
 def test_criterion_8_property_suites():
     results = properties.run_all()
+    assert [r.name for r in results] == list(properties.NAMES)
     for res in results:
         assert res.passed, res
     assert sum(r.instances for r in results) >= 1000

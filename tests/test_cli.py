@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dp1
-from conftest import clear_model_caches
+from conftest import BAD_4A1, clear_model_caches
 from dp1 import cli, golden, real_forms, report, wallcross
 from dp1.lattice import pic
 
@@ -245,39 +245,22 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text(encoding="utf-8"))["classes"]
 
 
-# Four pairwise-orthogonal roots with integral half-sum: their saturation is a
-# full D4, so they are NOT a valid 4A1 model and the constructor must refuse.
-BAD_4A1 = [
-    pic(0, 0, 0, 0, 0, 0, 0, 1, -1),
-    pic(1, -1, 0, 0, 0, 0, 0, -1, -1),
-    pic(2, 0, -1, -1, -1, -1, 0, -1, -1),
-    pic(-3, 1, 1, 1, 1, 1, 2, 1, 1),
-]
-
-
 def test_verify_fails_on_corrupted_embedding(fresh_caches, monkeypatch, capsys):
     monkeypatch.setattr(real_forms, "_A1_SEEDS", BAD_4A1)
     clear_model_caches()
     code, out = run_cli(capsys, "verify", "--class", "M-4")
     assert code == 1
     payload = json.loads(out)
-    assert payload["summary"]["failed"] >= 1
+    assert payload["summary"] == {"total": 21, "passed": 1, "failed": 20}
+    assert [r["name"] for r in payload["records"] if r["passed"]] == ["pair_rank_sum:M-4"]
     failing = [r for r in payload["records"] if not r["passed"]]
-    assert any(r["name"] == "class_block:M-4" for r in failing)
+    assert not any(r["name"].endswith("_block") for r in failing)
     assert any(str(r["actual"]).startswith("error: LatticeError: ") for r in failing)
 
 
 def test_scoped_records_equal_the_filtered_full_build():
-    # What a scoped run used to do: build every block for every class, then filter.
-    def everything(*ids):
-        return True
-
-    full = []
-    for c in real_forms.deformation_classes():
-        full += report._class_records(c) + report._wallcross_records(c)
-    for block in (report._pair_records, report._table_records, report._table6_records,
-                  report._cross_model_records):
-        full += block(everything)
+    # The scope rule: a scoped run holds exactly the records whose classes name the id.
+    full = report.build_records("all")
     for c in real_forms.deformation_classes():
         assert report.build_records(c.id) == [r for r in full if c.id in r.classes], c.id
 
@@ -301,7 +284,8 @@ def test_scoped_verify_skips_the_dual_wall_crossing(monkeypatch, capsys):
 # function became a twist on simple roots; the two verify pins were re-taken when
 # the records repeating another record's comparison were deleted, and again when
 # the records that another record or a constructor check already decides were
-# deleted.  Any drift in the bytes fails here.
+# deleted; the scoped pin was re-taken once more when each class's structure
+# records joined its scoped run.  Any drift in the bytes fails here.
 STDOUT_SHA256 = {
     ("classes",): "9bf77071bd9d0765f42fc2f2fb43bb2b0456997263f0861b11ae34dd277e42de",
     ("enumerate", "--class", "all"):
@@ -316,7 +300,7 @@ STDOUT_SHA256 = {
         "9cf222054ed317051655c2adde92ff24c4ef327dec4638da083b7bc94eb007d8",
     ("verify",): "6da8768895ce821ce519a2b435ae1ac543b29c4aa865e8cff98f7d2ac30a9759",
     ("verify", "--class", "M-4"):
-        "337144ff8e83285d17ef33da3c57309e1306108409f67f467c329589e8cbec03",
+        "0bfb92a3ff5d3fcd6fe75c27da2a1b48ae7cf6aeaf364d502535143496e58d85",
 }
 
 

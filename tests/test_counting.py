@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from conftest import vanishing_qhat
+from conftest import BAD_4A1, clear_model_caches, vanishing_qhat
 from dp1 import counting, golden, real_forms
 from dp1.counting import (
     TableRow,
@@ -194,8 +194,7 @@ def test_cremona_equivalent_code_fails_the_e8_tables(fresh_caches, monkeypatch):
     monkeypatch.setitem(real_forms._BY_ID, E8.id, moved)
     monkeypatch.setattr(real_forms, "_CLASSES",
                         tuple(moved if c.id == E8.id else c for c in real_forms._CLASSES))
-    assert _failed_records(E8.id) == (23, {
-        "class_block:M-connected", "table2_rows", "table3_rows", "table4_rows"})
+    assert _failed_records(E8.id) == (27, {"table2_rows", "table3_rows", "table4_rows"})
 
 
 def test_zeroed_d6_twist_entry_fails_the_d6_sums(fresh_caches, monkeypatch):
@@ -208,11 +207,11 @@ def test_zeroed_d6_twist_entry_fails_the_d6_sums(fresh_caches, monkeypatch):
 
     monkeypatch.setattr(counting, "twist", bad)
     assert (signed_sum(d6, 1), signed_sum(d6, 2)) == (4, -4)
-    assert _failed_records(d6.id) == (19, {
+    assert _failed_records(d6.id) == (20, {
         "root_sum:M-2-connected", "four_sum:M-2-connected", "total_30:M-2-connected",
         "pair_line_sum_16:M-2-connected", "pair_total_96:M-2-connected",
         "table6:M-2:c2_plus", "table6:M-2:c4_plus", "table6_form_c2:M-2-connected",
-        "orth_root_sum:M-2-connected", "delta_table:M-2-connected"})
+        "orth_root_sum:M-2-connected", "delta_table:M-2-connected", "d6_four_split"})
 
 
 def _shift_row_form(row):
@@ -256,7 +255,7 @@ FAULTS = {
     "m4_dual_m2_i_a": ("M-4", _replace_class("M-4", bertini_dual_id="M-2-I-a"), {
         "complement_type:M-4"}),
     "e7_cremona_equivalent_code": (E7.id, _replace_class(E7.id, code=Code((1, 1, 1, 1, 3, 3, 3))), {
-        "class_block:M-1-connected", "table5_rows", "table5_bilevel_rule"}),
+        "table5_rows", "table5_bilevel_rule"}),
     # The other orbit of length-7 codes: its sums differ, but c0 + c2 + c4 is still 30.
     "e7_other_orbit_code": (E7.id, _replace_class(E7.id, code=Code((3, 1, 1, 1, 1, 1, 1))), E7_SUMS | {
         "table6:M-1:c2_plus", "table6:M-1:c4_plus", "table5_rows", "table5_bilevel_rule"}),
@@ -268,3 +267,28 @@ def test_fault_injection_matrix(fresh_caches, monkeypatch, fault):
     scope, perturb, failing = FAULTS[fault]
     perturb(monkeypatch)
     assert _failed_records(scope)[1] == failing
+
+
+def _corrupt_4a1_embedding(monkeypatch):
+    monkeypatch.setattr(real_forms, "_A1_SEEDS", BAD_4A1)
+
+
+def _cap_enumeration_depth(monkeypatch):
+    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", "3")
+
+
+NAME_FAULTS = {fault: row[:2] for fault, row in FAULTS.items()} | {
+    "corrupted_4a1_embedding": ("M-4", _corrupt_4a1_embedding),
+    "depth_cap_3": ("M-4", _cap_enumeration_depth),
+}
+
+
+@pytest.mark.parametrize("fault", list(NAME_FAULTS))
+def test_a_fault_changes_which_records_fail_not_which_exist(fresh_caches, monkeypatch, fault):
+    scope, perturb = NAME_FAULTS[fault]
+    green = [r.name for r in build_records(scope)]
+    perturb(monkeypatch)
+    clear_model_caches()
+    faulted = build_records(scope)
+    assert [r.name for r in faulted] == green
+    assert not all(r.passed for r in faulted)
