@@ -51,7 +51,6 @@ from .roots import root_system_type
 from .wallcross import (
     DeltaTable,
     SplittingCase,
-    VanishingRoot,
     delta_table,
     splittings,
     vanishing_roots,

@@ -5,9 +5,9 @@ Each class pins a concrete sublattice: the four connected forms arise as
 pair-equality kernels (the conjugation-fixed part of their blowup models), the
 (M-2)_I forms as the saturation of a D4 root set, and the rest as the
 saturation of mutually orthogonal roots.  Every stored embedding is
-re-verified at construction time: root type, rank, root count, Cartan shape
-and generation by its roots.  The complement type is checked by `dp1 verify`
-(record `complement_type:<id>`), not here.
+re-verified at construction time: root type, rank, Cartan shape and generation
+by its roots.  The root count and the complement type are checked by
+`dp1 verify` (records `card_roots:<id>` and `complement_type:<id>`), not here.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .lattice import (
     pic,
 )
 from .pin import NEGATIVE_CODE, PAIRS, POSITIVE_CODE, Code
-from .roots import ROOT_COUNTS, cartan_gram, identify
+from .roots import cartan_gram, identify
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,11 @@ def lambda_basis(class_id: str) -> Sublattice:
     """Canonical simple-root basis of the class lattice, with all invariants enforced."""
     c = get_class(class_id)
     lat = _raw_lattice(c)
-    label, simple, roots = identify(lat)
+    label, simple = identify(lat)
     if label != c.lambda_type:
         raise LatticeError(f"{class_id}: stored lattice has root type {label}, expected {c.lambda_type}")
     if len(simple) != c.rank or lat.rank != c.rank:
         raise LatticeError(f"{class_id}: rank mismatch")
-    n_roots = len(roots)
-    if n_roots != ROOT_COUNTS[c.lambda_type]:
-        raise LatticeError(f"{class_id}: {n_roots} roots, expected {ROOT_COUNTS[c.lambda_type]}")
     basis = Sublattice.span(simple)
     if c.rank and basis.gram != cartan_gram(c.lambda_type):
         raise LatticeError(f"{class_id}: simple system does not match the {c.lambda_type} Cartan matrix")

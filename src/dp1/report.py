@@ -85,13 +85,17 @@ def _provenance(row: str) -> str:
     return CITED if row.startswith(("c0", "c2")) else ENUMERATED
 
 
+def _table6_value(col: str, row: str) -> int:
+    """One Table 6 cell: row cN_plus (cN_minus) is counting.cN_total of the
+    column's plus (minus) class."""
+    count, side = row.split("_")
+    c = real_forms.get_class(golden.TABLE6_PAIRS[col][side == "minus"])
+    return getattr(counting, f"{count}_total")(c)
+
+
 def table6_cells(col: str) -> list[tuple[str, int, str]]:
     """(row, value, provenance) for the six cells of one Table 6 column."""
-    plus, minus = (real_forms.get_class(i) for i in golden.TABLE6_PAIRS[col])
-    values = (counting.c2_total(plus), counting.c2_total(minus),
-              counting.c4_total(plus), counting.c4_total(minus),
-              counting.c0_total(plus), counting.c0_total(minus))
-    return [(row, v, _provenance(row)) for row, v in zip(golden.TABLE6_ROWS, values)]
+    return [(row, _table6_value(col, row), _provenance(row)) for row in golden.TABLE6_ROWS]
 
 
 def table7_cells(c: real_forms.DeformationClass) -> list[tuple[str, str, int, int | None, str]]:
@@ -220,18 +224,17 @@ def _table_checks() -> list[_Check]:
 
 def _table6_checks(col: str) -> list[_Check]:
     cs = golden.TABLE6_PAIRS[col]
-    cells = cache(lambda: table6_cells(col))
     checks = [_Check(f"table6:{col}:{row}", f"table6/{col}/{row}", _provenance(row), cs,
-                     lambda i=i: (golden.TABLE6[col][i], cells()[i][1]))
+                     lambda i=i, row=row: (golden.TABLE6[col][i], _table6_value(col, row)))
               for i, row in enumerate(golden.TABLE6_ROWS)]
     # Each side's c2 row against the closed form in its rank (one side if both
     # coincide); four_sum checks the c4 row, and c0 is the closed form itself.
     for side, cid in zip(("plus", "minus"), dict.fromkeys(cs)):
         row = f"c2_{side}"
         checks.append(_Check(f"table6_form_c2:{cid}", "table6/margin-c2", _provenance(row), (cid,),
-                             lambda cid=cid, i=golden.TABLE6_ROWS.index(row): (
+                             lambda cid=cid, row=row: (
                                  golden.ROW_FORMS["c2"](real_forms.get_class(cid).rank),
-                                 cells()[i][1])))
+                                 _table6_value(col, row))))
     return checks
 
 

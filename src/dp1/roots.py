@@ -129,17 +129,16 @@ def _canonical_order(simple: list[PicClass]) -> list[PicClass]:
     return out
 
 
-def identify(lat: Sublattice) -> tuple[str, list[PicClass], list[PicClass]]:
-    """ADE label of the root system of lat, its canonical simple system, and its roots."""
-    roots = enumerate_vectors(lat, -2)
-    simple = simple_system(roots)
+def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
+    """ADE label of the root system of lat and its canonical simple system."""
+    simple = simple_system(enumerate_vectors(lat, -2))
     if not simple:
-        return "0", [], roots
+        return "0", []
     labels = []
     for comp in _components(simple):
         label, _ = _classify_component(simple, comp)
         if label == "unknown":
-            return "unknown", simple, roots
+            return "unknown", simple
         labels.append(label)
     labels.sort(key=lambda s: (-int(s[1:]), s[0]))
     merged = []
@@ -150,7 +149,7 @@ def identify(lat: Sublattice) -> tuple[str, list[PicClass], list[PicClass]]:
             j += 1
         merged.append((f"{j - i}" if j - i > 1 else "") + labels[i])
         i = j
-    return "+".join(merged), simple, roots
+    return "+".join(merged), simple
 
 
 def root_system_type(lat: Sublattice) -> str:

@@ -7,6 +7,13 @@ Curves limit onto D + rE; the admissible (r, D) are cut out by the numeric
 filters extracted from the degeneration analysis and reproduce fixed small
 tables as a function of (stratum, v.E).  Classes pairing off under the
 reflection in E cancel; classes orthogonal to E aggregate to rank-linear sums.
+
+The reflection facts belong to the class, not to E, and `q_index_cached` checks
+them once on the class's simple roots b: each stratum is closed under s_b and
+q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4.  The simple reflections generate the
+Weyl group and every root is conjugate to a simple one, so this is the same law
+for every root E; for q(E) = 0 it shifts q by 2 exactly when |v.E| = 1.
+`delta_table` keeps only the per-root work.
 """
 
 from __future__ import annotations
@@ -17,15 +24,7 @@ from functools import lru_cache
 from . import golden
 from .lattice import MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples
 from .counting import BClass, b_classes, sign_of
-from .real_forms import DeformationClass, get_class
-
-
-@dataclass(frozen=True)
-class VanishingRoot:
-    """A root of the class lattice on which the quadratic function vanishes."""
-
-    class_id: str
-    e: PicClass
+from .real_forms import DeformationClass, get_class, lambda_basis
 
 
 @dataclass(frozen=True)
@@ -66,37 +65,45 @@ DELTA_FIELDS = ("d41", "d42", "d20", "d21", "d22")
 
 
 @lru_cache(maxsize=None)
-def vanishing_roots_cached(class_id: str) -> tuple[VanishingRoot, ...]:
-    c = get_class(class_id)
-    out = []
-    for b in b_classes(c, 1):
-        if b.qhat == 0:
-            out.append(VanishingRoot(class_id, b.v))
-    return tuple(out)
+def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
+    return tuple(b.v for b in b_classes(get_class(class_id), 1) if b.qhat == 0)
 
 
 @lru_cache(maxsize=None)
 def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
-    """{v: q} of the B^0, B^2 and B^4 stratum vectors of the class."""
+    """{v: q} of the B^0, B^2 and B^4 stratum vectors of the class, after checking
+    on every simple root b that s_b(v) = v + (v.b)b stays in v's stratum with
+    q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4."""
     c = get_class(class_id)
-    return tuple({b.v.coeffs: b.qhat for b in b_classes(c, k)} for k in (0, 1, 2))
+    q_of = tuple({b.v.coeffs: b.qhat for b in b_classes(c, k)} for k in (0, 1, 2))
+    for b in lambda_basis(class_id).basis:
+        bc = b.coeffs
+        q_b = q_of[1].get(bc)
+        if q_b is None:
+            raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
+        for by_v in q_of:
+            for vc, q in by_v.items():
+                t = dot_tuples(vc, bc)
+                q_image = by_v.get(tuple(x + t * y for x, y in zip(vc, bc)))
+                if q_image is None:
+                    raise LatticeError(f"reflection left the stratum: {PicClass(vc)} by {b}")
+                if q_image != (q + t * (q_b + 2)) % 4:
+                    raise LatticeError(f"reflection law failed at {PicClass(vc)} by {b}")
+    return q_of
 
 
-def vanishing_roots(c: DeformationClass) -> tuple[VanishingRoot, ...]:
+def vanishing_roots(c: DeformationClass) -> tuple[PicClass, ...]:
     """All roots of the class lattice with vanishing quadratic value."""
     return vanishing_roots_cached(c.id)
 
 
-def splittings(alpha: BClass, root: VanishingRoot) -> list[SplittingCase]:
+def splittings(alpha: BClass, e: PicClass) -> list[SplittingCase]:
     """Admissible splittings alpha = D + r*E for r >= 1.
 
     Necessary conditions from the degeneration analysis: D.(-K-E) >= 0,
     D.E >= 1, D.D >= -1, and D must again be a degree-2 stratum class
     (D.D in {4, 2, 0}, the last forcing the deepest stratum).
     """
-    if alpha.class_id != root.class_id:
-        raise LatticeError(f"class mismatch: {alpha.class_id} vs {root.class_id}")
-    e = root.e
     cases = []
     for r in range(1, MAX_MULTIPLICITY + 1):
         d = alpha.alpha - r * e
@@ -140,42 +147,36 @@ class DeltaTable:
         return 2 * self.d42 + self.d20 + self.d22
 
 
-def delta_table(c: DeformationClass, root: VanishingRoot) -> DeltaTable:
+def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
     """The wall-crossing kernel: one pass over B^0, B^2 and B^4 against E.
 
-    Each v.E is computed once.  The first class seen for every (stratum, v.E)
-    key has its limit splittings checked against SPLITTING_TABLE.  The orthogonal
-    sum adds i^q over the roots with v.E = 0; it equals 2(r-1).  The reflection
-    in E must keep each stratum, shift q by 2 when |v.E| = 1 (a fixed-point-free
-    pairing, so i^q summed over those classes cancels to d21 = d41 = 0) and leave
-    q unchanged otherwise.  d22 is the cited Euler input.
+    E must be in the B^2 index of `q_index_cached` (so a root of the class
+    lattice) with q(E) = 0; stratum closure and the reflection law are checked
+    there, once per class, and not here.  Each v.E is computed once.  The first class seen for every (stratum, v.E) key has
+    its limit splittings checked against SPLITTING_TABLE.  The classes with
+    |v.E| = 1 pair off under the reflection with q shifted by 2, so i^q summed
+    over them cancels to d21 = d41 = 0.  The orthogonal sum adds i^q over the
+    roots with v.E = 0; it equals 2(r-1).  d22 is the cited Euler input.
     """
-    strata = [b_classes(c, k) for k in (0, 1, 2)]
-    q_of = q_index_cached(c.id)
-    _check_root(c, root, q_of[1])
-    ec = root.e.coeffs
+    q_e = q_index_cached(c.id)[1].get(e.coeffs)
+    if q_e is None:
+        raise LatticeError(f"{e} is not a root of the {c.id} class lattice")
+    if q_e != 0:
+        raise LatticeError(f"{e} has nonzero quadratic value")
+    ec = e.coeffs
     seen: set[tuple[int, int]] = set()
     mismatches = orth = 0
     pairing = {2: 0, 4: 0}
-    for k, bs in enumerate(strata):
-        by_v = q_of[k]
-        for b in bs:
-            vc = b.v.coeffs
-            t = dot_tuples(vc, ec)
+    for k in (0, 1, 2):
+        for b in b_classes(c, k):
+            t = dot_tuples(b.v.coeffs, ec)
             key = (b.stratum, t)
             if key not in seen:
                 seen.add(key)
-                got = tuple(s.summary for s in splittings(b, root))
+                got = tuple(s.summary for s in splittings(b, e))
                 mismatches += got != SPLITTING_TABLE.get(key)
-            q_image = by_v.get(tuple(x + t * y for x, y in zip(vc, ec)))  # v + (v.E)E
-            if q_image is None:
-                raise LatticeError(f"reflection left the stratum: {b.v} by {root.e}")
             if abs(t) == 1:
-                if q_image != (b.qhat + 2) % 4:
-                    raise LatticeError(f"pairing shift failed at {b.v}")
                 pairing[b.stratum] += sign_of(b.qhat)
-            elif q_image != b.qhat:
-                raise LatticeError(f"reflection invariance failed at {b.v}")
             elif t == 0 and k == 1:
                 orth += sign_of(b.qhat)
     return DeltaTable(
@@ -192,18 +193,3 @@ def delta_table(c: DeformationClass, root: VanishingRoot) -> DeltaTable:
 def delta_expected(c: DeformationClass) -> tuple[int, int, int, int, int]:
     """The golden.TABLE7 formulas evaluated at this class's rank and its dual's."""
     return tuple(formula(c.rank, 8 - c.rank) for _, _, formula in golden.TABLE7)
-
-
-def _check_root(c: DeformationClass, root: VanishingRoot,
-                root_q: dict[tuple[int, ...], int]) -> None:
-    """Reject E unless it is a root of the class lattice with q(E) = 0; root_q maps
-    the B^2 stratum vectors (the class lattice's roots) to their q."""
-    if root.class_id != c.id:
-        raise LatticeError(f"root belongs to {root.class_id}, not {c.id}")
-    if root.e.square != -2 or root.e.dot(MINUS_K) != 0:
-        raise LatticeError(f"{root.e} is not a root of the degree-0 lattice")
-    q = root_q.get(root.e.coeffs)
-    if q is None:
-        raise LatticeError(f"{root.e} is not a root of the {c.id} class lattice")
-    if q != 0:
-        raise LatticeError(f"{root.e} has nonzero quadratic value")

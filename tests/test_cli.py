@@ -251,8 +251,9 @@ def test_verify_fails_on_corrupted_embedding(fresh_caches, monkeypatch, capsys):
     code, out = run_cli(capsys, "verify", "--class", "M-4")
     assert code == 1
     payload = json.loads(out)
-    assert payload["summary"] == {"total": 21, "passed": 1, "failed": 20}
-    assert [r["name"] for r in payload["records"] if r["passed"]] == ["pair_rank_sum:M-4"]
+    assert payload["summary"] == {"total": 21, "passed": 3, "failed": 18}
+    assert [r["name"] for r in payload["records"] if r["passed"]] == [
+        "pair_rank_sum:M-4", "table6:M-4:c0_plus", "table6:M-4:c0_minus"]
     failing = [r for r in payload["records"] if not r["passed"]]
     assert not any(r["name"].endswith("_block") for r in failing)
     assert any(str(r["actual"]).startswith("error: LatticeError: ") for r in failing)

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import BAD_4A1, clear_model_caches, vanishing_qhat
-from dp1 import counting, golden, real_forms
+from dp1 import counting, golden, real_forms, roots
 from dp1.counting import (
     TableRow,
     b_classes,
@@ -19,7 +19,7 @@ from dp1.counting import (
     signed_sum,
     signed_total,
 )
-from dp1.lattice import MINUS_2K, LatticeError
+from dp1.lattice import MINUS_2K, LatticeError, enumerate_coordinates
 from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code
 from dp1.real_forms import get_class, lambda_basis
 from dp1.report import build_records
@@ -240,6 +240,48 @@ def _replace_class(cid, **changes):
     return patch
 
 
+def _bump_root_count(monkeypatch):
+    monkeypatch.setitem(roots.ROOT_COUNTS, "4A1", roots.ROOT_COUNTS["4A1"] + 1)
+
+
+# Kernel faults on D6, injected through the names counting imports so that cleared
+# caches rebuild the faulty strata.  Coordinates are on D6's canonical simple roots.
+D6 = get_class("M-2-connected")
+
+
+def _d6_four_coords():
+    return enumerate_coordinates(lambda_basis(D6.id), -4)
+
+
+def _drop_first_d6_four_vector(monkeypatch):
+    good = counting.enumerate_coordinates
+    first = _d6_four_coords()[0]
+    dropped = {first, tuple(-n for n in first)}
+
+    def bad(lat, norm):
+        out = good(lat, norm)
+        return [x for x in out if x not in dropped] if lat == lambda_basis(D6.id) else out
+
+    monkeypatch.setattr(counting, "enumerate_coordinates", bad)
+
+
+def _perturb_evaluator(shift):
+    def patch(monkeypatch):
+        good = counting.qhat_from_coordinates
+        monkeypatch.setattr(counting, "qhat_from_coordinates", lambda coords, square, twist: (
+            good(coords, square, twist) + shift(coords)) % 4)
+    return patch
+
+
+def _flip_sixth_d6_four_vector(monkeypatch):
+    sixth = _d6_four_coords()[5]
+    _perturb_evaluator(lambda coords: 2 * (coords == sixth))(monkeypatch)
+
+
+D6_FOUR = {f"{name}:M-2-connected" for name in (
+    "delta_table", "four_sum", "orth_root_sum", "pair_total_96", "splitting_table",
+    "total_30")} | {"d6_four_split", "table6:M-2:c4_plus"}
+
 E7_SUMS = {f"{name}:M-1-connected" for name in (
     "root_sum", "four_sum", "orth_root_sum", "delta_table", "table6_form_c2",
     "cross_model_roots", "cross_model_four", "pair_line_sum_16", "pair_total_96")}
@@ -259,6 +301,17 @@ FAULTS = {
     # The other orbit of length-7 codes: its sums differ, but c0 + c2 + c4 is still 30.
     "e7_other_orbit_code": (E7.id, _replace_class(E7.id, code=Code((3, 1, 1, 1, 1, 1, 1))), E7_SUMS | {
         "table6:M-1:c2_plus", "table6:M-1:c4_plus", "table5_rows", "table5_bilevel_rule"}),
+    # The root count is stated by its record alone, not by the lattice constructor.
+    "root_count_4a1_plus_1": ("M-4", _bump_root_count, {"card_roots:M-4"}),
+    # Stratum closure and the reflection law, checked once per class on its simple roots.
+    "d6_four_vector_pair_dropped": (D6.id, _drop_first_d6_four_vector, D6_FOUR | {
+        "card_four_vectors:M-2-connected"}),
+    "d6_four_vector_q_flipped": (D6.id, _flip_sixth_d6_four_vector, D6_FOUR),
+    "non_quadratic_evaluator": (D6.id, _perturb_evaluator(
+        lambda coords: 2 * (coords[0] % 2) * (coords[1] % 2)), {
+        f"{name}:M-2-connected" for name in (
+            "delta_table", "orth_root_sum", "pair_total_96", "splitting_table")} | {
+        "table6:M-2:c4_minus"}),
 }
 
 

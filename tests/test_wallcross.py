@@ -3,13 +3,14 @@ import random
 import pytest
 
 from conftest import vanishing_qhat
+from dp1 import wallcross
 from dp1.counting import b_classes
 from dp1.lattice import MINUS_2K, LatticeError, dot_tuples
 from dp1.pin import POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
+from dp1.report import build_records
 from dp1.wallcross import (
     SPLITTING_TABLE,
-    VanishingRoot,
     delta_expected,
     delta_table,
     splittings,
@@ -27,12 +28,12 @@ def test_vanishing_root_counts():
     assert len(vanishing_roots(M4)) == 8
     assert vanishing_roots(get_class("M-split")) == ()
     for root in vanishing_roots(E8)[:10]:
-        assert qhat_code(POSITIVE_CODE, root.e) == 0
+        assert qhat_code(POSITIVE_CODE, root) == 0
 
 
 def _alpha_with(c, stratum, t, root):
     for b in b_classes(c, stratum // 2):
-        if b.v.dot(root.e) == t:
+        if b.v.dot(root) == t:
             return b
     return None
 
@@ -53,13 +54,13 @@ def test_splitting_fixed_cases():
     (case,) = splittings(b, root)
     assert (case.r, case.d_square, case.d_dot_e, case.d_stratum) == (1, 2, 1, 2)
     b = _alpha_with(E8, 2, 2, root)  # e = -E
-    assert b.v == -root.e
+    assert b.v == -root
     (case,) = splittings(b, root)
     assert (case.r, case.d, case.d_square, case.d_dot_e) == (
-        2, MINUS_2K - root.e, 2, 2)
+        2, MINUS_2K - root, 2, 2)
     (b0,) = b_classes(E8, 0)
     (case,) = splittings(b0, root)
-    assert (case.r, case.d, case.d_dot_e) == (1, MINUS_2K - root.e, 2)
+    assert (case.r, case.d, case.d_dot_e) == (1, MINUS_2K - root, 2)
     b = _alpha_with(E8, 4, 2, root)
     (case,) = splittings(b, root)
     assert (case.r, case.d_stratum, case.d_dot_e) == (2, 4, 2)
@@ -77,20 +78,13 @@ def test_full_alpha_sweep_single_root():
     root = vanishing_roots(E8)[17]
     for k in (0, 1, 2):
         for b in b_classes(E8, k):
-            t = b.v.dot(root.e)
+            t = b.v.dot(root)
             got = tuple(s.summary for s in splittings(b, root))
             assert got == SPLITTING_TABLE[(b.stratum, t)]
             for case in splittings(b, root):
-                assert case.d == b.alpha - case.r * root.e
+                assert case.d == b.alpha - case.r * root
                 assert case.d_square == case.d.square
-                assert case.d_dot_e == case.d.dot(root.e)
-
-
-def test_splittings_reject_foreign_root():
-    root = vanishing_roots(M4)[0]
-    b = b_classes(E8, 1)[0]
-    with pytest.raises(LatticeError):
-        splittings(b, root)
+                assert case.d_dot_e == case.d.dot(root)
 
 
 def test_splittings_depend_only_on_stratum_and_t():
@@ -100,7 +94,7 @@ def test_splittings_depend_only_on_stratum_and_t():
     for root in roots:
         for k in (1, 2):
             for b in b_classes(c, k):
-                t = b.v.dot(root.e)
+                t = b.v.dot(root)
                 key = (b.stratum, t)
                 summary = tuple(s.summary for s in splittings(b, root))
                 assert seen.setdefault(key, summary) == summary
@@ -123,21 +117,41 @@ def test_pairing_cancellation_zero():
 
 
 def test_reflection_shifts_qhat_by_two_on_unit_pairing():
+    # The per-root reflection law that the kernel's once-per-class check on simple
+    # roots implies, checked pointwise with q from the independent twist-2 evaluator.
     c = get_class("M-2-connected")
     lat = lambda_basis(c.id)
-    root = vanishing_roots(c)[0]
-    ec = root.e.coeffs
+    roots = vanishing_roots(c)
+    assert len(roots) == 36
     hits = 0
-    for b in b_classes(c, 2):
-        t = dot_tuples(b.v.coeffs, ec)
-        image = b.v + t * root.e
-        q_image = vanishing_qhat(lat, image)
-        if abs(t) == 1:
-            assert q_image == (b.qhat + 2) % 4
-            hits += 1
-        else:
-            assert q_image == b.qhat
+    for k in (1, 2):
+        q_of = {b.v: vanishing_qhat(lat, b.v) for b in b_classes(c, k)}
+        for root in roots:
+            for b in b_classes(c, k):
+                t = dot_tuples(b.v.coeffs, root.coeffs)
+                image = b.v + t * root
+                assert image in q_of
+                q_image = q_of[image]
+                if abs(t) == 1:
+                    assert q_image == (b.qhat + 2) % 4
+                    hits += 1
+                else:
+                    assert q_image == b.qhat
     assert hits > 0
+
+
+def test_scoped_build_checks_the_reflection_facts_once(fresh_caches, monkeypatch):
+    calls = []
+    kernel = wallcross.delta_table
+
+    def counted(c, e):
+        calls.append(c.id)
+        return kernel(c, e)
+
+    monkeypatch.setattr(wallcross, "delta_table", counted)
+    build_records("M-2-connected")
+    assert calls == ["M-2-connected"] * 36
+    assert wallcross.q_index_cached.cache_info().misses == 1
 
 
 def test_delta_tables():
@@ -160,10 +174,9 @@ def test_invalid_vanishing_root_rejected():
     c = get_class("M-connected")
     bad = next(b.v for b in b_classes(c, 1) if b.qhat != 0)
     with pytest.raises(LatticeError, match="nonzero quadratic value"):
-        delta_table(c, VanishingRoot("M-connected", bad))
-    nonroot = VanishingRoot("M-connected", MINUS_2K)
+        delta_table(c, bad)
     with pytest.raises(LatticeError):
-        delta_table(c, nonroot)
+        delta_table(c, MINUS_2K)
 
 
 def test_root_outside_the_class_lattice_rejected():
@@ -173,4 +186,4 @@ def test_root_outside_the_class_lattice_rejected():
         inside = {b.v for b in b_classes(c, 1)}
         outside = next(b.v for b in b_classes(E8, 1) if b.v not in inside)
         with pytest.raises(LatticeError, match=f"not a root of the {cid} class lattice"):
-            delta_table(c, VanishingRoot(cid, outside))
+            delta_table(c, outside)
