@@ -85,8 +85,8 @@ def c4_total(c: DeformationClass) -> int:
 
 
 def c2_total(c: DeformationClass) -> int:
-    """Signed genus-1 count: the root sum 2r times the cited Euler input (r_dual - r)."""
-    return signed_sum(c, 1) * ((8 - c.rank) - c.rank)
+    """Signed genus-1 count: the root sum 2r times the cited Euler input chi - 1."""
+    return signed_sum(c, 1) * (c.euler_char - 1)
 
 
 def c0_total(c: DeformationClass) -> int:
@@ -162,7 +162,8 @@ def _sign_rep(v: PicClass) -> bool:
 
 def count_report(c: DeformationClass) -> tuple[list[list[int]], list[list[int]]]:
     """Row totals of a code class: [count, signed sum] of B^2 and of B^4, once from
-    the strata and once from the classify_levels rows."""
+    the strata and once from the classify_levels rows.  Not a verify record: the
+    rows partition the same strata, so the two halves agree whatever q is."""
     strata = [[len(b_classes(c, k)), signed_sum(c, k)] for k in (1, 2)]
     by_rows = [[sum(r.count for r in rows), sum(r.count * sign_of(r.qhat) for r in rows)]
                for rows in (classify_levels(c, 1), classify_levels(c, 2))]

@@ -156,7 +156,7 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
     its limit splittings checked against SPLITTING_TABLE.  The classes with
     |v.E| = 1 pair off under the reflection with q shifted by 2, so i^q summed
     over them cancels to d21 = d41 = 0.  The orthogonal sum adds i^q over the
-    roots with v.E = 0; it equals 2(r-1).  d22 is the cited Euler input.
+    roots with v.E = 0; it equals 2(r-1).  d22 = 2(chi - 1) is the cited Euler input.
     """
     q_e = q_index_cached(c.id)[1].get(e.coeffs)
     if q_e is None:
@@ -184,7 +184,7 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
         d42=2 * orth,
         d20=-2 * orth,
         d21=pairing[2],
-        d22=-2 * (c.rank - (8 - c.rank)),
+        d22=2 * (c.euler_char - 1),
         orth=orth,
         split_mismatches=mismatches,
     )

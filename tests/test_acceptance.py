@@ -109,7 +109,7 @@ def test_criterion_6_totals(all_classes):
 
 
 def test_criterion_7_wall_crossing(records, all_classes):
-    for prefix in ("splitting_table:", "orth_root_sum:", "delta_table:"):
+    for prefix in ("splitting_table:", "delta_table:"):
         recs = _by_name(records, prefix)
         assert len(recs) == 10  # every class with at least one vanishing root
         assert all(r.passed for r in recs), [r.name for r in recs if not r.passed]

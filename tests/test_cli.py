@@ -251,9 +251,9 @@ def test_verify_fails_on_corrupted_embedding(fresh_caches, monkeypatch, capsys):
     code, out = run_cli(capsys, "verify", "--class", "M-4")
     assert code == 1
     payload = json.loads(out)
-    assert payload["summary"] == {"total": 21, "passed": 3, "failed": 18}
+    assert payload["summary"] == {"total": 17, "passed": 2, "failed": 15}
     assert [r["name"] for r in payload["records"] if r["passed"]] == [
-        "pair_rank_sum:M-4", "table6:M-4:c0_plus", "table6:M-4:c0_minus"]
+        "table6:M-4:c0_plus", "table6:M-4:c0_minus"]
     failing = [r for r in payload["records"] if not r["passed"]]
     assert not any(r["name"].endswith("_block") for r in failing)
     assert any(str(r["actual"]).startswith("error: LatticeError: ") for r in failing)
@@ -286,7 +286,9 @@ def test_scoped_verify_skips_the_dual_wall_crossing(monkeypatch, capsys):
 # the records repeating another record's comparison were deleted, and again when
 # the records that another record or a constructor check already decides were
 # deleted; the scoped pin was re-taken once more when each class's structure
-# records joined its scoped run.  Any drift in the bytes fails here.
+# records joined its scoped run.  Both were re-taken again when the 22 records
+# that other records decide were deleted and the closure and alpha properties
+# stopped sampling.  Any drift in the bytes fails here.
 STDOUT_SHA256 = {
     ("classes",): "9bf77071bd9d0765f42fc2f2fb43bb2b0456997263f0861b11ae34dd277e42de",
     ("enumerate", "--class", "all"):
@@ -299,9 +301,9 @@ STDOUT_SHA256 = {
     ("tables", "7"): "cee3fcab464fbb50af49f59c3d08cd0872a85c09cb4dc858666bae97a463f4d5",
     ("wallcross", "--class", "all"):
         "9cf222054ed317051655c2adde92ff24c4ef327dec4638da083b7bc94eb007d8",
-    ("verify",): "6da8768895ce821ce519a2b435ae1ac543b29c4aa865e8cff98f7d2ac30a9759",
+    ("verify",): "a3d78733f3f3d39b1161cefd14852eddbd8154689582f01ae14f474da46bced6",
     ("verify", "--class", "M-4"):
-        "0bfb92a3ff5d3fcd6fe75c27da2a1b48ae7cf6aeaf364d502535143496e58d85",
+        "4b558c2223f039335874906c8a7d2dc8fc9aa98e8f41ca9ff8043656d891458f",
 }
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import BAD_4A1, clear_model_caches, vanishing_qhat
-from dp1 import counting, golden, real_forms, roots
+from dp1 import counting, golden, pin, real_forms, roots, wallcross
 from dp1.counting import (
     TableRow,
     b_classes,
@@ -188,15 +188,6 @@ def _failed_records(scope):
     return len(recs), {r.name for r in recs if not r.passed}
 
 
-def test_cremona_equivalent_code_fails_the_e8_tables(fresh_caches, monkeypatch):
-    # Same signed sums, different q per row: only the row-level records can see it.
-    moved = dataclasses.replace(E8, code=Code((1, 1, 1, 1, 1, 3, 3, 3, 3)))
-    monkeypatch.setitem(real_forms._BY_ID, E8.id, moved)
-    monkeypatch.setattr(real_forms, "_CLASSES",
-                        tuple(moved if c.id == E8.id else c for c in real_forms._CLASSES))
-    assert _failed_records(E8.id) == (27, {"table2_rows", "table3_rows", "table4_rows"})
-
-
 def test_zeroed_d6_twist_entry_fails_the_d6_sums(fresh_caches, monkeypatch):
     d6 = get_class("M-2-connected")
     good = counting.twist
@@ -207,11 +198,11 @@ def test_zeroed_d6_twist_entry_fails_the_d6_sums(fresh_caches, monkeypatch):
 
     monkeypatch.setattr(counting, "twist", bad)
     assert (signed_sum(d6, 1), signed_sum(d6, 2)) == (4, -4)
-    assert _failed_records(d6.id) == (20, {
+    assert _failed_records(d6.id) == (18, {
         "root_sum:M-2-connected", "four_sum:M-2-connected", "total_30:M-2-connected",
         "pair_line_sum_16:M-2-connected", "pair_total_96:M-2-connected",
         "table6:M-2:c2_plus", "table6:M-2:c4_plus", "table6_form_c2:M-2-connected",
-        "orth_root_sum:M-2-connected", "delta_table:M-2-connected", "d6_four_split"})
+        "delta_table:M-2-connected", "d6_four_split"})
 
 
 def _shift_row_form(row):
@@ -242,6 +233,29 @@ def _replace_class(cid, **changes):
 
 def _bump_root_count(monkeypatch):
     monkeypatch.setitem(roots.ROOT_COUNTS, "4A1", roots.ROOT_COUNTS["4A1"] + 1)
+
+
+def _identity_cremona_move(monkeypatch):
+    monkeypatch.setattr(pin, "cremona_code", lambda code, i, j, k: code)
+
+
+def _empty_splitting_4_2(monkeypatch):
+    monkeypatch.setitem(wallcross.SPLITTING_TABLE, (4, 2), ())
+
+
+def _table7_4_1_is_1(monkeypatch):
+    monkeypatch.setattr(golden, "TABLE7", tuple(
+        (label, sig, (lambda r, rd: 1) if label == "4,1" else f)
+        for label, sig, f in golden.TABLE7))
+
+
+def _d6_four_split_157(monkeypatch):
+    monkeypatch.setitem(golden.D6_FOUR_SPLIT, 0, 157)
+
+
+def _euler_char_plus_2(monkeypatch):
+    good = real_forms.DeformationClass.euler_char.fget
+    monkeypatch.setattr(real_forms.DeformationClass, "euler_char", property(lambda c: good(c) + 2))
 
 
 # Kernel faults on D6, injected through the names counting imports so that cleared
@@ -279,11 +293,11 @@ def _flip_sixth_d6_four_vector(monkeypatch):
 
 
 D6_FOUR = {f"{name}:M-2-connected" for name in (
-    "delta_table", "four_sum", "orth_root_sum", "pair_total_96", "splitting_table",
-    "total_30")} | {"d6_four_split", "table6:M-2:c4_plus"}
+    "delta_table", "four_sum", "pair_total_96", "splitting_table", "total_30")} | {
+    "d6_four_split", "table6:M-2:c4_plus"}
 
 E7_SUMS = {f"{name}:M-1-connected" for name in (
-    "root_sum", "four_sum", "orth_root_sum", "delta_table", "table6_form_c2",
+    "root_sum", "four_sum", "delta_table", "table6_form_c2",
     "cross_model_roots", "cross_model_four", "pair_line_sum_16", "pair_total_96")}
 
 # Fault-injection matrix: (scope, perturbation, the exact set of failing records).
@@ -291,11 +305,15 @@ FAULTS = {
     "row_form_c4_plus_1": ("M-4", _shift_row_form("c4"), {"four_sum:M-4"}),
     "row_form_c0_plus_1": ("M-4", _shift_row_form("c0"), {
         "table6:M-4:c0_plus", "table6:M-4:c0_minus", "total_30:M-4"}),
+    "row_form_c2_plus_1": ("M-4", _shift_row_form("c2"), {"table6_form_c2:M-4"}),
     "table6_c4_plus_cell_plus_1": ("M-4", _bump_table6_c4_plus, {"table6:M-4:c4_plus"}),
     "four_vector_count_4a1_plus_1": ("M-4", _bump_four_vector_count, {"card_four_vectors:M-4"}),
     # The complement type is checked by its record alone, not by the lattice constructor.
     "m4_dual_m2_i_a": ("M-4", _replace_class("M-4", bertini_dual_id="M-2-I-a"), {
         "complement_type:M-4"}),
+    # Same signed sums, different q per row: only the row-level records can see it.
+    "e8_cremona_equivalent_code": (E8.id, _replace_class(
+        E8.id, code=Code((1, 1, 1, 1, 1, 3, 3, 3, 3))), {"table2_rows", "table3_rows", "table4_rows"}),
     "e7_cremona_equivalent_code": (E7.id, _replace_class(E7.id, code=Code((1, 1, 1, 1, 3, 3, 3))), {
         "table5_rows", "table5_bilevel_rule"}),
     # The other orbit of length-7 codes: its sums differ, but c0 + c2 + c4 is still 30.
@@ -303,6 +321,16 @@ FAULTS = {
         "table6:M-1:c2_plus", "table6:M-1:c4_plus", "table5_rows", "table5_bilevel_rule"}),
     # The root count is stated by its record alone, not by the lattice constructor.
     "root_count_4a1_plus_1": ("M-4", _bump_root_count, {"card_roots:M-4"}),
+    "e8_cremona_move_is_identity": (E8.id, _identity_cremona_move, {"normalize_positive_seed"}),
+    "e7_cremona_move_is_identity": (E7.id, _identity_cremona_move, {"normalize_negative_seed"}),
+    "splitting_4_2_empty": ("M-4", _empty_splitting_4_2, {"splitting_table:M-4"}),
+    "table7_4_1_is_1": ("M-4", _table7_4_1_is_1, {"delta_table:M-4"}),
+    "d6_four_split_0_is_157": (D6.id, _d6_four_split_157, {"d6_four_split"}),
+    # The cited Euler input chi - 1, read once by c2_total and by d22.
+    "euler_char_plus_2": (D6.id, _euler_char_plus_2, {
+        f"{name}:M-2-connected" for name in (
+            "delta_table", "pair_total_96", "table6_form_c2", "total_30")} | {
+        "table6:M-2:c2_plus", "table6:M-2:c2_minus"}),
     # Stratum closure and the reflection law, checked once per class on its simple roots.
     "d6_four_vector_pair_dropped": (D6.id, _drop_first_d6_four_vector, D6_FOUR | {
         "card_four_vectors:M-2-connected"}),
@@ -310,7 +338,7 @@ FAULTS = {
     "non_quadratic_evaluator": (D6.id, _perturb_evaluator(
         lambda coords: 2 * (coords[0] % 2) * (coords[1] % 2)), {
         f"{name}:M-2-connected" for name in (
-            "delta_table", "orth_root_sum", "pair_total_96", "splitting_table")} | {
+            "delta_table", "pair_total_96", "splitting_table")} | {
         "table6:M-2:c4_minus"}),
 }
 
@@ -320,6 +348,26 @@ def test_fault_injection_matrix(fresh_caches, monkeypatch, fault):
     scope, perturb, failing = FAULTS[fault]
     perturb(monkeypatch)
     assert _failed_records(scope)[1] == failing
+
+
+def test_every_class_record_family_has_a_fault():
+    # The family of a record is its name before the first ":".
+    families = {r.name.split(":")[0] for r in build_records("all") if r.classes}
+    caught = {name.split(":")[0] for _, _, failing in FAULTS.values() for name in failing}
+    assert families - caught == set()
+
+
+def test_scoped_build_groups_each_level_stratum_once(fresh_caches, monkeypatch):
+    calls = []
+    group = counting.classify_levels
+
+    def counted(c, k):
+        calls.append((c.id, k))
+        return group(c, k)
+
+    monkeypatch.setattr(counting, "classify_levels", counted)
+    build_records(E7.id)
+    assert sorted(calls) == [(E7.id, 1), (E7.id, 2)]
 
 
 def _corrupt_4a1_embedding(monkeypatch):
