@@ -141,19 +141,20 @@ def cremona_compatibility() -> PropertyResult:
         return pic(1, *[-1 if t in ijk else 0 for t in range(1, 9)])
 
     e8, e7 = pin.POSITIVE_CODE, pin.NEGATIVE_CODE
-    roots8 = enumerate_vectors(real_forms.kperp(), -2)
-    roots7 = enumerate_vectors(real_forms.lambda_basis("M-1-connected"), -2)
-    # (code, roots, reflection root, moved code) for every move on each code
-    moves = [(e8, roots8, h3(*ijk), pin.cremona_code(e8, *ijk))
+    roots = {e8: enumerate_vectors(real_forms.kperp(), -2),
+             e7: enumerate_vectors(real_forms.lambda_basis("M-1-connected"), -2)}
+    old = {code: [pin.qhat_code(code, x) for x in xs] for code, xs in roots.items()}
+    # (code, reflection root, moved code) for every move on each code
+    moves = [(e8, h3(*ijk), pin.cremona_code(e8, *ijk))
              for ijk in itertools.combinations(range(1, 9), 3)]
-    moves += [(e7, roots7, h3(*ijk), pin.cremona_code(e7, *ijk))
+    moves += [(e7, h3(*ijk), pin.cremona_code(e7, *ijk))
               for ijk in itertools.combinations(range(1, 7), 3)]
-    moves += [(e7, roots7, h3(i, 7, 8), pin.cremona_imaginary(e7, i)) for i in range(1, 7)]
+    moves += [(e7, h3(i, 7, 8), pin.cremona_imaginary(e7, i)) for i in range(1, 7)]
     checks = fails = 0
-    for code, roots, e, new in moves:
-        for x in roots:
+    for code, e, new in moves:
+        for x, q in zip(roots[code], old[code]):
             checks += 1
-            fails += pin.qhat_code(new, reflect(x, e)) != pin.qhat_code(code, x)
+            fails += pin.qhat_code(new, reflect(x, e)) != q
     return PropertyResult("cremona_compatibility", checks, fails)
 
 

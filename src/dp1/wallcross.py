@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import golden
-from .lattice import MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples
+from .lattice import MINUS_K, MINUS_2K, RANK, LatticeError, PicClass, dot_tuples
 from .counting import BClass, b_classes, sign_of
 from .real_forms import DeformationClass, get_class, lambda_basis
 
@@ -60,6 +60,11 @@ SPLITTING_TABLE: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = 
 
 MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the bound
 
+# Byte lanes of the packed kernel (see delta_table); coordinates pack shifted by _OFFSET.
+BIAS, NEG = 64, 128
+_OFFSET = 128
+_FORM = (1,) + (-1,) * (RANK - 1)  # the intersection form on (h, l1, ..., l8)
+
 # The DeltaTable field behind each golden.TABLE7 row, in that order.
 DELTA_FIELDS = ("d41", "d42", "d20", "d21", "d22")
 
@@ -92,6 +97,24 @@ def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
     return q_of
 
 
+@lru_cache(maxsize=None)
+def packed_strata(class_id: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(size, base, columns) of B^0, B^2 and B^4 of the class, one byte lane per
+    class in stratum order: base holds BIAS, plus NEG where q = 2 mod 4, and
+    column j holds the form's sign times coordinate j of each class's v."""
+    c = get_class(class_id)
+    packs = []
+    for k in (0, 1, 2):
+        bs = b_classes(c, k)
+        ones = int.from_bytes(b"\x01" * len(bs), "little")
+        base = int.from_bytes(bytes(BIAS + NEG * (sign_of(b.qhat) < 0) for b in bs), "little")
+        columns = tuple(
+            int.from_bytes(bytes(_OFFSET + form * b.v.coeffs[j] for b in bs), "little")
+            - _OFFSET * ones for j, form in enumerate(_FORM))
+        packs.append((len(bs), base, columns))
+    return tuple(packs)
+
+
 def vanishing_roots(c: DeformationClass) -> tuple[PicClass, ...]:
     """All roots of the class lattice with vanishing quadratic value."""
     return vanishing_roots_cached(c.id)
@@ -104,22 +127,24 @@ def splittings(alpha: BClass, e: PicClass) -> list[SplittingCase]:
     D.E >= 1, D.D >= -1, and D must again be a degree-2 stratum class
     (D.D in {4, 2, 0}, the last forcing the deepest stratum).
     """
+    ac, ec = alpha.alpha.coeffs, e.coeffs
+    k_e = tuple(x - y for x, y in zip(MINUS_K.coeffs, ec))
     cases = []
     for r in range(1, MAX_MULTIPLICITY + 1):
-        d = alpha.alpha - r * e
-        if d.dot(MINUS_K - e) < 0:
+        d = tuple(a - r * x for a, x in zip(ac, ec))
+        if dot_tuples(d, k_e) < 0:
             continue
-        de = d.dot(e)
+        de = dot_tuples(d, ec)
         if de < 1:
             continue
-        dsq = d.square
+        dsq = dot_tuples(d, d)
         if dsq < -1:
             continue
-        w = MINUS_2K - d
-        stratum = {0: 0, -2: 2, -4: 4}.get(w.square)
+        w = tuple(x - y for x, y in zip(MINUS_2K.coeffs, d))
+        stratum = {0: 0, -2: 2, -4: 4}.get(dot_tuples(w, w))
         if stratum is None:
             continue
-        cases.append(SplittingCase(r, d, dsq, de, stratum))
+        cases.append(SplittingCase(r, PicClass(d), dsq, de, stratum))
     return cases
 
 
@@ -148,42 +173,48 @@ class DeltaTable:
 
 
 def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
-    """The wall-crossing kernel: one pass over B^0, B^2 and B^4 against E.
+    """The wall-crossing kernel: every v.E of B^0, B^2 and B^4 against E at once.
 
-    E must be in the B^2 index of `q_index_cached` (so a root of the class
-    lattice) with q(E) = 0; stratum closure and the reflection law are checked
-    there, once per class, and not here.  Each v.E is computed once.  The first class seen for every (stratum, v.E) key has
-    its limit splittings checked against SPLITTING_TABLE.  The classes with
-    |v.E| = 1 pair off under the reflection with q shifted by 2, so i^q summed
-    over them cancels to d21 = d41 = 0.  The orthogonal sum adds i^q over the
-    roots with v.E = 0; it equals 2(r-1).  d22 = 2(chi - 1) is the cited Euler input.
+    E must be in the B^2 index of `q_index_cached` (a root of the class lattice)
+    with q(E) = 0; stratum closure and the reflection law are checked there, once
+    per class.  base + sum_j E_j * column_j of a `packed_strata` stratum holds
+    BIAS + v.E, plus NEG where q(v) = 2 mod 4, in each class's byte.  The lattice
+    is negative definite, so (v.E)^2 <= (v.v)(E.E) <= 8: no lane carries, and a
+    stratum whose lanes are not all among the ten values with |v.E| <= 2 raises.
+    The first lane of each (stratum, v.E) key is the class whose limit splittings
+    are checked against SPLITTING_TABLE.  The classes with |v.E| = 1 pair off
+    under the reflection with q shifted by 2, so d21 = d41 = 0; the orthogonal
+    sum over roots with v.E = 0 is 2(r-1); d22 = 2(chi - 1) is the cited Euler input.
     """
     q_e = q_index_cached(c.id)[1].get(e.coeffs)
     if q_e is None:
         raise LatticeError(f"{e} is not a root of the {c.id} class lattice")
     if q_e != 0:
         raise LatticeError(f"{e} has nonzero quadratic value")
-    ec = e.coeffs
-    seen: set[tuple[int, int]] = set()
-    mismatches = orth = 0
-    pairing = {2: 0, 4: 0}
-    for k in (0, 1, 2):
-        for b in b_classes(c, k):
-            t = dot_tuples(b.v.coeffs, ec)
-            key = (b.stratum, t)
-            if key not in seen:
-                seen.add(key)
-                got = tuple(s.summary for s in splittings(b, e))
-                mismatches += got != SPLITTING_TABLE.get(key)
-            if abs(t) == 1:
-                pairing[b.stratum] += sign_of(b.qhat)
-            elif t == 0 and k == 1:
-                orth += sign_of(b.qhat)
+    mismatches = 0
+    signed = {}  # (k, v.E): sum of i^q over the classes of B^{2k} with that v.E
+    for k, (n, base, columns) in enumerate(packed_strata(c.id)):
+        acc = base
+        for x, column in zip(e.coeffs, columns):
+            acc += x * column
+        # The mask keeps a carry or borrow past the top lane in it, for the count to catch.
+        lanes = (acc & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+        for t in range(-2, 3):
+            plus, minus = lanes.count(BIAS + t), lanes.count(BIAS + NEG + t)
+            signed[k, t] = plus - minus
+            n -= plus + minus
+            if plus or minus:
+                first = min(i for i in (lanes.find(BIAS + t), lanes.find(BIAS + NEG + t)) if i >= 0)
+                got = tuple(s.summary for s in splittings(b_classes(c, k)[first], e))
+                mismatches += got != SPLITTING_TABLE.get((2 * k, t))
+        if n:
+            raise LatticeError(f"{n} classes of B^{2 * k} of {c.id} have |v.E| > 2 for {e}")
+    orth = signed[1, 0]
     return DeltaTable(
-        d41=pairing[4],
+        d41=signed[2, 1] + signed[2, -1],
         d42=2 * orth,
         d20=-2 * orth,
-        d21=pairing[2],
+        d21=signed[1, 1] + signed[1, -1],
         d22=2 * (c.euler_char - 1),
         orth=orth,
         split_mismatches=mismatches,

@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from dp1 import counting, real_forms, wallcross
+import dp1
+from dp1 import real_forms
 from dp1.lattice import PicClass, Sublattice, pic
 from dp1.pin import qhat_from_coordinates
 
@@ -15,13 +19,17 @@ BAD_4A1 = [
 ]
 
 
+def model_caches() -> list:
+    """Every module-level memoized function defined in a dp1 module."""
+    modules = [importlib.import_module(f"dp1.{m.name}") for m in pkgutil.iter_modules(dp1.__path__)]
+    return [fn for mod in modules for fn in vars(mod).values()
+            if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__]
+
+
 def clear_model_caches() -> None:
     """Reset every memoized lattice/model table (used by corruption tests)."""
-    real_forms.lambda_basis.cache_clear()
-    real_forms._kernel_sublattice.cache_clear()
-    counting.b_classes_cached.cache_clear()
-    wallcross.vanishing_roots_cached.cache_clear()
-    wallcross.q_index_cached.cache_clear()
+    for fn in model_caches():
+        fn.cache_clear()
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from conftest import BAD_4A1, clear_model_caches, vanishing_qhat
+from conftest import BAD_4A1, clear_model_caches, model_caches, vanishing_qhat
 from dp1 import counting, golden, pin, real_forms, roots, wallcross
 from dp1.counting import (
     TableRow,
@@ -341,6 +341,14 @@ FAULTS = {
             "delta_table", "pair_total_96", "splitting_table")} | {
         "table6:M-2:c4_minus"}),
 }
+
+
+def test_clear_model_caches_finds_every_cache():
+    # A cache the faults below do not clear would hand them the green tables.
+    assert {f"{fn.__module__}.{fn.__qualname__}" for fn in model_caches()} == {
+        "dp1.real_forms.lambda_basis", "dp1.real_forms._kernel_sublattice",
+        "dp1.counting.b_classes_cached", "dp1.wallcross.vanishing_roots_cached",
+        "dp1.wallcross.q_index_cached", "dp1.wallcross.packed_strata"}
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import root_h3, vanishing_qhat
+from dp1 import pin, properties
 from dp1.lattice import MINUS_K, MINUS_2K, LatticeError, ZERO, pic, reflect
 from dp1.pin import (
     NEGATIVE_CODE,
@@ -116,6 +117,15 @@ def test_cremona_matches_reflection_spotcheck():
     new = cremona_code(POSITIVE_CODE, 1, 2, 3)
     for x in (pic(0, 1, 0, 0, 0, 0, 0, 0, 0), pic(1, -1, -1, 0, -1, 0, 0, 0, 0), MINUS_K):
         assert qhat_code(new, reflect(x, e)) == qhat_code(POSITIVE_CODE, x)
+
+
+def test_cremona_compatibility_sees_an_identity_move(monkeypatch):
+    # Every move left the code alone: each (move, root) pair counts, and a pair
+    # fails wherever the reflection changes q.
+    monkeypatch.setattr(pin, "cremona_code", lambda code, i, j, k: code)
+    monkeypatch.setattr(pin, "cremona_imaginary", lambda code, i: code)
+    res = properties.cremona_compatibility()
+    assert (res.instances, res.failures) == (16716, 7552)
 
 
 def test_vanishing_basis_values():

@@ -4,13 +4,16 @@ import pytest
 
 from conftest import vanishing_qhat
 from dp1 import wallcross
-from dp1.counting import b_classes
-from dp1.lattice import MINUS_2K, LatticeError, dot_tuples
+from dp1.counting import BClass, b_classes, sign_of
+from dp1.lattice import MINUS_2K, MINUS_K, LatticeError, dot_tuples
 from dp1.pin import POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.report import build_records
 from dp1.wallcross import (
+    MAX_MULTIPLICITY,
     SPLITTING_TABLE,
+    DeltaTable,
+    SplittingCase,
     delta_expected,
     delta_table,
     splittings,
@@ -87,17 +90,95 @@ def test_full_alpha_sweep_single_root():
                 assert case.d_dot_e == case.d.dot(root)
 
 
+def _reference_splittings(alpha, e):
+    # The filters of `splittings`, in PicClass arithmetic.
+    cases = []
+    for r in range(1, MAX_MULTIPLICITY + 1):
+        d = alpha.alpha - r * e
+        if d.dot(MINUS_K - e) < 0 or d.dot(e) < 1 or d.square < -1:
+            continue
+        stratum = {0: 0, -2: 2, -4: 4}.get((MINUS_2K - d).square)
+        if stratum is not None:
+            cases.append(SplittingCase(r, d, d.square, d.dot(e), stratum))
+    return cases
+
+
 def test_splittings_depend_only_on_stratum_and_t():
     roots = vanishing_roots(get_class("M-2-connected"))
     c = get_class("M-2-connected")
     seen = {}
     for root in roots:
-        for k in (1, 2):
+        for k in (0, 1, 2):
             for b in b_classes(c, k):
                 t = b.v.dot(root)
                 key = (b.stratum, t)
-                summary = tuple(s.summary for s in splittings(b, root))
+                cases = splittings(b, root)
+                assert cases == _reference_splittings(b, root)
+                summary = tuple(s.summary for s in cases)
                 assert seen.setdefault(key, summary) == summary
+
+
+def _reference_delta_table(c, e):
+    """The kernel as one loop: v.E per class by dot_tuples, and the splittings of
+    the first class of each (stratum, v.E) key.  Returns the table and those classes."""
+    witnesses = {}
+    mismatches = orth = 0
+    pairing = {2: 0, 4: 0}
+    for k in (0, 1, 2):
+        for b in b_classes(c, k):
+            t = dot_tuples(b.v.coeffs, e.coeffs)
+            key = (b.stratum, t)
+            if key not in witnesses:
+                witnesses[key] = b
+                got = tuple(s.summary for s in splittings(b, e))
+                mismatches += got != SPLITTING_TABLE.get(key)
+            if abs(t) == 1:
+                pairing[b.stratum] += sign_of(b.qhat)
+            elif t == 0 and k == 1:
+                orth += sign_of(b.qhat)
+    table = DeltaTable(d41=pairing[4], d42=2 * orth, d20=-2 * orth, d21=pairing[2],
+                       d22=2 * (c.euler_char - 1), orth=orth, split_mismatches=mismatches)
+    return table, witnesses
+
+
+def test_packed_kernel_equals_the_loop_on_every_vanishing_root():
+    tables = 0
+    for c in deformation_classes():
+        for root in vanishing_roots(c):
+            assert delta_table(c, root) == _reference_delta_table(c, root)[0], (c.id, root)
+            tables += 1
+    assert tables == 304
+
+
+def test_packed_kernel_checks_the_loops_witnesses(monkeypatch):
+    root = vanishing_roots(E8)[0]
+    seen = {}
+
+    def recorded(alpha, e):
+        seen[(alpha.stratum, dot_tuples(alpha.v.coeffs, e.coeffs))] = alpha
+        return splittings(alpha, e)
+
+    monkeypatch.setattr(wallcross, "splittings", recorded)
+    delta_table(E8, root)
+    want = _reference_delta_table(E8, root)[1]
+    assert len(want) == len(SPLITTING_TABLE)
+    assert seen == want
+
+
+def test_a_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypatch):
+    # 3u with u.E = 1 is no stratum vector; only the lane count can notice it.
+    root = vanishing_roots(E8)[0]
+    u = _alpha_with(E8, 2, 1, root).v
+    wallcross.q_index_cached(E8.id)  # the reflection facts, before the stratum is spoiled
+    good = wallcross.b_classes
+
+    def spoiled(c, k):
+        extra = (BClass(c.id, 4, 3 * u, MINUS_2K - 3 * u, 0),) if k == 2 else ()
+        return good(c, k) + extra
+
+    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    with pytest.raises(LatticeError, match=r"1 classes of B\^4 of M-connected have \|v.E\| > 2"):
+        delta_table(E8, root)
 
 
 def test_orth_root_sum_values():
