@@ -3,7 +3,7 @@
 Divisor classes are integer 9-tuples in the ordered basis (h, l1, ..., l8)
 with the diagonal intersection form h.h = +1, li.li = -1.  Everything here is
 integer or Fraction arithmetic; no floats enter any decision.  Fractions appear
-only in the once-per-basis LDL and coordinate solves: the short-vector search
+only in the once-per-gram LDL and the coordinate solves: the short-vector search
 itself runs on integers.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 RANK = 9
@@ -187,12 +188,8 @@ def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list
 
 def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
     """All integer coordinate tuples x with (sum x_i b_i)^2 = norm, in lex order.
-
-    Bounded recursive search on the negated (positive-definite) gram matrix with
-    completed-square bounds (Fincke-Pohst).  The exact LDL data is scaled once to
-    integers, Q(x) * scale = sum_i w_i s_i^2 with s_i = den_i x_i + sum_{j>i} U_ij x_j,
-    so the search itself is integer-only.
-    """
+    The search reads only the gram and the norm, so it runs once per (gram, norm);
+    the depth cap is checked on every call, and each call gets a fresh list."""
     if norm >= 0:
         raise LatticeError(f"enumeration requires a negative norm, got {norm}")
     k = lat.rank
@@ -201,7 +198,17 @@ def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
     cap = os.environ.get(ENUM_DEPTH_ENV)
     if cap is not None and k > int(cap):
         raise EnumerationDepthError(f"rank {k} exceeds {ENUM_DEPTH_ENV}={cap}")
-    d, u = _ldl([[-x for x in row] for row in lat.gram])
+    return list(_search(lat.gram, norm))
+
+
+@lru_cache(maxsize=None)
+def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ...], ...]:
+    """Bounded recursive search on the negated (positive-definite) gram matrix with
+    completed-square bounds (Fincke-Pohst).  The exact LDL data is scaled once to
+    integers, Q(x) * scale = sum_i w_i s_i^2 with s_i = den_i x_i + sum_{j>i} U_ij x_j,
+    so the search itself is integer-only."""
+    k = len(gram)
+    d, u = _ldl([[-x for x in row] for row in gram])
     den = [lcm(*(u[i][j].denominator for j in range(i + 1, k))) for i in range(k)]
     big_u = [[int(u[i][j] * den[i]) for j in range(k)] for i in range(k)]
     w_frac = [d[i] / den[i] ** 2 for i in range(k)]
@@ -227,7 +234,7 @@ def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
         x[i] = 0
 
     descend(k - 1, scale * -norm)
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def enumerate_vectors(lat: Sublattice, norm: int) -> list[PicClass]:

@@ -301,7 +301,7 @@ STDOUT_SHA256 = {
     ("tables", "7"): "cee3fcab464fbb50af49f59c3d08cd0872a85c09cb4dc858666bae97a463f4d5",
     ("wallcross", "--class", "all"):
         "9cf222054ed317051655c2adde92ff24c4ef327dec4638da083b7bc94eb007d8",
-    ("verify",): "a3d78733f3f3d39b1161cefd14852eddbd8154689582f01ae14f474da46bced6",
+    ("verify",): "0f05381a9f9cce4e5c10c5d073a17e7995cc9e2df9187d71f89b9f509e6e4579",
     ("verify", "--class", "M-4"):
         "4b558c2223f039335874906c8a7d2dc8fc9aa98e8f41ca9ff8043656d891458f",
 }

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import BAD_4A1, clear_model_caches, model_caches, vanishing_qhat
-from dp1 import counting, golden, pin, real_forms, roots, wallcross
+from dp1 import counting, golden, lattice, pin, real_forms, roots, wallcross
 from dp1.counting import (
     TableRow,
     b_classes,
@@ -348,7 +348,16 @@ def test_clear_model_caches_finds_every_cache():
     assert {f"{fn.__module__}.{fn.__qualname__}" for fn in model_caches()} == {
         "dp1.real_forms.lambda_basis", "dp1.real_forms._kernel_sublattice",
         "dp1.counting.b_classes_cached", "dp1.wallcross.vanishing_roots_cached",
-        "dp1.wallcross.q_index_cached", "dp1.wallcross.packed_strata"}
+        "dp1.wallcross.q_index_cached", "dp1.wallcross.packed_strata", "dp1.lattice._search"}
+
+
+def test_full_build_searches_once_per_gram_and_norm(fresh_caches):
+    # 42 distinct (gram, norm) keys reach enumerate_coordinates; the rank-0 one
+    # returns before the cache, so the other 41 are each searched once.
+    build_records("all")
+    info = lattice._search.cache_info()
+    assert (info.misses, info.currsize) == (41, 41)
+    assert info.hits > 300
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

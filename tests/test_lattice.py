@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dp1 import real_forms
+from dp1 import properties, real_forms
 from dp1.lattice import (
     ENUM_DEPTH_ENV,
     EnumerationDepthError,
@@ -142,6 +142,31 @@ def test_depth_cap(kperp, monkeypatch):
     assert len(enumerate_coordinates(three_a1, -2)) == 6  # 3A1: rank 3 is within the cap
 
 
+def test_depth_cap_holds_on_a_warm_search(kperp, monkeypatch):
+    # The cap is checked before the per-(gram, norm) cache is read.
+    assert len(enumerate_coordinates(kperp, -2)) == 240
+    monkeypatch.setenv(ENUM_DEPTH_ENV, "3")
+    with pytest.raises(EnumerationDepthError):
+        enumerate_coordinates(kperp, -2)
+
+
+def test_enumeration_returns_a_fresh_list(kperp):
+    first = enumerate_coordinates(kperp, -2)
+    want = list(first)
+    first.clear()
+    assert enumerate_coordinates(kperp, -2) == want and len(want) == 240
+
+
+def test_weyl_moved_bases_keep_their_canonical_gram():
+    # A reflection is an isometry, so no moved basis of weyl_basis_robustness can
+    # reach a new coordinate search; box_scan_oracle is the enumerator's oracle.
+    pairs = [(lat, m) for lat, moved in properties.weyl_images(20, random.Random(properties.SEED))
+             for m in moved]
+    assert len(pairs) == 160
+    assert all(m.gram == lat.gram for lat, m in pairs)
+    assert sum(m.basis != lat.basis for lat, m in pairs) > 100
+
+
 # Theta-series coefficients of each class lattice: the number of vectors of
 # norm -2, -4, -6, -8 (E8: 240 sigma_3(n)).
 SHELLS = {
@@ -168,8 +193,9 @@ def test_class_lattice_shell_counts(c):
 @pytest.mark.parametrize("c", [c for c in real_forms.deformation_classes() if c.rank],
                          ids=lambda c: c.id)
 def test_weyl_moved_bases_give_the_same_vectors(c):
-    # Reflections skew the gram matrix (large LDL denominators) but keep the lattice,
-    # so each shell must come back as the same set of ambient vectors.
+    # Reflections keep the gram and the lattice, so each moved basis reuses the
+    # canonical search, and each shell must come back as the same set of ambient
+    # vectors: the Weyl word permutes it.
     rng = random.Random(f"weyl:{c.id}")
     lat = real_forms.lambda_basis(c.id)
     roots = enumerate_vectors(lat, -2)

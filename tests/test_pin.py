@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import root_h3, vanishing_qhat
 from dp1 import pin, properties
-from dp1.lattice import MINUS_K, MINUS_2K, LatticeError, ZERO, pic, reflect
+from dp1.lattice import MINUS_K, MINUS_2K, LatticeError, ZERO, enumerate_vectors, pic, reflect
 from dp1.pin import (
     NEGATIVE_CODE,
     POSITIVE_CODE,
@@ -119,13 +120,84 @@ def test_cremona_matches_reflection_spotcheck():
         assert qhat_code(new, reflect(x, e)) == qhat_code(POSITIVE_CODE, x)
 
 
-def test_cremona_compatibility_sees_an_identity_move(monkeypatch):
-    # Every move left the code alone: each (move, root) pair counts, and a pair
-    # fails wherever the reflection changes q.
+def _identity_moves(monkeypatch):
     monkeypatch.setattr(pin, "cremona_code", lambda code, i, j, k: code)
     monkeypatch.setattr(pin, "cremona_imaginary", lambda code, i: code)
+
+
+def _shift_two_residues(monkeypatch):
+    # E8's (1,2,3) move with residues 4 and 5 moved by 2: still a valid code.
+    move = pin.cremona_code
+
+    def shifted(code, i, j, k):
+        new = move(code, i, j, k)
+        if code != POSITIVE_CODE or (i, j, k) != (1, 2, 3):
+            return new
+        return Code(tuple((a + 2) % 4 if t in (4, 5) else a for t, a in enumerate(new.residues)))
+
+    monkeypatch.setattr(pin, "cremona_code", shifted)
+
+
+def _every_root_cremona_check():
+    """The exhaustive check: every move on every root of the code's class lattice,
+    as (checks, failures)."""
+    roots = {POSITIVE_CODE: enumerate_vectors(lambda_basis("M-connected"), -2),
+             NEGATIVE_CODE: enumerate_vectors(lambda_basis("M-1-connected"), -2)}
+    moves = [(POSITIVE_CODE, root_h3(*ijk), pin.cremona_code(POSITIVE_CODE, *ijk))
+             for ijk in itertools.combinations(range(1, 9), 3)]
+    moves += [(NEGATIVE_CODE, root_h3(*ijk), pin.cremona_code(NEGATIVE_CODE, *ijk))
+              for ijk in itertools.combinations(range(1, 7), 3)]
+    moves += [(NEGATIVE_CODE, root_h3(i, 7, 8), pin.cremona_imaginary(NEGATIVE_CODE, i))
+              for i in range(1, 7)]
+    pairs = [(code, e, new, x) for code, e, new in moves for x in roots[code]]
+    return len(pairs), sum(qhat_code(new, reflect(x, e)) != qhat_code(code, x)
+                           for code, e, new, x in pairs)
+
+
+def test_cremona_compatibility_sees_an_identity_move(monkeypatch):
+    # Every move left the code alone: each (move, simple root) pair counts, and a
+    # pair fails wherever the reflection changes q.
+    _identity_moves(monkeypatch)
     res = properties.cremona_compatibility()
-    assert (res.instances, res.failures) == (16716, 7552)
+    assert (res.instances, res.failures) == (630, 315)
+
+
+# (perturbation, property's (checks, failures), exhaustive loop's (checks, failures))
+CREMONA_FAULTS = {
+    "true_moves": (lambda monkeypatch: None, (630, 0), (16716, 0)),
+    "identity_moves": (_identity_moves, (630, 315), (16716, 7552)),
+    "two_residues_shifted": (_shift_two_residues, (630, 2), (16716, 112)),
+}
+
+
+@pytest.mark.parametrize("fault", list(CREMONA_FAULTS))
+def test_cremona_simple_roots_agree_with_every_root(monkeypatch, fault):
+    # q_new(s_e x) - q_old(x) is linear mod 4, so the simple roots decide it.
+    perturb, simple, exhaustive = CREMONA_FAULTS[fault]
+    perturb(monkeypatch)
+    res = properties.cremona_compatibility()
+    assert (res.instances, res.failures) == simple
+    assert _every_root_cremona_check() == exhaustive
+    assert res.passed == (exhaustive[1] == 0)
+
+
+def test_each_seeded_property_draws_alone(monkeypatch):
+    # run_all hands each seeded property a generator in the seed's state, so its
+    # verdict equals the property's run alone.
+    sizes = {"quadratic_law_code": 1000, "quadratic_law_basis": 1000,
+             "reflection_properties": 1000, "weyl_basis_robustness": 20}
+    seeded = random.Random(properties.SEED).getstate()
+    starts = {}
+    for name in sizes:
+        def spy(n, rng, prop=getattr(properties, name), name=name):
+            starts[name] = rng.getstate() == seeded
+            return prop(n, rng)
+        monkeypatch.setattr(properties, name, spy)
+    results = {r.name: r for r in properties.run_all()}
+    assert starts == dict.fromkeys(sizes, True)
+    monkeypatch.undo()
+    for name, n in sizes.items():
+        assert getattr(properties, name)(n, random.Random(properties.SEED)) == results[name]
 
 
 def test_vanishing_basis_values():
