@@ -2,9 +2,9 @@
 
 Each record is an exact integer (or integer-structure) comparison; provenance
 distinguishes values produced by enumeration from cited closed-form inputs.
-`build_records` first declares every check: its name, anchor, provenance, the
-class ids it names, and a thunk returning (expected, actual).  Nothing is
-computed while checks are declared.  Two rules then make the report:
+`_checks` declares every check: its name, anchor, provenance, the class ids it
+names, and a thunk returning (expected, actual).  Nothing is computed while
+checks are declared.  Two rules then make the report in `build_records`:
 
 - Scope: a run scoped to a class id holds exactly the checks whose classes
   include that id.  Global checks name no class and run only in the full scope.
@@ -121,6 +121,10 @@ def _structure_checks() -> list[_Check]:
             sorted(golden.D6_FOUR_SPLIT.items()), sorted(Counter(
                 b.qhat for b in counting.b_classes(real_forms.get_class("M-2-connected"), 2)
             ).items()))),
+        # One witness per (stratum, v.E) key: E8's strata are the only ones reaching all 11.
+        _Check("splitting_table", "splitting-tables", ENUMERATED, ("M-connected",), lambda: (
+            sorted(wallcross.SPLITTING_TABLE.items()),
+            sorted(wallcross.splitting_summaries(real_forms.get_class("M-connected")).items()))),
         _Check("normalize_positive_seed", "code:all-plus", ENUMERATED, ("M-connected",),
                lambda: ([1] * 9, list(pin.normalize_code(
                    pin.Code((1, 1, 1, 1, 1, 3, 3, 3, 3)))[0].residues))),
@@ -163,16 +167,12 @@ def _class_checks(c: real_forms.DeformationClass) -> list[_Check]:
         _Check(f"total_30:{cid}", "identity:total-30", ENUMERATED, cs,
                lambda: (30, counting.signed_total(c))),
     ]
-    if c.rank == 0:
-        return checks
-    tables = cache(lambda: [wallcross.delta_table(c, e) for e in wallcross.vanishing_roots(c)])
-    return checks + [
-        _Check(f"splitting_table:{cid}", "splitting-tables", ENUMERATED, cs,
-               lambda: (0, sum(t.split_mismatches for t in tables()))),
-        _Check(f"delta_table:{cid}", "table7/rows", CITED, cs, lambda: (
+    if c.rank:
+        checks.append(_Check(f"delta_table:{cid}", "table7/rows", CITED, cs, lambda: (
             [list(wallcross.delta_expected(c))],
-            [list(d) for d in sorted({t.as_tuple() for t in tables()})])),
-    ]
+            [list(d) for d in sorted({wallcross.delta_table(c, e).as_tuple()
+                                      for e in wallcross.vanishing_roots(c)})])))
+    return checks
 
 
 def _pair_checks(c: real_forms.DeformationClass, d: real_forms.DeformationClass) -> list[_Check]:
@@ -239,10 +239,10 @@ def _property_checks() -> list[_Check]:
                    lambda name=name: counts(name)) for name in properties.NAMES]
 
 
-def build_records(scope: str = "all") -> list[VerificationRecord]:
-    """Verification records; a class-id scope keeps the checks naming that class."""
+def _checks() -> list[_Check]:
+    """Every check of the full report, in report order; none is run here."""
     classes = real_forms.deformation_classes()
-    checks = [
+    return [
         *_structure_checks(), *_polynomial_checks(),
         *(ch for c in classes for ch in _class_checks(c)),
         *(ch for c, d in real_forms.bertini_pairs() for ch in _pair_checks(c, d)),
@@ -251,6 +251,11 @@ def build_records(scope: str = "all") -> list[VerificationRecord]:
         *(ch for c in classes if c.code is not None for ch in _cross_model_checks(c)),
         *_property_checks(),
     ]
+
+
+def build_records(scope: str = "all") -> list[VerificationRecord]:
+    """Verification records; a class-id scope keeps the checks naming that class."""
+    checks = _checks()
     if scope != "all":
         real_forms.get_class(scope)  # unknown ids raise here
         checks = [ch for ch in checks if scope in ch.classes]

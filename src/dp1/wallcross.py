@@ -1,19 +1,20 @@
 """Lattice-level wall-crossing checks: limit splittings, orthogonal-root sums,
-reflection pairing, and the per-degeneration balance table, all computed by
-the one kernel `delta_table`.
+reflection pairing, and the per-degeneration balance table.
 
 A nodal degeneration contributes a root E of the class lattice with q(E) = 0.
-Curves limit onto D + rE; the admissible (r, D) are cut out by the numeric
-filters extracted from the degeneration analysis and reproduce fixed small
-tables as a function of (stratum, v.E).  Classes pairing off under the
-reflection in E cancel; classes orthogonal to E aggregate to rank-linear sums.
+Curves limit onto D + rE, cut out by the filters of the degeneration analysis.
+With t = v.E they read only D.E = 2r - t, D.(-K-E) = 2 + t - 2r, and D.D and
+(-2K-D)^2, the stratum's alpha.alpha and v.v plus 2rt - 2r^2: the splittings
+are one table of (stratum, t), with |t| <= 2 by Cauchy-Schwarz, and
+`splitting_summaries` runs one class per key.  Classes pairing off under the
+reflection in E cancel and classes orthogonal to E sum to rank-linear values;
+`delta_table` counts both at one root.
 
 The reflection facts belong to the class, not to E, and `q_index_cached` checks
 them once on the class's simple roots b: each stratum is closed under s_b and
 q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4.  The simple reflections generate the
 Weyl group and every root is conjugate to a simple one, so this is the same law
 for every root E; for q(E) = 0 it shifts q by 2 exactly when |v.E| = 1.
-`delta_table` keeps only the per-root work.
 """
 
 from __future__ import annotations
@@ -99,12 +100,12 @@ def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
 
 @lru_cache(maxsize=None)
 def packed_strata(class_id: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(size, base, columns) of B^0, B^2 and B^4 of the class, one byte lane per
-    class in stratum order: base holds BIAS, plus NEG where q = 2 mod 4, and
-    column j holds the form's sign times coordinate j of each class's v."""
+    """(size, base, columns) of B^2 and B^4 of the class, one byte lane per class
+    in stratum order: base holds BIAS, plus NEG where q = 2 mod 4, and column j
+    holds the form's sign times coordinate j of each class's v."""
     c = get_class(class_id)
     packs = []
-    for k in (0, 1, 2):
+    for k in (1, 2):
         bs = b_classes(c, k)
         ones = int.from_bytes(b"\x01" * len(bs), "little")
         base = int.from_bytes(bytes(BIAS + NEG * (sign_of(b.qhat) < 0) for b in bs), "little")
@@ -120,6 +121,17 @@ def vanishing_roots(c: DeformationClass) -> tuple[PicClass, ...]:
     return vanishing_roots_cached(c.id)
 
 
+def splitting_summaries(c: DeformationClass) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """{(stratum, v.E): summaries of `splittings`} at the class's first vanishing
+    root E, each key run on its first class in stratum order."""
+    e = vanishing_roots(c)[0]
+    witnesses: dict[tuple[int, int], BClass] = {}
+    for k in (0, 1, 2):
+        for b in b_classes(c, k):
+            witnesses.setdefault((b.stratum, dot_tuples(b.v.coeffs, e.coeffs)), b)
+    return {key: tuple(s.summary for s in splittings(b, e)) for key, b in witnesses.items()}
+
+
 def splittings(alpha: BClass, e: PicClass) -> list[SplittingCase]:
     """Admissible splittings alpha = D + r*E for r >= 1.
 
@@ -127,32 +139,21 @@ def splittings(alpha: BClass, e: PicClass) -> list[SplittingCase]:
     D.E >= 1, D.D >= -1, and D must again be a degree-2 stratum class
     (D.D in {4, 2, 0}, the last forcing the deepest stratum).
     """
-    ac, ec = alpha.alpha.coeffs, e.coeffs
-    k_e = tuple(x - y for x, y in zip(MINUS_K.coeffs, ec))
     cases = []
     for r in range(1, MAX_MULTIPLICITY + 1):
-        d = tuple(a - r * x for a, x in zip(ac, ec))
-        if dot_tuples(d, k_e) < 0:
+        d = alpha.alpha - r * e
+        if d.dot(MINUS_K - e) < 0 or d.dot(e) < 1 or d.square < -1:
             continue
-        de = dot_tuples(d, ec)
-        if de < 1:
-            continue
-        dsq = dot_tuples(d, d)
-        if dsq < -1:
-            continue
-        w = tuple(x - y for x, y in zip(MINUS_2K.coeffs, d))
-        stratum = {0: 0, -2: 2, -4: 4}.get(dot_tuples(w, w))
-        if stratum is None:
-            continue
-        cases.append(SplittingCase(r, PicClass(d), dsq, de, stratum))
+        stratum = {0: 0, -2: 2, -4: 4}.get((MINUS_2K - d).square)
+        if stratum is not None:
+            cases.append(SplittingCase(r, d, d.square, d.dot(e), stratum))
     return cases
 
 
 @dataclass(frozen=True)
 class DeltaTable:
     """The five signed edge-count differences of one degeneration, with the
-    orthogonal-root sum behind d42/d20 and the count of (stratum, v.E) keys
-    whose limit splittings disagree with SPLITTING_TABLE."""
+    orthogonal-root sum behind d42/d20."""
 
     d41: int
     d42: int
@@ -160,7 +161,6 @@ class DeltaTable:
     d21: int
     d22: int
     orth: int
-    split_mismatches: int
     cited: tuple[str, ...] = ("d22",)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
@@ -173,7 +173,7 @@ class DeltaTable:
 
 
 def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
-    """The wall-crossing kernel: every v.E of B^0, B^2 and B^4 against E at once.
+    """The wall-crossing sums at one root E: every v.E of B^2 and B^4 at once.
 
     E must be in the B^2 index of `q_index_cached` (a root of the class lattice)
     with q(E) = 0; stratum closure and the reflection law are checked there, once
@@ -181,19 +181,17 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
     BIAS + v.E, plus NEG where q(v) = 2 mod 4, in each class's byte.  The lattice
     is negative definite, so (v.E)^2 <= (v.v)(E.E) <= 8: no lane carries, and a
     stratum whose lanes are not all among the ten values with |v.E| <= 2 raises.
-    The first lane of each (stratum, v.E) key is the class whose limit splittings
-    are checked against SPLITTING_TABLE.  The classes with |v.E| = 1 pair off
-    under the reflection with q shifted by 2, so d21 = d41 = 0; the orthogonal
-    sum over roots with v.E = 0 is 2(r-1); d22 = 2(chi - 1) is the cited Euler input.
+    The classes with |v.E| = 1 pair off under the reflection with q shifted by 2,
+    so d21 = d41 = 0; the orthogonal sum over roots with v.E = 0 is 2(r-1);
+    d22 = 2(chi - 1) is the cited Euler input.
     """
     q_e = q_index_cached(c.id)[1].get(e.coeffs)
     if q_e is None:
         raise LatticeError(f"{e} is not a root of the {c.id} class lattice")
     if q_e != 0:
         raise LatticeError(f"{e} has nonzero quadratic value")
-    mismatches = 0
     signed = {}  # (k, v.E): sum of i^q over the classes of B^{2k} with that v.E
-    for k, (n, base, columns) in enumerate(packed_strata(c.id)):
+    for k, (n, base, columns) in zip((1, 2), packed_strata(c.id)):
         acc = base
         for x, column in zip(e.coeffs, columns):
             acc += x * column
@@ -203,10 +201,6 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
             plus, minus = lanes.count(BIAS + t), lanes.count(BIAS + NEG + t)
             signed[k, t] = plus - minus
             n -= plus + minus
-            if plus or minus:
-                first = min(i for i in (lanes.find(BIAS + t), lanes.find(BIAS + NEG + t)) if i >= 0)
-                got = tuple(s.summary for s in splittings(b_classes(c, k)[first], e))
-                mismatches += got != SPLITTING_TABLE.get((2 * k, t))
         if n:
             raise LatticeError(f"{n} classes of B^{2 * k} of {c.id} have |v.E| > 2 for {e}")
     orth = signed[1, 0]
@@ -217,7 +211,6 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
         d21=signed[1, 1] + signed[1, -1],
         d22=2 * (c.euler_char - 1),
         orth=orth,
-        split_mismatches=mismatches,
     )
 
 
