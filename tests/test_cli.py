@@ -314,3 +314,44 @@ def test_stdout_is_byte_identical(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
+
+
+# sha256 of stdout under --format csv and --format md, taken when the flat tables
+# were still built by a second pass over the JSON payload.  The empty
+# M-split B^2 prints a header and no rows.
+FLAT_ARGVS = [("classes",), ("enumerate", "--class", "M-4"),
+              ("enumerate", "--class", "M-split", "--stratum", "2"),
+              *(("tables", str(n)) for n in range(2, 8)),
+              ("verify", "--class", "M-4"), ("wallcross", "--class", "all")]
+FLAT_SHA256 = dict(zip(
+    [(*argv, "--format", fmt) for fmt in ("csv", "md") for argv in FLAT_ARGVS], [
+        "b00fc71592dd9005dbdd0412298783e5c766fc3c70a9169ddae31df87d269e04",
+        "2d40276ca781392b1fe909cc7a32a0444f58032ffbf1eb2bfcc42623871172ac",
+        "4074c1570f0a98978ecd9ce26c3e768a71f126075b5ff0da9d22e8f30dd4823f",
+        "3808a6ba943d21e334abcf5ca315671abe8788b87750b5c15ea75cef5b5972b7",
+        "9c9ab173d710d228784376d9dd89cab789b0833fa719baeab1898143f60a045e",
+        "2ecfc598bcf224adcfaf67256524900b711b2654e9a77a125aa71a0e6f04baca",
+        "09e6ae7270d02d672cec7cd75c6df4c9a015c5b2d03b6ca6c0e64f56c7227321",
+        "1c205caa405bb1f96c5730250919f136cb4133110eda5a3630b72e0879e82cad",
+        "ad54e0875d7d842e8da4cab206ce93029cbbf3806e28d1de1a37579ca588d80b",
+        "58002ef6a8d3148f2f4036cecc2178435f2702ebc87363f339dccb39b9f8b0bd",
+        "0eb078051bfb5aee74c879ac23eb0a91272acc738f568d81b8cb0c38381593ea",
+        "fd3f02eb48558db1a167f6d9593eed3552ff014702e5a0fea016c80c03711eca",
+        "b5cf76d14413d09bd7d9c64c09f4b4163888e9bd59e6a106bba0226de9ccb194",
+        "3819c5247da1800bf0623ffe60a81b197bfecae5f8bdc03075789711477a670e",
+        "3906722156cf51e18f089c80df422a31fee76483f1ddd02397b0adfe06caffa9",
+        "d524d0e6fd88b125b270c169b5939961d1e6cb1b6905a914197cc9e384338ef6",
+        "a7c05770eaf464df0868b64bf0f8dfb621e142cd07f7f3dc917a05c93ff75516",
+        "3ee7df95e998e2705cdc10e2ae939b614d88ca72a9d63b0876c5ed2f9e6e9e05",
+        "96bf36ed5279b26120270ddb5862e45bdcc14ed5ac74eeba242ec856f3e7c19d",
+        "68e7e02c220ac64e5bdb63453c5da85c6ee9d0edacde1fe3fb0f250dc602d487",
+        "da2c07b20cf4b965266dc41f297d12722f5d5a153dfc15b6c2388778ba7c6eda",
+        "fb3e02d832cbd39dd395e2b7041ff235a7792f11daaff8b14a0c33dda4917dd1",
+    ]))
+
+
+@pytest.mark.parametrize("argv", list(FLAT_SHA256), ids=" ".join)
+def test_flat_formats_are_byte_identical(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FLAT_SHA256[argv]
