@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from typing import Iterable, NamedTuple
 
 from . import counting, golden, real_forms, report, wallcross
 from .lattice import ENUM_DEPTH_ENV, EnumerationDepthError
@@ -24,27 +25,36 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 FORMATS = ("json", "csv", "md")
 
 
-# -- payload builders ---------------------------------------------------------
+class Output(NamedTuple):
+    """A command's JSON payload and its flat table for csv and md: a header and
+    rows keyed by it (a missing key prints empty).  The rows are a lazy view of
+    the payload, so a JSON run never builds them."""
+
+    payload: dict
+    header: list[str]
+    rows: Iterable[dict]
+    summary: dict | None = None  # verify's record counts; they set the exit code
 
 
-def classes_payload() -> dict:
-    rows = []
-    for c in real_forms.deformation_classes():
-        rows.append({
-            "id": c.id,
-            "topology": c.topology,
-            "smith_type": c.smith_type,
-            "lambda_type": c.lambda_type,
-            "rank": c.rank,
-            "euler_char": c.euler_char,
-            "bertini_dual": c.bertini_dual_id,
-            "qhat_model": "basis" if c.code is None else "code",
-        })
+# -- one builder per command --------------------------------------------------
+
+
+def classes_output() -> Output:
+    rows = [{
+        "id": c.id,
+        "topology": c.topology,
+        "smith_type": c.smith_type,
+        "lambda_type": c.lambda_type,
+        "rank": c.rank,
+        "euler_char": c.euler_char,
+        "bertini_dual": c.bertini_dual_id,
+        "qhat_model": "basis" if c.code is None else "code",
+    } for c in real_forms.deformation_classes()]
     pairs = [[a.id, b.id] for a, b in real_forms.bertini_pairs()]
-    return {"classes": rows, "pairs": pairs}
+    return Output({"classes": rows, "pairs": pairs}, list(rows[0]), rows)
 
 
-def enumerate_payload(class_id: str, stratum: int | None) -> dict:
+def enumerate_output(class_id: str, stratum: int | None) -> Output:
     strata = (0, 2, 4) if stratum is None else (stratum,)
     ids = [c.id for c in real_forms.deformation_classes()] if class_id == "all" else [class_id]
     blocks = []
@@ -60,7 +70,8 @@ def enumerate_payload(class_id: str, stratum: int | None) -> dict:
                 "classes": [{"alpha": list(b.alpha.coeffs), "v": list(b.v.coeffs),
                              "qhat": b.qhat} for b in bs],
             })
-    return {"enumeration": blocks}
+    return Output({"enumeration": blocks}, ["class", "stratum", "alpha", "v", "qhat"],
+                  ({**b, **item} for b in blocks for item in b["classes"]))
 
 
 def _row_dict(n: int, r: counting.TableRow) -> dict:
@@ -74,7 +85,7 @@ def _row_dict(n: int, r: counting.TableRow) -> dict:
     return d
 
 
-def tables_payload(n: int) -> dict:
+def tables_output(n: int) -> Output:
     if n in report.TABLES:
         rows = [_row_dict(n, r) for r in report.table_rows(n)]
     elif n == 6:
@@ -89,23 +100,18 @@ def tables_payload(n: int) -> dict:
                 for label, sig, want, got, prov in report.table7_cells(c)]
     else:
         raise ValueError(f"no table {n}")
-    return {"table": n, "rows": rows}
+    return Output({"table": n, "rows": rows}, list(rows[0]) if rows else ["empty"], rows)
 
 
-def verify_payload(scope: str) -> dict:
+def verify_output(scope: str) -> Output:
     records = report.build_records(scope)
-    return {
-        "scope": scope,
-        "summary": report.summarize(records),
-        "records": [{
-            "name": r.name, "anchor": r.anchor, "provenance": r.provenance,
-            "expected": r.expected, "actual": r.actual, "passed": r.passed,
-            "classes": list(r.classes),
-        } for r in records],
-    }
+    summary = report.summarize(records)
+    header = ["name", "anchor", "provenance", "expected", "actual", "passed"]
+    rows = [{h: getattr(r, h) for h in header} | {"classes": list(r.classes)} for r in records]
+    return Output({"scope": scope, "summary": summary, "records": rows}, header, rows, summary)
 
 
-def wallcross_payload(scope: str) -> dict:
+def wallcross_output(scope: str) -> Output:
     ids = [c.id for c in real_forms.deformation_classes()] if scope == "all" else [scope]
     blocks = []
     for cid in ids:
@@ -121,18 +127,14 @@ def wallcross_payload(scope: str) -> dict:
                 "weighted_balance": dt.balance,
             })
         blocks.append(block)
-    return {"wallcross": blocks}
+    header = ["class", "rank", "vanishing_roots", "orth_root_sum",
+              *wallcross.DELTA_FIELDS, "weighted_balance"]
+    return Output({"wallcross": blocks}, header,
+                  ({**b, **dict(zip(wallcross.DELTA_FIELDS, b.get("delta", {}).values()))}
+                   for b in blocks))
 
 
 # -- rendering ----------------------------------------------------------------
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def _cell(v) -> str:
@@ -141,58 +143,22 @@ def _cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def _md_table(header: list[str], rows: list[list]) -> str:
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(_cell(v) for v in row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _flatten(payload: dict) -> tuple[list[str], list[list]]:
-    if "classes" in payload and "pairs" in payload:
-        header = ["id", "topology", "smith_type", "lambda_type", "rank",
-                  "euler_char", "bertini_dual", "qhat_model"]
-        return header, [[c[h] for h in header] for c in payload["classes"]]
-    if "enumeration" in payload:
-        header = ["class", "stratum", "alpha", "v", "qhat"]
-        rows = []
-        for block in payload["enumeration"]:
-            for item in block["classes"]:
-                rows.append([block["class"], block["stratum"],
-                             _cell(item["alpha"]), _cell(item["v"]), item["qhat"]])
-        return header, rows
-    if "records" in payload:
-        header = ["name", "anchor", "provenance", "expected", "actual", "passed"]
-        return header, [[r["name"], r["anchor"], r["provenance"], _cell(r["expected"]),
-                         _cell(r["actual"]), r["passed"]] for r in payload["records"]]
-    if "wallcross" in payload:
-        header = ["class", "rank", "vanishing_roots", "orth_root_sum",
-                  *wallcross.DELTA_FIELDS, "weighted_balance"]
-        rows = []
-        for b in payload["wallcross"]:
-            d = b.get("delta", {})
-            rows.append([b["class"], b["rank"], b["vanishing_roots"], b.get("orth_root_sum"),
-                         *(d.get(t[0]) for t in golden.TABLE7), b.get("weighted_balance")])
-        return header, rows
-    rows = payload["rows"]
-    if not rows:
-        return ["empty"], []
-    header = list(rows[0].keys())
-    return header, [[_cell(r.get(h)) for h in header] for r in rows]
-
-
-def render(payload: dict, fmt: str) -> str:
+def render(out: Output, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    header, rows = _flatten(payload)
+        return json.dumps(out.payload, indent=2, ensure_ascii=False) + "\n"
+    rows = ([_cell(row.get(h)) for h in out.header] for row in out.rows)
     if fmt == "csv":
-        return _csv_text(header, [[_cell(v) for v in row] for row in rows])
-    return _md_table(header, rows)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(out.header)
+        w.writerows(rows)
+        return buf.getvalue()
+    lines = [out.header, ["---"] * len(out.header), *rows]
+    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -252,31 +218,28 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         return _config_error(f"{ENUM_DEPTH_ENV} must be a non-negative integer, "
                              f"got {os.environ[ENUM_DEPTH_ENV]!r}")
+    build = {
+        "classes": classes_output,
+        "enumerate": lambda: enumerate_output(class_id, args.stratum),
+        "tables": lambda: tables_output(args.number),
+        "verify": lambda: verify_output(class_id),  # its builders turn errors into failed records
+        "wallcross": lambda: wallcross_output(class_id),
+    }[args.command]
     try:
-        if args.command == "classes":
-            payload = classes_payload()
-        elif args.command == "enumerate":
-            payload = enumerate_payload(class_id, args.stratum)
-        elif args.command == "tables":
-            payload = tables_payload(args.number)
-        elif args.command == "wallcross":
-            payload = wallcross_payload(class_id)
-        else:
-            payload = verify_payload(class_id)  # its builders turn errors into failed records
+        out = build()
     except EnumerationDepthError as err:
         return _config_error(str(err))
-    text = render(payload, args.fmt)
+    text = render(out, args.fmt)
     try:
         _emit(text, args.out)
     except OSError as err:
         return _config_error(f"cannot write {args.out}: {err.strerror or err}")
-    if args.command == "verify":
-        failed = payload["summary"]["failed"]
-        if args.verbose:
-            print(f"verify: {payload['summary']['total']} records, {failed} failed",
-                  file=sys.stderr)
-        return EXIT_FAIL if failed else EXIT_OK
-    return EXIT_OK
+    if out.summary is None:
+        return EXIT_OK
+    if args.verbose:
+        print(f"verify: {out.summary['total']} records, {out.summary['failed']} failed",
+              file=sys.stderr)
+    return EXIT_FAIL if out.summary["failed"] else EXIT_OK
 
 
 if __name__ == "__main__":

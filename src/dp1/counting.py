@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import golden
 from .lattice import MINUS_2K, ZERO, LatticeError, PicClass, Sublattice, enumerate_coordinates
-from .pin import qhat_code, qhat_from_coordinates
+from .pin import PAIRS, qhat_code, qhat_from_coordinates
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
 
@@ -23,7 +23,6 @@ from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 class BClass:
     """A degree-2 candidate class alpha = -2K - v with its quadratic value."""
 
-    class_id: str
     stratum: int  # 0, 2 or 4: the negated square of v
     v: PicClass
     alpha: PicClass
@@ -43,7 +42,7 @@ def twist(c: DeformationClass) -> tuple[int, ...]:
 def b_classes_cached(class_id: str, k: int) -> tuple[BClass, ...]:
     c = get_class(class_id)
     if k == 0:
-        return (BClass(class_id, 0, ZERO, MINUS_2K, 0),)
+        return (BClass(0, ZERO, MINUS_2K, 0),)
     lat = lambda_basis(class_id)
     if lat.rank == 0:
         return ()
@@ -52,7 +51,7 @@ def b_classes_cached(class_id: str, k: int) -> tuple[BClass, ...]:
     for coords in enumerate_coordinates(lat, -2 * k):
         v = lat.from_coordinates(coords)
         q = qhat_from_coordinates(coords, -2 * k, t)
-        out.append(BClass(class_id, 2 * k, v, MINUS_2K - v, q))
+        out.append(BClass(2 * k, v, MINUS_2K - v, q))
     return tuple(out)
 
 
@@ -135,7 +134,7 @@ def _split_coeffs(x: PicClass, r: int) -> tuple[int, tuple[int, ...], int | None
     c = x.coeffs
     n_real = 8 - 2 * r
     sig = tuple(sorted(c[1 : n_real + 1], reverse=True))
-    pair = c[7] if r == 1 else None
+    pair = c[PAIRS[0][0]] if r == 1 else None
     return c[0], sig, pair
 
 

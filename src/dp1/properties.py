@@ -34,7 +34,6 @@ class PropertyResult:
     name: str
     instances: int
     failures: int
-    detail: str = ""
 
     @property
     def passed(self) -> bool:

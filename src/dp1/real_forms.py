@@ -2,9 +2,10 @@
 root lattices inside K-perp.
 
 Each class pins a concrete sublattice: the four connected forms arise as
-pair-equality kernels (the conjugation-fixed part of their blowup models), the
-(M-2)_I forms as the saturation of a D4 root set, and the rest as the
-saturation of mutually orthogonal roots.  Every stored embedding is
+pair-equality kernels (the conjugation-fixed part of their blowup models) over
+the imaginary pairs of `pin.PAIRS`, the (M-2)_I forms as the saturation of a D4
+root set, and the split forms and M-4 as the orthogonal complement of the
+kernel of their first rank pairs.  Every stored embedding is
 re-verified at construction time: root type, rank, Cartan shape and generation
 by its roots.  The root count and the complement type are checked by
 `dp1 verify` (records `card_roots:<id>` and `complement_type:<id>`), not here.
@@ -60,14 +61,6 @@ _CLASSES = (
 )
 
 _BY_ID = {c.id: c for c in _CLASSES}
-
-# Mutually orthogonal roots seeding the split forms and the RP2 form.
-_A1_SEEDS = [
-    pic(0, 0, 0, 0, 0, 0, 0, 1, -1),
-    pic(0, 0, 0, 0, 0, 1, -1, 0, 0),
-    pic(0, 0, 0, 1, -1, 0, 0, 0, 0),
-    pic(0, 1, -1, 0, 0, 0, 0, 0, 0),
-]
 
 # A D4 simple system (leaf, center, leaf, leaf) whose orthogonal complement in
 # K-perp is again D4; found by exhaustive search over root quadruples.
@@ -129,12 +122,15 @@ def saturate(lat: Sublattice) -> Sublattice:
 
 
 def _raw_lattice(c: DeformationClass) -> Sublattice:
-    if c.id.endswith("-connected"):
-        # The conjugation-fixed part of a blowup model with 8 - rank imaginary
-        # pairs: the paired coordinates are equal.
-        return _kernel_sublattice(tuple(
-            tuple(int(t == i) - int(t == j) for t in range(9)) for i, j in PAIRS[:8 - c.rank]))
-    return saturate(Sublattice.span(_D4_SEED if c.lambda_type == "D4" else _A1_SEEDS[:c.rank]))
+    if c.lambda_type == "D4":
+        return saturate(Sublattice.span(_D4_SEED))
+    # A connected form is the conjugation-fixed part of a blowup model with
+    # 8 - rank imaginary pairs: the paired coordinates are equal.  A split form,
+    # and M-4, is the complement of that kernel over its first rank pairs.
+    connected = c.id.endswith("-connected")
+    kernel = _kernel_sublattice(tuple(tuple(int(t == i) - int(t == j) for t in range(9))
+                                      for i, j in PAIRS[:8 - c.rank if connected else c.rank]))
+    return kernel if connected else orthogonal_complement(kernel)
 
 
 @lru_cache(maxsize=None)

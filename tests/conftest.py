@@ -19,6 +19,13 @@ BAD_4A1 = [
 ]
 
 
+def corrupt_4a1_embedding(monkeypatch) -> None:
+    """Make the constructor build M-4 as the saturation of BAD_4A1."""
+    raw = real_forms._raw_lattice
+    monkeypatch.setattr(real_forms, "_raw_lattice", lambda c: real_forms.saturate(
+        Sublattice.span(BAD_4A1)) if c.id == "M-4" else raw(c))
+
+
 def model_caches() -> list:
     """Every module-level memoized function defined in a dp1 module."""
     modules = [importlib.import_module(f"dp1.{m.name}") for m in pkgutil.iter_modules(dp1.__path__)]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dp1
-from conftest import BAD_4A1, clear_model_caches
+from conftest import clear_model_caches, corrupt_4a1_embedding
 from dp1 import cli, golden, real_forms, report, wallcross
 from dp1.lattice import pic
 
@@ -115,8 +115,8 @@ def test_wallcross_payload(capsys):
 
 
 def test_wallcross_deltas_match_table_7():
-    table = cli.tables_payload(7)["rows"]
-    blocks = [b for b in cli.wallcross_payload("all")["wallcross"] if b["vanishing_roots"]]
+    table = cli.tables_output(7).payload["rows"]
+    blocks = [b for b in cli.wallcross_output("all").payload["wallcross"] if b["vanishing_roots"]]
     assert len(blocks) == 10
     for block in blocks:
         column = {r["type"]: r["enumerated_value"] for r in table if r["class"] == block["class"]}
@@ -175,7 +175,7 @@ def test_table7_formulas_have_one_source(monkeypatch, capsys):
     with_roots = [c.id for c in real_forms.deformation_classes() if wallcross.vanishing_roots(c)]
     assert len(with_roots) == 10
     assert sorted(failing) == sorted(f"delta_table:{cid}" for cid in with_roots)
-    e8 = {r["type"]: r["formula_value"] for r in cli.tables_payload(7)["rows"]
+    e8 = {r["type"]: r["formula_value"] for r in cli.tables_output(7).payload["rows"]
           if r["class"] == "M-connected"}
     assert e8 == {"4,1": 0, "4,2": 29, "2,0": -28, "2,1": 0, "2,2": -16}
 
@@ -188,12 +188,20 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_empty_out_path_is_a_config_error(capsys):
+    # An empty --out names no file: it is refused, not taken to mean stdout.
+    assert cli.main(["classes", "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot write" in err
+
+
 def test_verify_scoped_passes_and_roundtrips(capsys):
     code, out = run_cli(capsys, "verify", "--class", "M-4")
     assert code == 0
     payload = json.loads(out)
     assert payload["summary"]["failed"] == 0
-    assert payload == cli.verify_payload("M-4")
+    assert payload == cli.verify_output("M-4").payload
     names = {r["name"] for r in payload["records"]}
     assert f"total_30:M-4" in names
 
@@ -247,7 +255,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_verify_fails_on_corrupted_embedding(fresh_caches, monkeypatch, capsys):
-    monkeypatch.setattr(real_forms, "_A1_SEEDS", BAD_4A1)
+    corrupt_4a1_embedding(monkeypatch)
     clear_model_caches()
     code, out = run_cli(capsys, "verify", "--class", "M-4")
     assert code == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import BAD_4A1, corrupt_4a1_embedding
 from dp1.lattice import LatticeError, Sublattice, enumerate_vectors, pic
 from dp1.real_forms import (
     bertini_dual,
@@ -106,14 +107,8 @@ def test_saturate_restores_primitive_vectors():
 def test_constructor_rejects_d4_saturating_quadruple(fresh_caches, monkeypatch):
     # Orthogonal root quadruple with integral half-sum: saturates to D4, so it
     # is not an admissible 4A1 model and must fail loudly.
-    import dp1.real_forms as rf
-
-    bad = [pic(0, 0, 0, 0, 0, 0, 0, 1, -1),
-           pic(1, -1, 0, 0, 0, 0, 0, -1, -1),
-           pic(2, 0, -1, -1, -1, -1, 0, -1, -1),
-           pic(-3, 1, 1, 1, 1, 1, 2, 1, 1)]
-    assert all(a.dot(b) == 0 for a in bad for b in bad if a != b)
-    monkeypatch.setattr(rf, "_A1_SEEDS", bad)
+    assert all(a.dot(b) == 0 for a in BAD_4A1 for b in BAD_4A1 if a != b)
+    corrupt_4a1_embedding(monkeypatch)
     with pytest.raises(LatticeError):
         lambda_basis("M-4")
 

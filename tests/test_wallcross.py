@@ -174,7 +174,7 @@ def test_a_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypatch
     good = wallcross.b_classes
 
     def spoiled(c, k):
-        extra = (BClass(c.id, 4, 3 * u, MINUS_2K - 3 * u, 0),) if k == 2 else ()
+        extra = (BClass(4, 3 * u, MINUS_2K - 3 * u, 0),) if k == 2 else ()
         return good(c, k) + extra
 
     monkeypatch.setattr(wallcross, "b_classes", spoiled)
