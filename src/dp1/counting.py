@@ -47,12 +47,9 @@ def b_classes_cached(class_id: str, k: int) -> tuple[BClass, ...]:
     if lat.rank == 0:
         return ()
     t = twist(c)
-    out = []
-    for coords in enumerate_coordinates(lat, -2 * k):
-        v = lat.from_coordinates(coords)
-        q = qhat_from_coordinates(coords, -2 * k, t)
-        out.append(BClass(2 * k, v, MINUS_2K - v, q))
-    return tuple(out)
+    coords = enumerate_coordinates(lat, -2 * k)
+    return tuple(BClass(2 * k, v, MINUS_2K - v, qhat_from_coordinates(x, -2 * k, t))
+                 for x, v in zip(coords, map(PicClass, lat.pic_coordinates(coords))))
 
 
 def b_classes(c: DeformationClass, k: int) -> tuple[BClass, ...]:

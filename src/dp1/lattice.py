@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import add, mul, neg, sub
 
 RANK = 9
+LANE = 127  # the largest |value| a signed byte lane of `pack_lanes` holds
 
 ENUM_DEPTH_ENV = "DP1_MAX_ENUM_DEPTH"
 
@@ -28,14 +30,14 @@ class EnumerationDepthError(LatticeError):
     """Raised when an enumeration exceeds the DP1_MAX_ENUM_DEPTH cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PicClass:
     """A divisor class, stored as plain coordinates (c0; c1..c8)."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != RANK or not all(isinstance(c, int) for c in self.coeffs):
+        if len(self.coeffs) != RANK or not all(map(int.__instancecheck__, self.coeffs)):
             raise LatticeError(f"expected {RANK} integer coordinates, got {self.coeffs!r}")
 
     def dot(self, other: "PicClass") -> int:
@@ -50,13 +52,13 @@ class PicClass:
         return -self.dot(K)
 
     def __add__(self, other: "PicClass") -> "PicClass":
-        return PicClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return PicClass(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "PicClass") -> "PicClass":
-        return PicClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return PicClass(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "PicClass":
-        return PicClass(tuple(-a for a in self.coeffs))
+        return PicClass(tuple(map(neg, self.coeffs)))
 
     def __rmul__(self, n: int) -> "PicClass":
         return PicClass(tuple(n * a for a in self.coeffs))
@@ -70,11 +72,8 @@ def pic(*coeffs: int) -> PicClass:
 
 
 def dot_tuples(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    # Raw-tuple inner product for hot loops.
-    s = a[0] * b[0]
-    for i in range(1, RANK):
-        s -= a[i] * b[i]
-    return s
+    # Raw-tuple inner product for hot loops: a0 b0 - sum_{i>0} ai bi, summed in C.
+    return 2 * a[0] * b[0] - sum(map(mul, a, b))
 
 
 H = pic(1, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -83,6 +82,16 @@ K = pic(-3, 1, 1, 1, 1, 1, 1, 1, 1)
 MINUS_K = -K
 MINUS_2K = 2 * MINUS_K
 ZERO = pic(0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def _halves(n: int) -> int:
+    return int.from_bytes(b"\x80" * n, "little")
+
+
+def pack_lanes(values: tuple[int, ...]) -> int:
+    """sum_l values[l] * 256^l, one byte lane per value: packed columns add and
+    scale lane by lane while every lane stays within +-LANE."""
+    return int.from_bytes(bytes(map((LANE + 1).__add__, values)), "little") - _halves(len(values))
 
 
 def form_row(v: PicClass) -> tuple[int, ...]:
@@ -127,6 +136,26 @@ class Sublattice:
             for i, c in enumerate(b.coeffs):
                 total[i] += n * c
         return PicClass(tuple(total))
+
+    def pic_coordinates(self, coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The coefficient tuples of `from_coordinates` for a whole list in one pass:
+        each coordinate column is packed once (`pack_lanes`), and each ambient
+        column is rank multiply-adds of them.  Lane j of a vector holds at most
+        sum_i max|x_i| * |b_ij|; a bound past LANE raises instead of wrapping."""
+        n = len(coords)
+        if not (n and self.basis):
+            return [ZERO.coeffs] * n
+        xs = list(zip(*coords))
+        tops = [max(max(x), -min(x)) for x in xs]
+        columns = list(zip(*(b.coeffs for b in self.basis)))
+        bound = max(sum(map(mul, tops, map(abs, c))) for c in columns)
+        if bound > LANE:
+            raise LatticeError(f"lane bound {bound} exceeds {LANE}")
+        packed = list(map(pack_lanes, xs))
+        half = _halves(n)
+        lanes = [memoryview((sum(map(mul, c, packed), half) ^ half).to_bytes(n, "little")).cast("b")
+                 for c in columns]
+        return list(zip(*lanes))
 
     def coordinates_of(self, x: PicClass) -> tuple[int, ...]:
         """Integer coordinates of x in this basis; raises if x is outside the span."""
@@ -240,9 +269,14 @@ def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ..
 def enumerate_vectors(lat: Sublattice, norm: int) -> list[PicClass]:
     """All v in the integer span of lat.basis with v.v = norm, in ambient coordinates.
 
-    Deterministic: ordered lexicographically by basis coordinates.
+    Deterministic: ordered lexicographically by basis coordinates.  A list past
+    the lane bound of `pic_coordinates` is converted one vector at a time.
     """
-    return [lat.from_coordinates(c) for c in enumerate_coordinates(lat, norm)]
+    coords = enumerate_coordinates(lat, norm)
+    try:
+        return list(map(PicClass, lat.pic_coordinates(coords)))
+    except LatticeError:
+        return [lat.from_coordinates(c) for c in coords]
 
 
 def integer_kernel(rows: list[tuple[int, ...]], width: int) -> list[tuple[int, ...]]:

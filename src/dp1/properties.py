@@ -12,6 +12,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import counting, pin, real_forms
 from .lattice import (
@@ -41,7 +42,7 @@ class PropertyResult:
 
 
 def _rand_class(rng: random.Random, bound: int = 4) -> PicClass:
-    return PicClass(tuple(rng.randint(-bound, bound) for _ in range(9)))
+    return PicClass(tuple(rng.randrange(-bound, bound + 1) for _ in range(9)))
 
 
 def _make_real(x: PicClass, r: int) -> PicClass:
@@ -88,8 +89,8 @@ def quadratic_law_basis(n: int, rng: random.Random) -> PropertyResult:
     for _ in range(n):
         lat = rng.choice(lattices)
         t = (2,) * lat.rank
-        cx = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
-        cy = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+        cx = tuple(rng.randrange(-3, 4) for _ in range(lat.rank))
+        cy = tuple(rng.randrange(-3, 4) for _ in range(lat.rank))
         x, y = lat.from_coordinates(cx), lat.from_coordinates(cy)
         qx = pin.qhat_from_coordinates(cx, x.square, t)
         qy = pin.qhat_from_coordinates(cy, y.square, t)
@@ -166,7 +167,7 @@ def weyl_images(images: int, rng: random.Random) -> Iterator[tuple[Sublattice, l
         moved = []
         for _ in range(images):
             basis = list(lat.basis)
-            for _ in range(rng.randint(1, 6)):
+            for _ in range(rng.randrange(1, 7)):
                 e = rng.choice(roots)
                 basis = [reflect(b, e) for b in basis]
             moved.append(Sublattice.span(basis))
@@ -178,7 +179,7 @@ def weyl_basis_robustness(images: int, rng: random.Random) -> PropertyResult:
     isometry, so a moved basis keeps its canonical gram and reuses its coordinate
     search: this is no enumerator oracle (box_scan_oracle is that)."""
     def shells(lat: Sublattice) -> list[list[tuple[int, ...]]]:
-        return [sorted(v.coeffs for v in enumerate_vectors(lat, norm)) for norm in (-2, -4)]
+        return [sorted(lat.pic_coordinates(enumerate_coordinates(lat, norm))) for norm in (-2, -4)]
 
     checks = fails = 0
     for lat, moved in weyl_images(images, rng):
@@ -214,12 +215,8 @@ def _box_scan(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
         while (r + 1) * (r + 1) <= b:
             r += 1
         bounds.append(r)
-    out = []
-    for combo in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        val = sum(q[i][j] * combo[i] * combo[j] for i in range(k) for j in range(k))
-        if val == n:
-            out.append(combo)
-    return sorted(out)
+    return sorted(x for x in itertools.product(*[range(-b, b + 1) for b in bounds])
+                  if sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, lat.gram)) == norm)
 
 
 def box_scan_oracle() -> PropertyResult:

@@ -8,6 +8,8 @@ outputs are stable.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .lattice import LatticeError, PicClass, Sublattice, enumerate_vectors
 
 # Root cardinalities of the simply-laced systems this project meets.
@@ -28,10 +30,8 @@ def simple_system(roots: list[PicClass]) -> list[PicClass]:
     """Indecomposable positive roots of a root set, canonically ordered per component."""
     pos = [v for v in roots if _lex_positive(v)]
     pos_set = {v.coeffs for v in pos}
-    simple = []
-    for v in pos:
-        if not any((v - p).coeffs in pos_set for p in pos if p != v):
-            simple.append(v)
+    # v - v = 0 is not lex-positive, so v itself never decomposes v.
+    simple = [v for v in pos if not any(tuple(map(sub, v.coeffs, p)) in pos_set for p in pos_set)]
     return _canonical_order(simple)
 
 

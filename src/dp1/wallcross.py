@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import golden
-from .lattice import MINUS_K, MINUS_2K, RANK, LatticeError, PicClass, dot_tuples
+from .lattice import MINUS_K, MINUS_2K, RANK, LatticeError, PicClass, dot_tuples, pack_lanes
 from .counting import BClass, b_classes, sign_of
 from .real_forms import DeformationClass, get_class, lambda_basis
 
@@ -61,9 +62,8 @@ SPLITTING_TABLE: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = 
 
 MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the bound
 
-# Byte lanes of the packed kernel (see delta_table); coordinates pack shifted by _OFFSET.
+# Byte lanes of the packed kernel (see delta_table).
 BIAS, NEG = 64, 128
-_OFFSET = 128
 _FORM = (1,) + (-1,) * (RANK - 1)  # the intersection form on (h, l1, ..., l8)
 
 # The DeltaTable field behind each golden.TABLE7 row, in that order.
@@ -87,10 +87,12 @@ def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
         q_b = q_of[1].get(bc)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
+        # |v.b| <= 2 by Cauchy-Schwarz; any other t takes the general path.
+        steps = {t: tuple(map(t.__mul__, bc)) for t in range(-2, 3)}
         for by_v in q_of:
             for vc, q in by_v.items():
                 t = dot_tuples(vc, bc)
-                q_image = by_v.get(tuple(x + t * y for x, y in zip(vc, bc)))
+                q_image = by_v.get(tuple(map(add, vc, steps.get(t) or map(t.__mul__, bc))))
                 if q_image is None:
                     raise LatticeError(f"reflection left the stratum: {PicClass(vc)} by {b}")
                 if q_image != (q + t * (q_b + 2)) % 4:
@@ -107,11 +109,8 @@ def packed_strata(class_id: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]
     packs = []
     for k in (1, 2):
         bs = b_classes(c, k)
-        ones = int.from_bytes(b"\x01" * len(bs), "little")
         base = int.from_bytes(bytes(BIAS + NEG * (sign_of(b.qhat) < 0) for b in bs), "little")
-        columns = tuple(
-            int.from_bytes(bytes(_OFFSET + form * b.v.coeffs[j] for b in bs), "little")
-            - _OFFSET * ones for j, form in enumerate(_FORM))
+        columns = tuple(form * pack_lanes(col) for form, col in zip(_FORM, zip(*(b.v.coeffs for b in bs))))
         packs.append((len(bs), base, columns))
     return tuple(packs)
 

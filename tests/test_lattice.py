@@ -84,6 +84,11 @@ def test_pic_class_validation():
         PicClass((1, 2, 3))
     with pytest.raises(LatticeError):
         PicClass((1.0,) * 9)  # type: ignore[arg-type]
+    with pytest.raises(LatticeError):
+        PicClass((0,) * 8 + ("1",))  # type: ignore[arg-type]
+    with pytest.raises(LatticeError):
+        H + PicClass((0,) * 10)
+    assert PicClass((True,) + (0,) * 8) == H  # an int subclass is an int
 
 
 def test_span_rejects_non_kperp_and_dependent():
@@ -209,6 +214,33 @@ def test_weyl_moved_bases_give_the_same_vectors(c):
         for n, vectors in want.items():
             got = enumerate_vectors(moved, n)
             assert len(got) == len(vectors) and set(got) == vectors
+
+
+def test_bulk_conversion_equals_from_coordinates(kperp):
+    lattices = [real_forms.lambda_basis(c.id) for c in real_forms.deformation_classes()]
+    lattices += [kperp] + [m for _, moved in properties.weyl_images(20, random.Random(properties.SEED))
+                           for m in moved]
+    assert len(lattices) == 11 + 1 + 160
+    for lat in lattices:
+        for n in (-2, -4, -6, -8):
+            coords = enumerate_coordinates(lat, n)
+            assert lat.pic_coordinates(coords) == [lat.from_coordinates(x).coeffs for x in coords]
+
+
+def test_bulk_conversion_of_rank_zero_and_of_no_vectors(kperp):
+    zero = Sublattice.span([])
+    assert zero.pic_coordinates([]) == kperp.pic_coordinates([]) == []
+    assert zero.pic_coordinates([(), ()]) == [zero.from_coordinates(()).coeffs] * 2
+
+
+def test_a_basis_over_the_lane_bound_raises():
+    e = pic(0, 1, -1, 0, 0, 0, 0, 0, 0)
+    edge, over = Sublattice.span([127 * e]), Sublattice.span([64 * e])
+    assert edge.pic_coordinates([(1,), (-1,)]) == [(127 * e).coeffs, (-127 * e).coeffs]
+    with pytest.raises(LatticeError, match="lane bound 128 exceeds 127"):
+        over.pic_coordinates([(1,), (-2,)])
+    # enumerate_vectors converts such a list one vector at a time.
+    assert enumerate_vectors(over, 4 * over.gram[0][0]) == [-128 * e, 128 * e]
 
 
 def test_integer_kernel_saturation():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -198,6 +199,41 @@ def test_each_seeded_property_draws_alone(monkeypatch):
     monkeypatch.undo()
     for name, n in sizes.items():
         assert getattr(properties, name)(n, random.Random(properties.SEED)) == results[name]
+
+
+class _Draws(random.Random):
+    """A generator that logs every bounded draw (behind randrange and choice) and
+    every random(): the instances a property draws, as data."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def _randbelow(self, n):
+        k = super()._randbelow(n)
+        self.log.append((n, k))
+        return k
+
+    def random(self):
+        x = super().random()
+        self.log.append(x)
+        return x
+
+
+# (instances, draws, sha256 prefix of the draw log) of each seeded property at SEED.
+DRAWS = {
+    "quadratic_law_code": (1000, 19000, "99c957ed7bed5960"),
+    "quadratic_law_basis": (1000, 18170, "be2f712c4f7523fd"),
+    "reflection_properties": (1000, 19000, "8c16a889838ea489"),
+    "weyl_basis_robustness": (20, 734, "d83b9557e74443d4"),
+}
+
+
+def test_each_seeded_property_draws_the_pinned_instances():
+    for name, (n, draws, digest) in DRAWS.items():
+        rng = _Draws(properties.SEED)
+        assert getattr(properties, name)(n, rng).failures == 0
+        assert (len(rng.log), hashlib.sha256(repr(rng.log).encode()).hexdigest()[:16]) == (draws, digest)
 
 
 def test_vanishing_basis_values():
