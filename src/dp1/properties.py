@@ -1,9 +1,9 @@
-"""Seeded randomized property suite shared by the test suite and the verifier.
+"""Seeded randomized property suite.
 
 Every property runs a fixed number of deterministic instances (fixed seed) and
-reports instance/failure counts, so the CLI report and pytest see the same
-evidence.
-"""
+reports instance/failure counts.  The tier-1 suite runs all nine via `run_all`;
+`verify` reports only `cremona_compatibility` and `box_scan_oracle`, which no
+other record decides."""
 
 from __future__ import annotations
 
@@ -250,12 +250,6 @@ def alpha_qhat_consistency() -> PropertyResult:
                 checks += 1
                 fails += pin.qhat_code(c.code, b.alpha) != b.qhat
     return PropertyResult("alpha_qhat_consistency", checks, fails)
-
-
-# The property names, in run_all's order.
-NAMES = ("quadratic_law_code", "quadratic_law_basis", "reflection_properties",
-         "minus_k_value_all_codes", "cremona_compatibility", "weyl_basis_robustness",
-         "enumeration_closure", "box_scan_oracle", "alpha_qhat_consistency")
 
 
 def run_all(seed: int = SEED) -> list[PropertyResult]:

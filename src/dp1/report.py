@@ -229,14 +229,15 @@ def _cross_model_checks(c: real_forms.DeformationClass) -> list[_Check]:
 
 
 def _property_checks() -> list[_Check]:
-    suite = cache(lambda: {res.name: res for res in properties.run_all()})
-
+    # The two properties no other record decides, each run by its own thunk; the
+    # other seven of properties.run_all are tier-1 tests of the implementation.
     def counts(name: str) -> tuple[list[int], list[int]]:
-        res = suite()[name]
+        res = getattr(properties, name)()
         return [res.instances, 0], [res.instances, res.failures]
 
     return [_Check(f"property:{name}", f"property/{name}", ENUMERATED, (),
-                   lambda name=name: counts(name)) for name in properties.NAMES]
+                   lambda name=name: counts(name))
+            for name in ("cremona_compatibility", "box_scan_oracle")]
 
 
 def _checks() -> list[_Check]:

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import clear_model_caches, corrupt_4a1_embedding, model_caches, vanishing_qhat
-from dp1 import counting, golden, lattice, pin, real_forms, report, roots, wallcross
+from dp1 import counting, golden, lattice, pin, properties, real_forms, report, roots, wallcross
 from dp1.counting import (
     TableRow,
     b_classes,
@@ -266,6 +266,16 @@ def _identity_cremona_move(monkeypatch):
     monkeypatch.setattr(pin, "cremona_code", lambda code, i, j, k: code)
 
 
+def _drop_last_rank_2_vector(monkeypatch):
+    good = lattice._search
+
+    def bad(gram, norm):
+        out = good(gram, norm)
+        return out[:-1] if len(gram) == 2 else out
+
+    monkeypatch.setattr(lattice, "_search", bad)
+
+
 def _empty_splitting_4_2(monkeypatch):
     monkeypatch.setitem(wallcross.SPLITTING_TABLE, (4, 2), ())
 
@@ -380,6 +390,12 @@ FAULTS = {
         "dual_involutive"}),
     "row_form_c0_plus_1_globally": (GLOBAL, _shift_row_form("c0"), {"identity_total_30_poly"}),
     "row_forms_c2_minus_1_c4_plus_1": (GLOBAL, _shift_c2_down_c4_up, {"identity_pair_96_poly"}),
+    # The two properties verify keeps.  In the full scope the identity move also
+    # fails both normalize_*_seed records.
+    "cremona_move_is_identity_globally": (GLOBAL, _identity_cremona_move, {
+        "property:cremona_compatibility"}),
+    "rank_2_search_drops_its_last_vector": (GLOBAL, _drop_last_rank_2_vector, {
+        "property:box_scan_oracle"}),
 }
 
 
@@ -396,8 +412,7 @@ def test_full_build_searches_once_per_gram_and_norm(fresh_caches):
     # returns before the cache, so the other 41 are each searched once.
     build_records("all")
     info = lattice._search.cache_info()
-    assert (info.misses, info.currsize) == (41, 41)
-    assert info.hits > 300
+    assert (info.hits, info.misses, info.currsize) == (23, 41, 41)
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
@@ -407,17 +422,31 @@ def test_fault_injection_matrix(fresh_caches, monkeypatch, fault):
     assert _failed_records(scope)[1] == failing
 
 
-# No fault row fails these yet.
-UNCAUGHT = {f"property:{name}" for name in (
-    "quadratic_law_code", "quadratic_law_basis", "reflection_properties",
-    "minus_k_value_all_codes", "cremona_compatibility", "weyl_basis_robustness",
-    "enumeration_closure", "box_scan_oracle", "alpha_qhat_consistency")}
-
-
 def test_every_record_family_has_a_fault():
     # The family of a record is its name before the first ":".
     caught = {name.split(":")[0] for _, _, failing in FAULTS.values() for name in failing}
-    assert {r.name for r in build_records("all") if r.name.split(":")[0] not in caught} == UNCAUGHT
+    assert {r.name for r in build_records("all") if r.name.split(":")[0] not in caught} == set()
+
+
+def test_a_raising_property_fails_only_its_own_record(monkeypatch):
+    # Each property record runs its own property, never the whole suite.
+    suite_runs = []
+    run_all = properties.run_all
+
+    def broken():
+        raise ValueError("box scan broke")
+
+    def counted(*args):
+        suite_runs.append(args)
+        return run_all(*args)
+
+    monkeypatch.setattr(properties, "box_scan_oracle", broken)
+    monkeypatch.setattr(properties, "run_all", counted)
+    records = {r.name: r for r in build_records("all")}
+    assert {name for name, r in records.items() if not r.passed} == {"property:box_scan_oracle"}
+    assert records["property:box_scan_oracle"].actual == "error: ValueError: box scan broke"
+    assert records["property:cremona_compatibility"].passed
+    assert suite_runs == []
 
 
 def test_scoped_build_groups_each_level_stratum_once(fresh_caches, monkeypatch):
