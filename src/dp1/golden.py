@@ -4,7 +4,8 @@ Tables 2-5 list coefficient types of real roots / degree-2 classes for the two
 code-model classes, as (level, real-coefficient signature, pair coefficient,
 count, qhat).  Table 6 is the 6-column grid of per-stratum signed totals per
 Smith type; table 7 the per-degeneration balance formulas.  Root and
-four-vector cardinalities per class close the set.
+four-vector cardinalities per class, and the instance counts of the two
+properties `verify` runs, close the set.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ TABLE7 = (
     ("2,2", "(4,0) or (2,2)", lambda r, rd: -2 * (r - rd)),
 )
 
+# -- Root cardinalities of the simply-laced systems this project meets.
+ROOT_COUNTS = {
+    "0": 0, "A1": 2, "2A1": 4, "3A1": 6, "4A1": 8,
+    "D4": 24, "D4+A1": 26, "D6": 60, "E7": 126, "E8": 240,
+}
+
 # -- Cardinalities of the four-vector sets per lambda type.
 FOUR_VECTOR_COUNTS = {
     "E8": 2160, "E7": 756, "D6": 252, "D4+A1": 72, "4A1": 24, "D4": 24,
@@ -124,3 +131,7 @@ FOUR_VECTOR_COUNTS = {
 # roots plus nine of the fifteen sign-pattern families carry value 0, the
 # remaining six families carry value 2 (16 vectors per family): 156 vs 96.
 D6_FOUR_SPLIT = {0: 156, 2: 96}
+
+# -- Instances of the two properties `verify` runs: every Cremona move on the
+# simple roots of both code models, and four norms on each of five box-scan lattices.
+PROPERTY_INSTANCES = {"cremona_compatibility": 630, "box_scan_oracle": 20}

@@ -3,8 +3,8 @@
 Divisor classes are integer 9-tuples in the ordered basis (h, l1, ..., l8)
 with the diagonal intersection form h.h = +1, li.li = -1.  Everything here is
 integer or Fraction arithmetic; no floats enter any decision.  Fractions appear
-only in the once-per-gram LDL and the coordinate solves: the short-vector search
-itself runs on integers.
+only in the once-per-gram LDL (and `_search`'s scaling of it to integers): the
+short-vector search and the coordinate solves run on integers.
 """
 
 from __future__ import annotations
@@ -158,21 +158,17 @@ class Sublattice:
         return list(zip(*lanes))
 
     def coordinates_of(self, x: PicClass) -> tuple[int, ...]:
-        """Integer coordinates of x in this basis; raises if x is outside the span."""
-        if not self.basis:
-            if x == ZERO:
-                return ()
-            raise LatticeError(f"{x} is not in the zero lattice")
-        rhs = [Fraction(b.dot(x)) for b in self.basis]
-        sol = _solve_fraction_system([[Fraction(v) for v in row] for row in self.gram], rhs)
-        coords = []
-        for v in sol:
-            if v.denominator != 1:
-                raise LatticeError(f"{x} has non-integral coordinates in the given basis")
-            coords.append(int(v))
-        if self.from_coordinates(tuple(coords)) != x:
+        """Integer coordinates of x in this basis; raises if x is outside the span.
+        The basis is independent, so the integer relations among b_1..b_r and x
+        are the multiples of one primitive (n, m): x is in the span iff m = +-1,
+        and then x = -m * sum n_i b_i."""
+        relations = integer_kernel(list(zip(*(b.coeffs for b in self.basis), x.coeffs)), self.rank + 1)
+        if not relations:
             raise LatticeError(f"{x} is not in the span of the given basis")
-        return tuple(coords)
+        *n, m = relations[0]
+        if abs(m) != 1:
+            raise LatticeError(f"{x} has non-integral coordinates in the given basis")
+        return tuple(-m * a for a in n)
 
 
 def _ldl(q: list[list[Fraction | int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -196,23 +192,6 @@ def _ldl(q: list[list[Fraction | int]]) -> tuple[list[Fraction], list[list[Fract
             for c in range(r, k):
                 a[r][c] -= a[i][r] * a[i][c] / piv
     return d, u
-
-
-def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    k = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            raise LatticeError("singular coordinate system")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][k] for i in range(k)]
 
 
 def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:

@@ -11,7 +11,7 @@ import itertools
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isqrt
 from operator import mul
 
 from . import counting, pin, real_forms
@@ -20,7 +20,6 @@ from .lattice import (
     ZERO,
     PicClass,
     Sublattice,
-    _solve_fraction_system,
     enumerate_coordinates,
     enumerate_vectors,
     pic,
@@ -202,19 +201,21 @@ def enumeration_closure() -> PropertyResult:
     return PropertyResult("enumeration_closure", checks, fails)
 
 
+def _det(m: list[list[int]]) -> int:
+    """Integer determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]))
+
+
 def _box_scan(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
-    """Independent oracle: scan the full coordinate box |x_i| <= sqrt(n * (Q^-1)_ii)."""
-    k = lat.rank
-    q = [[Fraction(-lat.gram[i][j]) for j in range(k)] for i in range(k)]
-    n = -norm
-    bounds = []
-    for i in range(k):
-        # (Q^-1)_ii is entry i of the solution of Q y = e_i.
-        b = n * _solve_fraction_system(q, [Fraction(int(i == j)) for j in range(k)])[i]
-        r = 0
-        while (r + 1) * (r + 1) <= b:
-            r += 1
-        bounds.append(r)
+    """Independent oracle: scan the full coordinate box |x_i| <= sqrt(n * (Q^-1)_ii),
+    with (Q^-1)_ii = det(Q without row and column i) / det(Q) by Cramer's rule."""
+    q = [[-x for x in row] for row in lat.gram]
+    n, det_q = -norm, _det(q)
+    bounds = [isqrt(n * _det([row[:i] + row[i + 1:] for j, row in enumerate(q) if j != i]) // det_q)
+              for i in range(lat.rank)]
     return sorted(x for x in itertools.product(*[range(-b, b + 1) for b in bounds])
                   if sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, lat.gram)) == norm)
 

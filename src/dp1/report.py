@@ -20,7 +20,7 @@ from functools import cache
 from typing import Any, Callable
 
 from . import counting, golden, pin, properties, real_forms, wallcross
-from .roots import ROOT_COUNTS, root_system_type
+from .roots import root_system_type
 
 ENUMERATED = "enumerated"
 CITED = "cited-formula"
@@ -157,7 +157,7 @@ def _class_checks(c: real_forms.DeformationClass) -> list[_Check]:
             real_forms.get_class(c.bertini_dual_id).lambda_type,
             root_system_type(real_forms.orthogonal_complement(real_forms.lambda_basis(cid))))),
         _Check(f"card_roots:{cid}", "table1/root-count", ENUMERATED, cs,
-               lambda: (ROOT_COUNTS[c.lambda_type], len(counting.b_classes(c, 1)))),
+               lambda: (golden.ROOT_COUNTS[c.lambda_type], len(counting.b_classes(c, 1)))),
         _Check(f"card_four_vectors:{cid}", "four-vector-count", ENUMERATED, cs,
                lambda: (golden.FOUR_VECTOR_COUNTS[c.lambda_type], len(counting.b_classes(c, 2)))),
         _Check(f"root_sum:{cid}", "eq:rank-sum", ENUMERATED, cs,
@@ -233,11 +233,11 @@ def _property_checks() -> list[_Check]:
     # other seven of properties.run_all are tier-1 tests of the implementation.
     def counts(name: str) -> tuple[list[int], list[int]]:
         res = getattr(properties, name)()
-        return [res.instances, 0], [res.instances, res.failures]
+        return [golden.PROPERTY_INSTANCES[name], 0], [res.instances, res.failures]
 
     return [_Check(f"property:{name}", f"property/{name}", ENUMERATED, (),
                    lambda name=name: counts(name))
-            for name in ("cremona_compatibility", "box_scan_oracle")]
+            for name in golden.PROPERTY_INSTANCES]
 
 
 def _checks() -> list[_Check]:

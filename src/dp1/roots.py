@@ -1,22 +1,17 @@
 """Root-system identification for negative-definite sublattices of K-perp.
 
-A simple system is extracted as the indecomposable lex-positive roots; the
-component graphs are then matched against the simply-laced Dynkin shapes.
-Ordering of the returned simple roots is canonical so downstream golden
-outputs are stable.
+A simple system is extracted as the indecomposable lex-positive roots; each
+component graph is then matched once against the simply-laced Dynkin shapes.
+The sorted components give both the ADE label and the canonical order of the
+returned simple roots, so downstream golden outputs are stable.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import sub
 
 from .lattice import LatticeError, PicClass, Sublattice, enumerate_vectors
-
-# Root cardinalities of the simply-laced systems this project meets.
-ROOT_COUNTS = {
-    "0": 0, "A1": 2, "2A1": 4, "3A1": 6, "4A1": 8,
-    "D4": 24, "D4+A1": 26, "D6": 60, "E7": 126, "E8": 240,
-}
 
 
 def _lex_positive(v: PicClass) -> bool:
@@ -26,13 +21,12 @@ def _lex_positive(v: PicClass) -> bool:
     return False
 
 
-def simple_system(roots: list[PicClass]) -> list[PicClass]:
-    """Indecomposable positive roots of a root set, canonically ordered per component."""
+def _simple_roots(roots: list[PicClass]) -> list[PicClass]:
+    """Indecomposable positive roots of a root set."""
     pos = [v for v in roots if _lex_positive(v)]
     pos_set = {v.coeffs for v in pos}
     # v - v = 0 is not lex-positive, so v itself never decomposes v.
-    simple = [v for v in pos if not any(tuple(map(sub, v.coeffs, p)) in pos_set for p in pos_set)]
-    return _canonical_order(simple)
+    return [v for v in pos if not any(tuple(map(sub, v.coeffs, p)) in pos_set for p in pos_set)]
 
 
 def _components(nodes: list[PicClass]) -> list[list[int]]:
@@ -114,42 +108,21 @@ def _classify_component(nodes: list[PicClass], comp: list[int]) -> tuple[str, li
     return "unknown", comp
 
 
-def _canonical_order(simple: list[PicClass]) -> list[PicClass]:
-    if not simple:
-        return []
+def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
+    """ADE label of the root system of lat and its canonical simple system: the
+    components sorted by rank (descending), label and roots, each in Dynkin order."""
+    simple = _simple_roots(enumerate_vectors(lat, -2))
     blocks = []
     for comp in _components(simple):
         label, order = _classify_component(simple, comp)
-        rank = len(comp)
-        blocks.append((-rank, label, [simple[i] for i in order]))
-    blocks.sort(key=lambda b: (b[0], b[1], [v.coeffs for v in b[2]]))
-    out: list[PicClass] = []
-    for _, _, vs in blocks:
-        out.extend(vs)
-    return out
-
-
-def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
-    """ADE label of the root system of lat and its canonical simple system."""
-    simple = simple_system(enumerate_vectors(lat, -2))
-    if not simple:
-        return "0", []
-    labels = []
-    for comp in _components(simple):
-        label, _ = _classify_component(simple, comp)
-        if label == "unknown":
-            return "unknown", simple
-        labels.append(label)
-    labels.sort(key=lambda s: (-int(s[1:]), s[0]))
-    merged = []
-    i = 0
-    while i < len(labels):
-        j = i
-        while j < len(labels) and labels[j] == labels[i]:
-            j += 1
-        merged.append((f"{j - i}" if j - i > 1 else "") + labels[i])
-        i = j
-    return "+".join(merged), simple
+        blocks.append((label, [simple[i] for i in order]))
+    blocks.sort(key=lambda b: (-len(b[1]), b[0], [v.coeffs for v in b[1]]))
+    ordered = [v for _, vs in blocks for v in vs]
+    labels = [label for label, _ in blocks]
+    if "unknown" in labels:
+        return "unknown", ordered
+    runs = [(label, len(list(run))) for label, run in groupby(labels)]
+    return "+".join(f"{n}{label}" if n > 1 else label for label, n in runs) or "0", ordered
 
 
 def root_system_type(lat: Sublattice) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dp1 import properties, real_forms
+from dp1 import lattice, properties, real_forms
 from dp1.lattice import (
     ENUM_DEPTH_ENV,
     EnumerationDepthError,
@@ -11,6 +11,7 @@ from dp1.lattice import (
     L,
     MINUS_K,
     MINUS_2K,
+    ZERO,
     LatticeError,
     PicClass,
     Sublattice,
@@ -268,6 +269,10 @@ def test_coordinates_roundtrip(kperp):
         assert kperp.coordinates_of(v) == coords
     with pytest.raises(LatticeError):
         kperp.coordinates_of(H)
+    zero = Sublattice.span([])
+    assert zero.coordinates_of(ZERO) == ()
+    with pytest.raises(LatticeError):
+        zero.coordinates_of(H)
 
 
 def test_coordinates_rejects_non_integral():
@@ -275,3 +280,9 @@ def test_coordinates_rejects_non_integral():
     doubled = Sublattice.span([2 * e])
     with pytest.raises(LatticeError):
         doubled.coordinates_of(e)
+
+
+def test_box_scan_oracle_shares_no_private_lattice_code():
+    # The oracle checks the enumerator, so its module binds none of lattice's internals.
+    private = [v for name, v in vars(lattice).items() if name.startswith("_") and not name.startswith("__")]
+    assert [name for name, v in vars(properties).items() if any(v is p for p in private)] == []

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import BAD_4A1, corrupt_4a1_embedding
+from dp1.golden import ROOT_COUNTS
 from dp1.lattice import LatticeError, Sublattice, enumerate_vectors, pic
 from dp1.real_forms import (
     bertini_dual,
@@ -10,7 +11,7 @@ from dp1.real_forms import (
     orthogonal_complement,
     saturate,
 )
-from dp1.roots import ROOT_COUNTS, cartan_gram, root_system_type
+from dp1.roots import cartan_gram, root_system_type
 
 RANKS = {"E8": 8, "E7": 7, "D6": 6, "D4+A1": 5, "4A1": 4, "D4": 4,
          "0": 0, "A1": 1, "2A1": 2, "3A1": 3}
