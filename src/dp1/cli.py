@@ -91,7 +91,7 @@ def tables_output(n: int) -> Output:
     elif n == 6:
         rows = [{"column": col, "row": row, "value": v, "provenance": prov,
                  "anchor": f"table6/{col}/{row}"}
-                for col in golden.TABLE6_COLUMNS for row, v, prov in report.table6_cells(col)]
+                for col in golden.TABLE6 for row, v, prov in report.table6_cells(col)]
     elif n == 7:
         rows = [{"class": c.id, "type": label, "signature": sig, "formula_value": want,
                  "enumerated_value": got, "provenance": prov,
@@ -123,7 +123,7 @@ def wallcross_output(scope: str) -> Output:
             block.update({
                 "orth_root_sum": dt.orth,
                 "delta": dict(zip((t[0] for t in golden.TABLE7), dt.as_tuple())),
-                "cited": list(dt.cited),
+                "cited": list(wallcross.CITED_FIELDS),
                 "weighted_balance": dt.balance,
             })
         blocks.append(block)

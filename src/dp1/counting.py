@@ -12,11 +12,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import golden
 from .lattice import MINUS_2K, ZERO, LatticeError, PicClass, Sublattice, enumerate_coordinates
-from .pin import PAIRS, qhat_code, qhat_from_coordinates
+from .pin import code_coordinates, qhat_code, qhat_from_coordinates
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
+from .roots import lex_positive
 
 
 @dataclass(frozen=True)
@@ -101,59 +104,43 @@ def pair_signed_total(c: DeformationClass) -> int:
     return (c2_total(c) + 2 * c4_total(c)) + (c2_total(d) + 2 * c4_total(d))
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One coefficient-type row of a classification table."""
+class TableRow(NamedTuple):
+    """One coefficient-type row of a classification table, in golden row order."""
 
     level: int
     signature: tuple[int, ...]  # real exceptional coefficients, descending
-    pair_coeff: int | None
-    bilevel: tuple[int, int] | None
+    pair_coeff: int | None  # the imaginary pair's coefficient, on r = 1 codes only
     count: int
     qhat: int
 
     @property
-    def key(self) -> tuple:
-        return (self.level, self.signature, self.pair_coeff)
+    def bilevel(self) -> tuple[int, int] | None:
+        """(level, odd real coefficients) mod 2 where the row has a pair column."""
+        if self.pair_coeff is None:
+            return None
+        return self.level % 2, sum(s % 2 for s in self.signature)
 
 
-def _group_rows(items: list[tuple[int, tuple[int, ...], int | None, int]], r: int) -> list[TableRow]:
-    """Rows by (level, signature, pair, q): a q that varies on a coefficient type
-    gives that type one row per value."""
-    rows = [TableRow(level, sig, pair, (level % 2, sum(s % 2 for s in sig)) if r == 1 else None,
-                     count, q)
-            for (level, sig, pair, q), count in Counter(items).items()]
+def _table_rows(c: DeformationClass, k: int, read: Callable[[BClass], PicClass]) -> list[TableRow]:
+    """Rows by (level, signature, pair, q) of the code coordinates of read(b) over
+    B^{2k}: a q that varies on a coefficient type gives that type one row per value."""
+    code = c.code
+    if code is None:
+        raise LatticeError(f"{c.id} has no blowup-model code")
+    n_real, has_pair = code.n_real, code.r == 1
+    counts: Counter = Counter()
+    for b in b_classes(c, k):
+        x = code_coordinates(code, read(b))
+        sig = tuple(sorted(x[1 : n_real + 1], reverse=True))
+        counts[x[0], sig, x[n_real + 1] if has_pair else None, b.qhat] += 1
+    rows = [TableRow(level, sig, pair, count, q) for (level, sig, pair, q), count in counts.items()]
     rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
     return rows
 
 
-def _split_coeffs(x: PicClass, r: int) -> tuple[int, tuple[int, ...], int | None]:
-    c = x.coeffs
-    n_real = 8 - 2 * r
-    sig = tuple(sorted(c[1 : n_real + 1], reverse=True))
-    pair = c[PAIRS[0][0]] if r == 1 else None
-    return c[0], sig, pair
-
-
 def classify_roots(c: DeformationClass) -> list[TableRow]:
     """Root table of a code class: rows by (level, type), roots folded by sign."""
-    code = c.code
-    if code is None:
-        raise LatticeError(f"{c.id} has no blowup-model code")
-    items = []
-    for b in b_classes(c, 1):
-        e = b.v
-        rep = e if _sign_rep(e) else -e
-        level, sig, pair = _split_coeffs(rep, code.r)
-        items.append((level, sig, pair, b.qhat))
-    return _group_rows(items, code.r)
-
-
-def _sign_rep(v: PicClass) -> bool:
-    for x in v.coeffs:
-        if x:
-            return x > 0
-    return True
+    return _table_rows(c, 1, lambda b: b.v if lex_positive(b.v) else -b.v)
 
 
 def count_report(c: DeformationClass) -> tuple[list[list[int]], list[list[int]]]:
@@ -170,11 +157,4 @@ def classify_levels(c: DeformationClass, k: int) -> list[TableRow]:
     """Level/bi-level rows of B^{2k} for a code class."""
     if k not in (1, 2):
         raise LatticeError(f"stratum index must be 1 or 2, got {k}")
-    code = c.code
-    if code is None:
-        raise LatticeError(f"{c.id} has no blowup-model code")
-    items = []
-    for b in b_classes(c, k):
-        level, sig, pair = _split_coeffs(b.alpha, code.r)
-        items.append((level, sig, pair, b.qhat))
-    return _group_rows(items, code.r)
+    return _table_rows(c, k, attrgetter("alpha"))

@@ -79,7 +79,6 @@ TABLE5 = (
 )
 
 # -- Table 6: signed totals per Smith column, rows (c2+, c2-, c4+, c4-, c0+, c0-).
-TABLE6_COLUMNS = ("M", "M-1", "M-2", "M-3", "M-4", "(M-2)_I")
 TABLE6_ROWS = ("c2_plus", "c2_minus", "c4_plus", "c4_minus", "c0_plus", "c0_minus")
 TABLE6 = {
     "M": (-128, 0, 112, 0, 46, 30),

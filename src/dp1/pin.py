@@ -13,15 +13,17 @@ which is the quadratic law q(x+y) = q(x) + q(y) + 2(x.y) summed over the basis
 * a root basis of the class lattice on which q vanishes: twist (2, ..., 2).
 
 Cremona moves act on codes exactly as the corresponding reflections act on
-classes.
+classes; `moves`, `apply_move` and `move_root` state the move set, its action
+and each move's reflection root once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
-from .lattice import LatticeError, PicClass
+from .lattice import LatticeError, PicClass, pic
 
 Move = tuple  # ("cremona", i, j, k) or ("swap", i)
 
@@ -62,19 +64,21 @@ POSITIVE_CODE = Code((1,) * 9)  # M-connected, 8 real points
 NEGATIVE_CODE = Code((3,) * 7)  # M-1-connected, 6 real points + 1 imaginary pair
 
 
-def check_real(code: Code, x: PicClass) -> None:
+def code_coordinates(code: Code, x: PicClass) -> tuple[int, ...]:
+    """Coordinates of a real class over {h, real l_i, pair sums}: c0, the real c_i
+    and the first slot of each imaginary pair."""
+    c = x.coeffs
+    coords = c[: code.n_real + 1]
     for i, j in PAIRS[: code.r]:
-        if x.coeffs[i] != x.coeffs[j]:
+        if c[i] != c[j]:
             raise LatticeError(f"{x} is not real for a code with {code.r} imaginary pairs")
+        coords += (c[i],)
+    return coords
 
 
 def qhat_code(code: Code, x: PicClass) -> int:
-    """Value on a real class via the code: its coordinates over {h, real l_i,
-    pair sums} are c0, the real c_i and the first slot of each imaginary pair."""
-    check_real(code, x)
-    c = x.coeffs
-    coords = c[: code.n_real + 1] + tuple(c[i] for i, _ in PAIRS[: code.r])
-    return qhat_from_coordinates(coords, x.square, code.twist)
+    """Value on a real class via the code's twist on its code coordinates."""
+    return qhat_from_coordinates(code_coordinates(code, x), x.square, code.twist)
 
 
 def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int, ...]) -> int:
@@ -108,23 +112,38 @@ def cremona_imaginary(code: Code, i: int) -> Code:
     return Code(tuple(a))
 
 
+def moves(code: Code) -> list[Move]:
+    """Every Cremona move on codes of this shape: the real triples i < j < k in
+    lexicographic order, then, with an imaginary pair, each real index's swap."""
+    real = range(1, code.n_real + 1)
+    swaps = [("swap", i) for i in real] if code.r else []
+    return [("cremona", *ijk) for ijk in combinations(real, 3)] + swaps
+
+
+def apply_move(code: Code, move: Move) -> Code:
+    """The code after one move of `moves`."""
+    kind, *idx = move
+    return cremona_code(code, *idx) if kind == "cremona" else cremona_imaginary(code, *idx)
+
+
+def move_root(move: Move) -> PicClass:
+    """The root whose reflection acts on classes as the move acts on codes:
+    h - l_i - l_j - l_k for a triple, h - l_i minus the first imaginary pair for a swap."""
+    kind, *idx = move
+    slots = idx if kind == "cremona" else (*idx, *PAIRS[0])
+    return pic(1, *(-1 if t in slots else 0 for t in range(1, 9)))
+
+
 def reachable_codes(code: Code) -> dict[tuple[int, ...], list[Move]]:
     """All codes reachable by Cremona moves, with a witnessing move sequence each."""
     seen: dict[tuple[int, ...], list[Move]] = {code.residues: []}
     queue = deque([code])
-    n = code.n_real
+    steps = moves(code)
     while queue:
         cur = queue.popleft()
         path = seen[cur.residues]
-        nxt: list[tuple[Move, Code]] = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    nxt.append((("cremona", i, j, k), cremona_code(cur, i, j, k)))
-        if code.r >= 1:
-            for i in range(1, n + 1):
-                nxt.append((("swap", i), cremona_imaginary(cur, i)))
-        for move, new in nxt:
+        for move in steps:
+            new = apply_move(cur, move)
             if new.residues not in seen:
                 seen[new.residues] = path + [move]
                 queue.append(new)

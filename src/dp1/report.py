@@ -55,11 +55,8 @@ class _Check:
                                   passed, self.classes)
 
 
-def _rows_as_lists(rows) -> list[list]:
-    return sorted([r.level, list(r.signature), r.pair_coeff, r.count, r.qhat] for r in rows)
-
-
-def _golden_rows(table) -> list[list]:
+def _row_lists(table) -> list[list]:
+    """Sorted (level, signature, pair, count, qhat) rows, golden or enumerated, as lists."""
     return sorted([lvl, list(sig), pair, count, qhat] for lvl, sig, pair, count, qhat in table)
 
 
@@ -102,8 +99,8 @@ def table7_cells(c: real_forms.DeformationClass) -> list[tuple[str, str, int, in
     Table 7 row of one class, enumerated at its first vanishing root if any."""
     roots = wallcross.vanishing_roots(c)
     dt = wallcross.delta_table(c, roots[0]) if roots else None
-    cited = dt.cited if dt else ()
-    return [(label, sig, want, getattr(dt, field, None), CITED if field in cited else ENUMERATED)
+    return [(label, sig, want, getattr(dt, field, None),
+             CITED if field in wallcross.CITED_FIELDS else ENUMERATED)
             for (label, sig, _), want, field in zip(golden.TABLE7, wallcross.delta_expected(c),
                                                     wallcross.DELTA_FIELDS)]
 
@@ -188,14 +185,15 @@ def _pair_checks(c: real_forms.DeformationClass, d: real_forms.DeformationClass)
 def _table_checks() -> list[_Check]:
     rows = {n: cache(lambda n=n: table_rows(n)) for n in TABLES}
     checks = [_Check(f"table{n}_rows", f"table{n}/rows", ENUMERATED, (cid,),
-                     lambda n=n: (_golden_rows(TABLES[n][0]), _rows_as_lists(rows[n]())))
+                     lambda n=n: (_row_lists(TABLES[n][0]), _row_lists(rows[n]())))
               for n, (_, cid, _) in TABLES.items()]
 
     # The bi-level rule q = level + odd real coefficients (mod 4) on every E7 row:
     # B^2 and Table 5's B^4.  Lists the [stratum, level, signature, pair] breaking it.
     def bilevel_breaks() -> list[list]:
         b2 = counting.classify_levels(real_forms.get_class("M-1-connected"), 1)
-        return [[s, *r.key] for s, strat in ((2, b2), (4, rows[5]())) for r in strat
+        return [[s, r.level, r.signature, r.pair_coeff]
+                for s, strat in ((2, b2), (4, rows[5]())) for r in strat
                 if (r.bilevel[0] + r.bilevel[1]) % 4 != r.qhat]
 
     return checks + [_Check("table5_bilevel_rule", "table5/bilevel", ENUMERATED,
@@ -248,7 +246,7 @@ def _checks() -> list[_Check]:
         *(ch for c in classes for ch in _class_checks(c)),
         *(ch for c, d in real_forms.bertini_pairs() for ch in _pair_checks(c, d)),
         *_table_checks(),
-        *(ch for col in golden.TABLE6_COLUMNS for ch in _table6_checks(col)),
+        *(ch for col in golden.TABLE6 for ch in _table6_checks(col)),
         *(ch for c in classes if c.code is not None for ch in _cross_model_checks(c)),
         *_property_checks(),
     ]

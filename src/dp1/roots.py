@@ -14,7 +14,8 @@ from operator import sub
 from .lattice import LatticeError, PicClass, Sublattice, enumerate_vectors
 
 
-def _lex_positive(v: PicClass) -> bool:
+def lex_positive(v: PicClass) -> bool:
+    """Whether the first nonzero coefficient is positive (never for zero)."""
     for c in v.coeffs:
         if c:
             return c > 0
@@ -23,13 +24,14 @@ def _lex_positive(v: PicClass) -> bool:
 
 def _simple_roots(roots: list[PicClass]) -> list[PicClass]:
     """Indecomposable positive roots of a root set."""
-    pos = [v for v in roots if _lex_positive(v)]
+    pos = [v for v in roots if lex_positive(v)]
     pos_set = {v.coeffs for v in pos}
     # v - v = 0 is not lex-positive, so v itself never decomposes v.
     return [v for v in pos if not any(tuple(map(sub, v.coeffs, p)) in pos_set for p in pos_set)]
 
 
-def _components(nodes: list[PicClass]) -> list[list[int]]:
+def _components(nodes: list[PicClass]) -> tuple[list[list[int]], list[list[int]]]:
+    """The adjacency lists of the simple system's graph and its components."""
     n = len(nodes)
     adj = [[] for _ in range(n)]
     for i in range(n):
@@ -55,10 +57,10 @@ def _components(nodes: list[PicClass]) -> list[list[int]]:
                     seen.add(j)
                     stack.append(j)
         comps.append(sorted(comp))
-    return comps
+    return adj, comps
 
 
-def _walk_arm(adj: dict[int, list[int]], start: int, first: int) -> list[int]:
+def _walk_arm(adj: list[list[int]], start: int, first: int) -> list[int]:
     arm = [first]
     prev, cur = start, first
     while True:
@@ -71,13 +73,8 @@ def _walk_arm(adj: dict[int, list[int]], start: int, first: int) -> list[int]:
         arm.append(cur)
 
 
-def _classify_component(nodes: list[PicClass], comp: list[int]) -> tuple[str, list[int]]:
-    adj: dict[int, list[int]] = {i: [] for i in comp}
-    for a in comp:
-        for b in comp:
-            if a < b and nodes[a].dot(nodes[b]) == 1:
-                adj[a].append(b)
-                adj[b].append(a)
+def _classify_component(nodes: list[PicClass], adj: list[list[int]],
+                        comp: list[int]) -> tuple[str, list[int]]:
     n = len(comp)
     if n == 1:
         return "A1", comp
@@ -113,8 +110,9 @@ def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
     components sorted by rank (descending), label and roots, each in Dynkin order."""
     simple = _simple_roots(enumerate_vectors(lat, -2))
     blocks = []
-    for comp in _components(simple):
-        label, order = _classify_component(simple, comp)
+    adj, comps = _components(simple)
+    for comp in comps:
+        label, order = _classify_component(simple, adj, comp)
         blocks.append((label, [simple[i] for i in order]))
     blocks.sort(key=lambda b: (-len(b[1]), b[0], [v.coeffs for v in b[1]]))
     ordered = [v for _, vs in blocks for v in vs]

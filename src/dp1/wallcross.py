@@ -68,6 +68,8 @@ _FORM = (1,) + (-1,) * (RANK - 1)  # the intersection form on (h, l1, ..., l8)
 
 # The DeltaTable field behind each golden.TABLE7 row, in that order.
 DELTA_FIELDS = ("d41", "d42", "d20", "d21", "d22")
+# d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
+CITED_FIELDS = ("d22",)
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +162,6 @@ class DeltaTable:
     d21: int
     d22: int
     orth: int
-    cited: tuple[str, ...] = ("d22",)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return tuple(getattr(self, f) for f in DELTA_FIELDS)

@@ -81,7 +81,7 @@ def test_criterion_4_four_vector_sums(all_classes):
 
 
 def test_criterion_5_table6_grid():
-    for col in golden.TABLE6_COLUMNS:
+    for col in golden.TABLE6:
         plus, minus = (real_forms.get_class(i) for i in golden.TABLE6_PAIRS[col])
         actual = (counting.c2_total(plus), counting.c2_total(minus),
                   counting.c4_total(plus), counting.c4_total(minus),

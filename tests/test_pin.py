@@ -1,10 +1,12 @@
 import hashlib
-import itertools
+import importlib
+import pkgutil
 import random
 
 import pytest
 
 from conftest import root_h3, vanishing_qhat
+import dp1
 from dp1 import pin, properties
 from dp1.lattice import MINUS_K, MINUS_2K, LatticeError, ZERO, enumerate_vectors, pic, reflect
 from dp1.pin import (
@@ -92,8 +94,7 @@ def test_normalize_positive_seed():
     assert best.residues == (1,) * 9
     code = seed
     for move in moves:
-        code = (cremona_code(code, *move[1:]) if move[0] == "cremona"
-                else cremona_imaginary(code, move[1]))
+        code = pin.apply_move(code, move)
     assert code.residues == best.residues
 
 
@@ -103,8 +104,7 @@ def test_normalize_negative_seed_reaches_all_minus():
     assert (3,) * 7 in seen
     code = seed
     for move in seen[(3,) * 7]:
-        code = (cremona_code(code, *move[1:]) if move[0] == "cremona"
-                else cremona_imaginary(code, move[1]))
+        code = pin.apply_move(code, move)
     assert code.residues == (3,) * 7
 
 
@@ -112,6 +112,24 @@ def test_normalize_all_plus_is_fixed():
     best, moves = normalize_code(POSITIVE_CODE)
     assert best.residues == POSITIVE_CODE.residues
     assert moves == []
+
+
+def test_move_set_and_roots():
+    # Lexicographic triples, then the swaps: normalize_code's witnesses follow this order.
+    e8, e7 = pin.moves(POSITIVE_CODE), pin.moves(NEGATIVE_CODE)
+    assert (len(e8), len(e7)) == (56, 26)
+    assert e8[:2] == [("cremona", 1, 2, 3), ("cremona", 1, 2, 4)] and e8[-1] == ("cremona", 6, 7, 8)
+    assert e7[19:] == [("cremona", 4, 5, 6)] + [("swap", i) for i in range(1, 7)]
+    assert pin.move_root(("cremona", 2, 4, 8)) == root_h3(2, 4, 8)
+    assert pin.move_root(("swap", 3)) == root_h3(3, 7, 8)
+    assert pin.apply_move(NEGATIVE_CODE, ("swap", 2)) == cremona_imaginary(NEGATIVE_CODE, 2)
+
+
+def test_code_coordinates_read_h_the_real_classes_and_each_pair_once():
+    x = pic(2, -1, -1, 0, 0, 0, 0, -3, -3)
+    assert pin.code_coordinates(POSITIVE_CODE, x) == x.coeffs
+    assert pin.code_coordinates(NEGATIVE_CODE, x) == (2, -1, -1, 0, 0, 0, 0, -3)
+    assert pin.code_coordinates(pin.Code((1, 1, 3)), x) == (2, -1, -1, -3, 0, 0)
 
 
 def test_cremona_matches_reflection_spotcheck():
@@ -144,13 +162,9 @@ def _every_root_cremona_check():
     as (checks, failures)."""
     roots = {POSITIVE_CODE: enumerate_vectors(lambda_basis("M-connected"), -2),
              NEGATIVE_CODE: enumerate_vectors(lambda_basis("M-1-connected"), -2)}
-    moves = [(POSITIVE_CODE, root_h3(*ijk), pin.cremona_code(POSITIVE_CODE, *ijk))
-             for ijk in itertools.combinations(range(1, 9), 3)]
-    moves += [(NEGATIVE_CODE, root_h3(*ijk), pin.cremona_code(NEGATIVE_CODE, *ijk))
-              for ijk in itertools.combinations(range(1, 7), 3)]
-    moves += [(NEGATIVE_CODE, root_h3(i, 7, 8), pin.cremona_imaginary(NEGATIVE_CODE, i))
-              for i in range(1, 7)]
-    pairs = [(code, e, new, x) for code, e, new in moves for x in roots[code]]
+    moved = [(code, pin.move_root(move), pin.apply_move(code, move))
+             for code in roots for move in pin.moves(code)]
+    pairs = [(code, e, new, x) for code, e, new in moved for x in roots[code]]
     return len(pairs), sum(qhat_code(new, reflect(x, e)) != qhat_code(code, x)
                            for code, e, new, x in pairs)
 
@@ -254,3 +268,10 @@ def test_vanishing_basis_rejects_outside_span():
         vanishing_qhat(lat, MINUS_K)
     with pytest.raises(LatticeError):
         vanishing_qhat(lat, pic(0, 1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_only_pin_and_real_forms_bind_the_pair_layout():
+    # Code coordinates read the pairs in pin; real_forms builds the lattices from them.
+    modules = [importlib.import_module(f"dp1.{m.name}") for m in pkgutil.iter_modules(dp1.__path__)]
+    binders = sorted(m.__name__ for m in modules if hasattr(m, "PAIRS"))
+    assert binders == ["dp1.pin", "dp1.real_forms"]
