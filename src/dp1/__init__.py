@@ -30,10 +30,9 @@ from .lattice import (
 )
 from .pin import (
     Code,
-    cremona_code,
-    cremona_imaginary,
-    normalize_code,
+    apply_move,
     qhat_code,
+    reachable_codes,
 )
 from .real_forms import (
     DeformationClass,

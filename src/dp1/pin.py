@@ -14,7 +14,9 @@ which is the quadratic law q(x+y) = q(x) + q(y) + 2(x.y) summed over the basis
 
 Cremona moves act on codes exactly as the corresponding reflections act on
 classes; `moves`, `apply_move` and `move_root` state the move set, its action
-and each move's reflection root once.
+and each move's reflection root once.  `apply_move` is the one move function: it
+maps residue tuples to residue tuples, and `reachable_codes` walks whole orbits
+on them, building a `Code` only for each newly reached code.
 """
 
 from __future__ import annotations
@@ -86,32 +88,6 @@ def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int
     return (square + sum(n * t for n, t in zip(coords, twist))) % 4
 
 
-def _norm(residues: list[int]) -> tuple[int, ...]:
-    return tuple(a % 4 for a in residues)
-
-
-def cremona_code(code: Code, i: int, j: int, k: int) -> Code:
-    """Code after an elementary Cremona move based at real indices i < j < k."""
-    n = code.n_real
-    if not (1 <= i < j < k <= n):
-        raise LatticeError(f"invalid Cremona triple ({i},{j},{k}) for {n} real classes")
-    a = list(code.residues)
-    a0, ai, aj, ak = a[0], a[i], a[j], a[k]
-    a[0], a[i], a[j], a[k] = ai + aj + ak, a0 + aj + ak, a0 + ai + ak, a0 + ai + aj
-    return Code(_norm(a))
-
-
-def cremona_imaginary(code: Code, i: int) -> Code:
-    """Code after a Cremona move based at one real and one imaginary pair: swaps a0, a_i."""
-    if code.r < 1:
-        raise LatticeError("imaginary Cremona move needs at least one imaginary pair")
-    if not (1 <= i <= code.n_real):
-        raise LatticeError(f"invalid real index {i}")
-    a = list(code.residues)
-    a[0], a[i] = a[i], a[0]
-    return Code(tuple(a))
-
-
 def moves(code: Code) -> list[Move]:
     """Every Cremona move on codes of this shape: the real triples i < j < k in
     lexicographic order, then, with an imaginary pair, each real index's swap."""
@@ -120,10 +96,28 @@ def moves(code: Code) -> list[Move]:
     return [("cremona", *ijk) for ijk in combinations(real, 3)] + swaps
 
 
-def apply_move(code: Code, move: Move) -> Code:
-    """The code after one move of `moves`."""
+def apply_move(residues: tuple[int, ...], move: Move) -> tuple[int, ...]:
+    """The residues after one move of `moves`: a triple i < j < k replaces each of
+    a0, a_i, a_j, a_k with the sum of the other three mod 4; a swap, which needs an
+    imaginary pair, exchanges a0 and a_i."""
     kind, *idx = move
-    return cremona_code(code, *idx) if kind == "cremona" else cremona_imaginary(code, *idx)
+    n = len(residues) - 1
+    a = list(residues)
+    if kind == "cremona":
+        i, j, k = idx
+        if not (1 <= i < j < k <= n):
+            raise LatticeError(f"invalid Cremona triple ({i},{j},{k}) for {n} real classes")
+        total = a[0] + a[i] + a[j] + a[k]
+        for t in (0, i, j, k):
+            a[t] = (total - a[t]) % 4
+    else:
+        (i,) = idx
+        if n >= 8:
+            raise LatticeError("imaginary Cremona move needs at least one imaginary pair")
+        if not (1 <= i <= n):
+            raise LatticeError(f"invalid real index {i}")
+        a[0], a[i] = a[i], a[0]
+    return tuple(a)
 
 
 def move_root(move: Move) -> PicClass:
@@ -135,23 +129,18 @@ def move_root(move: Move) -> PicClass:
 
 
 def reachable_codes(code: Code) -> dict[tuple[int, ...], list[Move]]:
-    """All codes reachable by Cremona moves, with a witnessing move sequence each."""
+    """Every code in the Cremona orbit of `code`, in breadth-first order, with a
+    witnessing move sequence each.  The walk moves residue tuples and validates each
+    newly reached one as a `Code` once."""
     seen: dict[tuple[int, ...], list[Move]] = {code.residues: []}
-    queue = deque([code])
+    queue = deque([code.residues])
     steps = moves(code)
     while queue:
         cur = queue.popleft()
-        path = seen[cur.residues]
+        path = seen[cur]
         for move in steps:
             new = apply_move(cur, move)
-            if new.residues not in seen:
-                seen[new.residues] = path + [move]
+            if new not in seen:
+                seen[Code(new).residues] = path + [move]
                 queue.append(new)
     return seen
-
-
-def normalize_code(code: Code) -> tuple[Code, list[Move]]:
-    """Lexicographically minimal reachable code and a move sequence reaching it."""
-    seen = reachable_codes(code)
-    best = min(seen)
-    return Code(best), seen[best]

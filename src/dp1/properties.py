@@ -141,7 +141,7 @@ def cremona_compatibility() -> PropertyResult:
     vanishes on a Z-basis of it."""
     simple = {pin.POSITIVE_CODE: real_forms.lambda_basis("M-connected").basis,
               pin.NEGATIVE_CODE: real_forms.lambda_basis("M-1-connected").basis}
-    moved = [(code, pin.move_root(move), pin.apply_move(code, move))
+    moved = [(code, pin.move_root(move), pin.Code(pin.apply_move(code.residues, move)))
              for code in simple for move in pin.moves(code)]
     pairs = [(code, e, new, x) for code, e, new in moved for x in simple[code]]
     fails = sum(pin.qhat_code(new, reflect(x, e)) != pin.qhat_code(code, x) for code, e, new, x in pairs)

@@ -92,10 +92,12 @@ def test_tables_7_rows(capsys):
 
 def test_tables_7_d22_is_cited_in_every_class():
     # d22 = 2(chi - 1) is the cited Euler input, also where no vanishing root
-    # gives the other four rows an enumerated value.
+    # gives the other four rows an enumerated value.  A row without an enumerated
+    # value (all of M-split's) is the cited formula alone.
     rows = cli.tables_output(7).payload["rows"]
     assert {r["class"]: r["provenance"] for r in rows if r["type"] == "2,2"} == {
         c.id: "cited-formula" for c in real_forms.deformation_classes()}
+    assert {r["provenance"] for r in rows if r["enumerated_value"] is None} == {"cited-formula"}
 
 
 def test_enumerate_stratum(capsys):
@@ -309,7 +311,9 @@ def test_scoped_verify_skips_the_dual_wall_crossing(monkeypatch, capsys):
 # The full verify pin alone was re-taken when the seven property records that
 # other records or arguments decide left verify.  The tables 7 pin was re-taken
 # when M-split's 2,2 row became cited-formula like every other class's (it has no
-# vanishing root, and had fallen back to enumerated).  Any drift in the bytes fails here.
+# vanishing root, and had fallen back to enumerated), and again when M-split's other
+# four rows, with no enumerated value, became cited-formula too.  Any drift in the
+# bytes fails here.
 STDOUT_SHA256 = {
     ("classes",): "9bf77071bd9d0765f42fc2f2fb43bb2b0456997263f0861b11ae34dd277e42de",
     ("enumerate", "--class", "all"):
@@ -319,7 +323,7 @@ STDOUT_SHA256 = {
     ("tables", "4"): "26c6488172fe24cb936087592fe5bc91ed98338f1d6a64d2b6d6e7bb757319b7",
     ("tables", "5"): "c9b642844f532ab88f83cddaccc0a127b3990d8d7a9646bf3f99382fcbcfb5fb",
     ("tables", "6"): "8ce4412b247c4bc295cdb23f5dad2aec4f2b170bab500247502c4fd7a2c05e90",
-    ("tables", "7"): "52ea306baa1b9c3efc44ac7b688ee8f0b64fcd8fea7a452d883972c6a92fd6c4",
+    ("tables", "7"): "ff2eaa8f38f46b4f0f1e74b242d224d869ba5f2ce58ff2d9f0d770eb3026b154",
     ("wallcross", "--class", "all"):
         "9cf222054ed317051655c2adde92ff24c4ef327dec4638da083b7bc94eb007d8",
     ("verify",): "12592d9737bf19292c25ff0ea046d6072cf354e528d57c22dcc59e523c79470d",
@@ -337,7 +341,8 @@ def test_stdout_is_byte_identical(capsys, argv):
 
 # sha256 of stdout under --format csv and --format md, taken when the flat tables
 # were still built by a second pass over the JSON payload; the two tables 7 pins
-# were re-taken with the STDOUT_SHA256 one.  The empty M-split B^2 prints a header and no rows.
+# were re-taken with the STDOUT_SHA256 one, both times.  The empty M-split B^2
+# prints a header and no rows.
 FLAT_ARGVS = [("classes",), ("enumerate", "--class", "M-4"),
               ("enumerate", "--class", "M-split", "--stratum", "2"),
               *(("tables", str(n)) for n in range(2, 8)),
@@ -352,7 +357,7 @@ FLAT_SHA256 = dict(zip(
         "2ecfc598bcf224adcfaf67256524900b711b2654e9a77a125aa71a0e6f04baca",
         "09e6ae7270d02d672cec7cd75c6df4c9a015c5b2d03b6ca6c0e64f56c7227321",
         "1c205caa405bb1f96c5730250919f136cb4133110eda5a3630b72e0879e82cad",
-        "3d7b0087c7206fb2247395b59b8f704601b2581d71338b39395179c6913784ee",
+        "cf88f380670a3b623c6590bcf69c20befe596955ad9ddb671adfbb27013e2d09",
         "58002ef6a8d3148f2f4036cecc2178435f2702ebc87363f339dccb39b9f8b0bd",
         "0eb078051bfb5aee74c879ac23eb0a91272acc738f568d81b8cb0c38381593ea",
         "fd3f02eb48558db1a167f6d9593eed3552ff014702e5a0fea016c80c03711eca",
@@ -363,7 +368,7 @@ FLAT_SHA256 = dict(zip(
         "a7c05770eaf464df0868b64bf0f8dfb621e142cd07f7f3dc917a05c93ff75516",
         "3ee7df95e998e2705cdc10e2ae939b614d88ca72a9d63b0876c5ed2f9e6e9e05",
         "96bf36ed5279b26120270ddb5862e45bdcc14ed5ac74eeba242ec856f3e7c19d",
-        "9117c5c3461ca24d576c76cb730dc8f2b3d1225bd69f8f21210ca1b110a620de",
+        "400b37e4786d9ea36b4602e1a6373e696d4a39999619f3b720d3f7c7009aa9b8",
         "da2c07b20cf4b965266dc41f297d12722f5d5a153dfc15b6c2388778ba7c6eda",
         "fb3e02d832cbd39dd395e2b7041ff235a7792f11daaff8b14a0c33dda4917dd1",
     ]))

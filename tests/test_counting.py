@@ -263,7 +263,10 @@ def _bump_root_count(monkeypatch):
 
 
 def _identity_cremona_move(monkeypatch):
-    monkeypatch.setattr(pin, "cremona_code", lambda code, i, j, k: code)
+    # Every triple leaves the code alone; the swaps still move it.
+    good = pin.apply_move
+    monkeypatch.setattr(pin, "apply_move", lambda residues, move: (
+        residues if move[0] == "cremona" else good(residues, move)))
 
 
 def _drop_last_rank_2_vector(monkeypatch):

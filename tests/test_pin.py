@@ -13,9 +13,7 @@ from dp1.pin import (
     NEGATIVE_CODE,
     POSITIVE_CODE,
     Code,
-    cremona_code,
-    cremona_imaginary,
-    normalize_code,
+    apply_move,
     qhat_code,
     reachable_codes,
 )
@@ -55,74 +53,128 @@ def test_qhat_code_rejects_non_real():
 
 
 def test_cremona_move_rows():
-    assert cremona_code(POSITIVE_CODE, 1, 2, 3).residues[:4] == (3, 3, 3, 3)
-    mixed = Code((1, 1, 3, 3, 1, 1, 1, 1, 1))
-    assert cremona_code(mixed, 1, 2, 3).residues[:4] == (3, 3, 1, 1)
-    inert = Code((1, 1, 1, 3, 1, 1, 1, 1, 3))
-    assert cremona_code(inert, 1, 2, 3).residues == inert.residues
-    back = cremona_code(cremona_code(POSITIVE_CODE, 1, 2, 3), 1, 2, 3)
-    assert back.residues == POSITIVE_CODE.residues
+    move = ("cremona", 1, 2, 3)
+    assert apply_move(POSITIVE_CODE.residues, move)[:4] == (3, 3, 3, 3)
+    mixed = Code((1, 1, 3, 3, 1, 1, 1, 1, 1)).residues
+    assert apply_move(mixed, move)[:4] == (3, 3, 1, 1)
+    inert = Code((1, 1, 1, 3, 1, 1, 1, 1, 3)).residues
+    assert apply_move(inert, move) == inert
+    assert apply_move(apply_move(POSITIVE_CODE.residues, move), move) == POSITIVE_CODE.residues
 
 
 def test_cremona_index_validation():
     with pytest.raises(LatticeError):
-        cremona_code(POSITIVE_CODE, 2, 2, 3)
+        apply_move(POSITIVE_CODE.residues, ("cremona", 2, 2, 3))
     with pytest.raises(LatticeError):
-        cremona_code(NEGATIVE_CODE, 5, 6, 7)  # only 6 real classes at r=1
+        apply_move(NEGATIVE_CODE.residues, ("cremona", 5, 6, 7))  # only 6 real classes at r=1
     with pytest.raises(LatticeError):
-        cremona_imaginary(POSITIVE_CODE, 1)  # r = 0
+        apply_move(POSITIVE_CODE.residues, ("swap", 1))  # r = 0
+    for i in (0, 7):
+        with pytest.raises(LatticeError):
+            apply_move(NEGATIVE_CODE.residues, ("swap", i))
 
 
 def test_cremona_imaginary_swap():
-    code = Code((1, 3, 1, 1, 3, 3, 1))
-    once = cremona_imaginary(code, 1)
-    assert once.residues[0] == 3 and once.residues[1] == 1
-    assert cremona_imaginary(once, 1).residues == code.residues
+    code = Code((1, 3, 1, 1, 3, 3, 1)).residues
+    once = apply_move(code, ("swap", 1))
+    assert once[0] == 3 and once[1] == 1
+    assert apply_move(once, ("swap", 1)) == code
 
 
 def test_cremona_preserves_code_relation():
-    code = Code((1, 1, 1, 1, 1, 3, 3, 3, 3))
+    residues = (1, 1, 1, 1, 1, 3, 3, 3, 3)
     for _ in range(50):
         i, j, k = sorted(RNG.sample(range(1, 9), 3))
-        code = cremona_code(code, i, j, k)
-        assert sum(code.residues) % 4 == 1
+        residues = Code(apply_move(residues, ("cremona", i, j, k))).residues
+        assert sum(residues) % 4 == 1
+
+
+def _replay(residues, moves):
+    for move in moves:
+        residues = apply_move(residues, move)
+    return residues
 
 
 def test_normalize_positive_seed():
     seed = Code((1, 1, 1, 1, 1, 3, 3, 3, 3))
-    best, moves = normalize_code(seed)
-    assert best.residues == (1,) * 9
-    code = seed
-    for move in moves:
-        code = pin.apply_move(code, move)
-    assert code.residues == best.residues
+    seen = reachable_codes(seed)
+    best = min(seen)
+    assert best == (1,) * 9
+    assert _replay(seed.residues, seen[best]) == best
 
 
 def test_normalize_negative_seed_reaches_all_minus():
     seed = Code((1, 1, 1, 1, 3, 3, 3))
     seen = reachable_codes(seed)
     assert (3,) * 7 in seen
-    code = seed
-    for move in seen[(3,) * 7]:
-        code = pin.apply_move(code, move)
-    assert code.residues == (3,) * 7
+    assert _replay(seed.residues, seen[(3,) * 7]) == (3,) * 7
 
 
 def test_normalize_all_plus_is_fixed():
-    best, moves = normalize_code(POSITIVE_CODE)
-    assert best.residues == POSITIVE_CODE.residues
-    assert moves == []
+    seen = reachable_codes(POSITIVE_CODE)
+    best = min(seen)
+    assert best == POSITIVE_CODE.residues
+    assert seen[best] == []
+
+
+# (least code, orbit size) of each Cremona orbit of the 341 admissible codes, by
+# code length and then least code.
+ORBITS = [
+    ((1,) * 9, 135), ((1,) * 7 + (3,) * 2, 120), ((1,) + (3,) * 8, 1),
+    ((1,) * 6 + (3,), 28), ((1,) * 4 + (3,) * 3, 36),
+    ((1,) * 5, 6), ((1,) * 3 + (3,) * 2, 10),
+    ((1, 1, 3), 3), ((3, 3, 3), 1),
+    ((1,), 1),
+]
+
+
+def test_orbit_census_partitions_every_code():
+    left = {code.residues: code for code in properties._all_codes()}
+    orbits = []
+    while left:
+        seen = reachable_codes(next(iter(left.values())))
+        orbits.append((min(seen), len(seen)))
+        for residues in seen:
+            del left[residues]  # a KeyError: two orbits meet, or a walk left the codes
+    assert orbits == ORBITS
+    assert sum(size for _, size in orbits) == 341
+
+
+# (orbit size, sha256 prefix of the walk's (code, witness) items in order) per seed.
+WALKS = {
+    (1, 1, 1, 1, 1, 3, 3, 3, 3): (135, "c72c4734a556d8f5"),
+    (1, 1, 1, 1, 3, 3, 3): (36, "3abcf5b249e22b62"),
+}
+
+
+def test_orbit_walk_keeps_its_witnesses_and_builds_one_code_per_new_code(monkeypatch):
+    built = []
+    validate = Code.__post_init__
+
+    def counted(code):
+        built.append(code.residues)
+        validate(code)
+
+    monkeypatch.setattr(Code, "__post_init__", counted)
+    for seed, (size, digest) in WALKS.items():
+        built.clear()
+        seen = reachable_codes(Code(seed))
+        assert len(seen) == size
+        assert hashlib.sha256(repr(list(seen.items())).encode()).hexdigest()[:16] == digest
+        # The seed and each newly reached code are validated once, not each move's image.
+        assert len(built) <= size + 1
+        assert set(built) == set(seen)
 
 
 def test_move_set_and_roots():
-    # Lexicographic triples, then the swaps: normalize_code's witnesses follow this order.
+    # Lexicographic triples, then the swaps: reachable_codes' witnesses follow this order.
     e8, e7 = pin.moves(POSITIVE_CODE), pin.moves(NEGATIVE_CODE)
     assert (len(e8), len(e7)) == (56, 26)
     assert e8[:2] == [("cremona", 1, 2, 3), ("cremona", 1, 2, 4)] and e8[-1] == ("cremona", 6, 7, 8)
     assert e7[19:] == [("cremona", 4, 5, 6)] + [("swap", i) for i in range(1, 7)]
     assert pin.move_root(("cremona", 2, 4, 8)) == root_h3(2, 4, 8)
     assert pin.move_root(("swap", 3)) == root_h3(3, 7, 8)
-    assert pin.apply_move(NEGATIVE_CODE, ("swap", 2)) == cremona_imaginary(NEGATIVE_CODE, 2)
+    assert apply_move((1, 3, 1, 1, 1, 1, 1), ("swap", 1)) == (3, 1, 1, 1, 1, 1, 1)
 
 
 def test_code_coordinates_read_h_the_real_classes_and_each_pair_once():
@@ -134,27 +186,26 @@ def test_code_coordinates_read_h_the_real_classes_and_each_pair_once():
 
 def test_cremona_matches_reflection_spotcheck():
     e = root_h3(1, 2, 3)
-    new = cremona_code(POSITIVE_CODE, 1, 2, 3)
+    new = Code(apply_move(POSITIVE_CODE.residues, ("cremona", 1, 2, 3)))
     for x in (pic(0, 1, 0, 0, 0, 0, 0, 0, 0), pic(1, -1, -1, 0, -1, 0, 0, 0, 0), MINUS_K):
         assert qhat_code(new, reflect(x, e)) == qhat_code(POSITIVE_CODE, x)
 
 
 def _identity_moves(monkeypatch):
-    monkeypatch.setattr(pin, "cremona_code", lambda code, i, j, k: code)
-    monkeypatch.setattr(pin, "cremona_imaginary", lambda code, i: code)
+    monkeypatch.setattr(pin, "apply_move", lambda residues, move: residues)
 
 
 def _shift_two_residues(monkeypatch):
     # E8's (1,2,3) move with residues 4 and 5 moved by 2: still a valid code.
-    move = pin.cremona_code
+    good = pin.apply_move
 
-    def shifted(code, i, j, k):
-        new = move(code, i, j, k)
-        if code != POSITIVE_CODE or (i, j, k) != (1, 2, 3):
+    def shifted(residues, move):
+        new = good(residues, move)
+        if residues != POSITIVE_CODE.residues or move != ("cremona", 1, 2, 3):
             return new
-        return Code(tuple((a + 2) % 4 if t in (4, 5) else a for t, a in enumerate(new.residues)))
+        return tuple((a + 2) % 4 if t in (4, 5) else a for t, a in enumerate(new))
 
-    monkeypatch.setattr(pin, "cremona_code", shifted)
+    monkeypatch.setattr(pin, "apply_move", shifted)
 
 
 def _every_root_cremona_check():
@@ -162,7 +213,7 @@ def _every_root_cremona_check():
     as (checks, failures)."""
     roots = {POSITIVE_CODE: enumerate_vectors(lambda_basis("M-connected"), -2),
              NEGATIVE_CODE: enumerate_vectors(lambda_basis("M-1-connected"), -2)}
-    moved = [(code, pin.move_root(move), pin.apply_move(code, move))
+    moved = [(code, pin.move_root(move), Code(pin.apply_move(code.residues, move)))
              for code in roots for move in pin.moves(code)]
     pairs = [(code, e, new, x) for code, e, new in moved for x in roots[code]]
     return len(pairs), sum(qhat_code(new, reflect(x, e)) != qhat_code(code, x)
