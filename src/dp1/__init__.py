@@ -49,7 +49,6 @@ from .report import VerificationRecord, build_records, summarize
 from .roots import root_system_type
 from .wallcross import (
     DeltaTable,
-    SplittingCase,
     delta_table,
     splittings,
     vanishing_roots,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 usage or
 config error (bad arguments, a negative or non-integer DP1_MAX_ENUM_DEPTH or,
-outside verify, one below the rank an enumeration needs, an unwritable --out path).
+outside verify, one below the rank an enumeration needs, an unwritable --out path
+or stdout).
 Output is deterministic for a fixed invocation; JSON uses lower_snake_case keys
 and unquoted integers.
 """
@@ -122,15 +123,15 @@ def wallcross_output(scope: str) -> Output:
             dt = wallcross.delta_table(c, roots[0])
             block.update({
                 "orth_root_sum": dt.orth,
-                "delta": dict(zip((t[0] for t in golden.TABLE7), dt.as_tuple())),
+                "delta": dict(zip((t[0] for t in golden.TABLE7), dt)),
                 "cited": list(wallcross.CITED_FIELDS),
                 "weighted_balance": dt.balance,
             })
         blocks.append(block)
     header = ["class", "rank", "vanishing_roots", "orth_root_sum",
-              *wallcross.DELTA_FIELDS, "weighted_balance"]
+              *wallcross.DeltaTable._fields, "weighted_balance"]
     return Output({"wallcross": blocks}, header,
-                  ({**b, **dict(zip(wallcross.DELTA_FIELDS, b.get("delta", {}).values()))}
+                  ({**b, **dict(zip(wallcross.DeltaTable._fields, b.get("delta", {}).values()))}
                    for b in blocks))
 
 
@@ -161,8 +162,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise OSError("stdout is closed")
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _config_error(msg: str) -> int:
@@ -233,7 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(text, args.out)
     except OSError as err:
-        return _config_error(f"cannot write {args.out}: {err.strerror or err}")
+        return _config_error(f"cannot write {'stdout' if args.out is None else args.out}: "
+                             f"{err.strerror or err}")
     if out.summary is None:
         return EXIT_OK
     if args.verbose:

@@ -115,7 +115,8 @@ class TableRow(NamedTuple):
 
     @property
     def bilevel(self) -> tuple[int, int] | None:
-        """(level, odd real coefficients) mod 2 where the row has a pair column."""
+        """(level mod 2, number of odd real coefficients) where the row has a pair
+        column; the bi-level rule reads q = their sum mod 4."""
         if self.pair_coeff is None:
             return None
         return self.level % 2, sum(s % 2 for s in self.signature)

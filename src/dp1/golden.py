@@ -3,7 +3,8 @@
 Tables 2-5 list coefficient types of real roots / degree-2 classes for the two
 code-model classes, as (level, real-coefficient signature, pair coefficient,
 count, qhat).  Table 6 is the 6-column grid of per-stratum signed totals per
-Smith type; table 7 the per-degeneration balance formulas.  Root and
+Smith type; table 7 the per-degeneration balance formulas, and the splitting
+table the limit splittings at a vanishing root by (stratum, v.E).  Root and
 four-vector cardinalities per class, and the instance counts of the two
 properties `verify` runs, close the set.
 """
@@ -113,6 +114,22 @@ TABLE7 = (
     ("2,1", "(2,0)", lambda r, rd: 0),
     ("2,2", "(4,0) or (2,2)", lambda r, rd: -2 * (r - rd)),
 )
+
+# -- Admissible limit splittings alpha = D + rE at a vanishing root E, by
+# (stratum of alpha, v.E): rows (r, stratum of D, D.D, D.E).
+SPLITTING_TABLE = {
+    (0, 0): ((1, 2, 2, 2),),
+    (2, 1): ((1, 2, 2, 1),),
+    (2, 0): ((1, 4, 0, 2),),
+    (2, 2): ((2, 2, 2, 2),),
+    (2, -1): (),
+    (2, -2): (),
+    (4, 1): ((1, 4, 0, 1),),
+    (4, 2): ((2, 4, 0, 2),),
+    (4, 0): (),
+    (4, -1): (),
+    (4, -2): (),
+}
 
 # -- Root cardinalities of the simply-laced systems this project meets.
 ROOT_COUNTS = {

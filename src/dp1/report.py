@@ -103,7 +103,7 @@ def table7_cells(c: real_forms.DeformationClass) -> list[tuple[str, str, int, in
     return [(label, sig, want, getattr(dt, field, None),
              ENUMERATED if dt is not None and field not in wallcross.CITED_FIELDS else CITED)
             for (label, sig, _), want, field in zip(golden.TABLE7, wallcross.delta_expected(c),
-                                                    wallcross.DELTA_FIELDS)]
+                                                    wallcross.DeltaTable._fields)]
 
 
 def _structure_checks() -> list[_Check]:
@@ -121,7 +121,7 @@ def _structure_checks() -> list[_Check]:
             ).items()))),
         # One witness per (stratum, v.E) key: E8's strata are the only ones reaching all 11.
         _Check("splitting_table", "splitting-tables", ENUMERATED, ("M-connected",), lambda: (
-            sorted(wallcross.SPLITTING_TABLE.items()),
+            sorted(golden.SPLITTING_TABLE.items()),
             sorted(wallcross.splitting_summaries(real_forms.get_class("M-connected")).items()))),
         _Check("normalize_positive_seed", "code:all-plus", ENUMERATED, ("M-connected",),
                lambda: ([1] * 9, list(min(pin.reachable_codes(pin.Code((1, 1, 1, 1, 1, 3, 3, 3, 3))))))),
@@ -167,7 +167,7 @@ def _class_checks(c: real_forms.DeformationClass) -> list[_Check]:
     if c.rank:
         checks.append(_Check(f"delta_table:{cid}", "table7/rows", CITED, cs, lambda: (
             [list(wallcross.delta_expected(c))],
-            [list(d) for d in sorted({wallcross.delta_table(c, e).as_tuple()
+            [list(d) for d in sorted({wallcross.delta_table(c, e)
                                       for e in wallcross.vanishing_roots(c)})])))
     return checks
 
@@ -188,8 +188,8 @@ def _table_checks() -> list[_Check]:
                      lambda n=n: (_row_lists(TABLES[n][0]), _row_lists(rows[n]())))
               for n, (_, cid, _) in TABLES.items()]
 
-    # The bi-level rule q = level + odd real coefficients (mod 4) on every E7 row:
-    # B^2 and Table 5's B^4.  Lists the [stratum, level, signature, pair] breaking it.
+    # The bi-level rule q = (level mod 2) + odd real coefficients (mod 4) on every E7
+    # row: B^2 and Table 5's B^4.  Lists the [stratum, level, signature, pair] breaking it.
     def bilevel_breaks() -> list[list]:
         b2 = counting.classify_levels(real_forms.get_class("M-1-connected"), 1)
         return [[s, r.level, r.signature, r.pair_coeff]

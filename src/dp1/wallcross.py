@@ -5,60 +5,29 @@ A nodal degeneration contributes a root E of the class lattice with q(E) = 0.
 Curves limit onto D + rE, cut out by the filters of the degeneration analysis.
 With t = v.E they read only D.E = 2r - t, D.(-K-E) = 2 + t - 2r, and D.D and
 (-2K-D)^2, the stratum's alpha.alpha and v.v plus 2rt - 2r^2: the splittings
-are one table of (stratum, t), with |t| <= 2 by Cauchy-Schwarz, and
-`splitting_summaries` runs one class per key.  Classes pairing off under the
-reflection in E cancel and classes orthogonal to E sum to rank-linear values;
-`delta_table` counts both at one root.
+are one table of (stratum, t), with |t| <= 2 by Cauchy-Schwarz, frozen as
+`golden.SPLITTING_TABLE`, and `splitting_summaries` runs one class per key.
+Classes pairing off under the reflection in E cancel and classes orthogonal to
+E sum to rank-linear values; `delta_table` counts both at one root.
 
 The reflection facts belong to the class, not to E, and `q_index_cached` checks
-them once on the class's simple roots b: each stratum is closed under s_b and
-q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4.  The simple reflections generate the
-Weyl group and every root is conjugate to a simple one, so this is the same law
-for every root E; for q(E) = 0 it shifts q by 2 exactly when |v.E| = 1.
+them once on the class's simple roots b: B^2 and B^4 are closed under s_b and
+q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4 (B^0 is {v = 0}, which s_b fixes).  The
+simple reflections generate the Weyl group and every root is conjugate to a
+simple one, so this is the same law for every root E; for q(E) = 0 it shifts q
+by 2 exactly when |v.E| = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 from . import golden
 from .lattice import MINUS_K, MINUS_2K, RANK, LatticeError, PicClass, dot_tuples, pack_lanes
 from .counting import BClass, b_classes, sign_of
 from .real_forms import DeformationClass, get_class, lambda_basis
-
-
-@dataclass(frozen=True)
-class SplittingCase:
-    """One admissible limit splitting alpha = D + r*E."""
-
-    r: int
-    d: PicClass
-    d_square: int
-    d_dot_e: int
-    d_stratum: int  # stratum of D: 0, 2 or 4
-
-    @property
-    def summary(self) -> tuple[int, int, int, int]:
-        return (self.r, self.d_stratum, self.d_square, self.d_dot_e)
-
-
-# The admissible splittings as a function of (stratum of alpha, v.E):
-# tuples (r, stratum of D, D.D, D.E).
-SPLITTING_TABLE: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = {
-    (0, 0): ((1, 2, 2, 2),),
-    (2, 1): ((1, 2, 2, 1),),
-    (2, 0): ((1, 4, 0, 2),),
-    (2, 2): ((2, 2, 2, 2),),
-    (2, -1): (),
-    (2, -2): (),
-    (4, 1): ((1, 4, 0, 1),),
-    (4, 2): ((2, 4, 0, 2),),
-    (4, 0): (),
-    (4, -1): (),
-    (4, -2): (),
-}
 
 MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the bound
 
@@ -66,8 +35,6 @@ MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the boun
 BIAS, NEG = 64, 128
 _FORM = (1,) + (-1,) * (RANK - 1)  # the intersection form on (h, l1, ..., l8)
 
-# The DeltaTable field behind each golden.TABLE7 row, in that order.
-DELTA_FIELDS = ("d41", "d42", "d20", "d21", "d22")
 # d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
 CITED_FIELDS = ("d22",)
 
@@ -79,14 +46,14 @@ def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
 
 @lru_cache(maxsize=None)
 def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
-    """{v: q} of the B^0, B^2 and B^4 stratum vectors of the class, after checking
+    """{v: q} of the B^2 and B^4 stratum vectors of the class, after checking
     on every simple root b that s_b(v) = v + (v.b)b stays in v's stratum with
     q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4."""
     c = get_class(class_id)
-    q_of = tuple({b.v.coeffs: b.qhat for b in b_classes(c, k)} for k in (0, 1, 2))
+    q_of = tuple({b.v.coeffs: b.qhat for b in b_classes(c, k)} for k in (1, 2))
     for b in lambda_basis(class_id).basis:
         bc = b.coeffs
-        q_b = q_of[1].get(bc)
+        q_b = q_of[0].get(bc)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
         # |v.b| <= 2 by Cauchy-Schwarz; any other t takes the general path.
@@ -123,18 +90,19 @@ def vanishing_roots(c: DeformationClass) -> tuple[PicClass, ...]:
 
 
 def splitting_summaries(c: DeformationClass) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
-    """{(stratum, v.E): summaries of `splittings`} at the class's first vanishing
-    root E, each key run on its first class in stratum order."""
+    """{(stratum, v.E): `splittings`} at the class's first vanishing root E, each
+    key run on its first class in stratum order: golden.SPLITTING_TABLE's layout."""
     e = vanishing_roots(c)[0]
     witnesses: dict[tuple[int, int], BClass] = {}
     for k in (0, 1, 2):
         for b in b_classes(c, k):
             witnesses.setdefault((b.stratum, dot_tuples(b.v.coeffs, e.coeffs)), b)
-    return {key: tuple(s.summary for s in splittings(b, e)) for key, b in witnesses.items()}
+    return {key: tuple(splittings(b, e)) for key, b in witnesses.items()}
 
 
-def splittings(alpha: BClass, e: PicClass) -> list[SplittingCase]:
-    """Admissible splittings alpha = D + r*E for r >= 1.
+def splittings(alpha: BClass, e: PicClass) -> list[tuple[int, int, int, int]]:
+    """Admissible splittings alpha = D + r*E for r >= 1, as the rows
+    (r, stratum of D, D.D, D.E) of golden.SPLITTING_TABLE.
 
     Necessary conditions from the degeneration analysis: D.(-K-E) >= 0,
     D.E >= 1, D.D >= -1, and D must again be a degree-2 stratum class
@@ -147,24 +115,24 @@ def splittings(alpha: BClass, e: PicClass) -> list[SplittingCase]:
             continue
         stratum = {0: 0, -2: 2, -4: 4}.get((MINUS_2K - d).square)
         if stratum is not None:
-            cases.append(SplittingCase(r, d, d.square, d.dot(e), stratum))
+            cases.append((r, stratum, d.square, d.dot(e)))
     return cases
 
 
-@dataclass(frozen=True)
-class DeltaTable:
-    """The five signed edge-count differences of one degeneration, with the
-    orthogonal-root sum behind d42/d20."""
+class DeltaTable(NamedTuple):
+    """The five signed edge-count differences of one degeneration, in
+    golden.TABLE7 row order."""
 
     d41: int
     d42: int
     d20: int
     d21: int
     d22: int
-    orth: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return tuple(getattr(self, f) for f in DELTA_FIELDS)
+    @property
+    def orth(self) -> int:
+        """The orthogonal-root sum behind d42 and d20; always 2(r - 1)."""
+        return self.d42 // 2
 
     @property
     def balance(self) -> int:
@@ -185,7 +153,7 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
     so d21 = d41 = 0; the orthogonal sum over roots with v.E = 0 is 2(r-1);
     d22 = 2(chi - 1) is the cited Euler input.
     """
-    q_e = q_index_cached(c.id)[1].get(e.coeffs)
+    q_e = q_index_cached(c.id)[0].get(e.coeffs)
     if q_e is None:
         raise LatticeError(f"{e} is not a root of the {c.id} class lattice")
     if q_e != 0:
@@ -204,14 +172,8 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
         if n:
             raise LatticeError(f"{n} classes of B^{2 * k} of {c.id} have |v.E| > 2 for {e}")
     orth = signed[1, 0]
-    return DeltaTable(
-        d41=signed[2, 1] + signed[2, -1],
-        d42=2 * orth,
-        d20=-2 * orth,
-        d21=signed[1, 1] + signed[1, -1],
-        d22=2 * (c.euler_char - 1),
-        orth=orth,
-    )
+    return DeltaTable(signed[2, 1] + signed[2, -1], 2 * orth, -2 * orth,
+                      signed[1, 1] + signed[1, -1], 2 * (c.euler_char - 1))
 
 
 def delta_expected(c: DeformationClass) -> tuple[int, int, int, int, int]:

@@ -121,7 +121,7 @@ def test_criterion_7_wall_crossing(records, all_classes):
     for cid in ("M-connected", "M-2-connected"):
         c = real_forms.get_class(cid)
         dt = wallcross.delta_table(c, wallcross.vanishing_roots(c)[0])
-        assert dt.as_tuple() == wallcross.delta_expected(c)
+        assert dt == wallcross.delta_expected(c)
         assert dt.balance == 12
         assert dt.orth == 2 * (c.rank - 1)
     _ok(7, "splitting tables, orthogonal sums 2(r-1), cancellations, balance 12")

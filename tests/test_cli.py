@@ -136,7 +136,7 @@ def test_wallcross_deltas_match_table_7():
 def test_verify_fails_on_corrupted_splitting_table(monkeypatch, capsys):
     # B^0 is {-2K} with v = 0, so its key (0, 0) occurs at every root.  Only the
     # splitting_table record reads the table: the delta_table records stay green.
-    monkeypatch.setitem(wallcross.SPLITTING_TABLE, (0, 0), ())
+    monkeypatch.setitem(golden.SPLITTING_TABLE, (0, 0), ())
     code, out = run_cli(capsys, "verify", "--class", "M-connected")
     assert code == 1
     failing = [r["name"] for r in json.loads(out)["records"] if not r["passed"]]
@@ -204,6 +204,39 @@ def test_empty_out_path_is_a_config_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "cannot write" in err
+
+
+def _unwritable_stdout_error(**popen) -> str:
+    """The stderr of `dp1 classes` run in a child whose stdout cannot be written;
+    the child must exit 2."""
+    proc = subprocess.run([sys.executable, "-m", "dp1.cli", "classes"], stderr=subprocess.PIPE,
+                          text=True, env=child_env(), **popen)
+    assert proc.returncode == 2, proc.stderr
+    return proc.stderr
+
+
+def test_closed_stdout_is_a_config_error():
+    # A child started with descriptor 1 closed has sys.stdout None.
+    err = _unwritable_stdout_error(stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert err.count("\n") == 1 and err.startswith("dp1: error: cannot write stdout")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_config_error():
+    with open("/dev/full", "w") as full:
+        err = _unwritable_stdout_error(stdout=full)
+    assert err == "dp1: error: cannot write stdout: No space left on device\n"
+
+
+def test_verbose_adds_only_the_verify_summary_on_stderr(capsys):
+    assert cli.main(["verify", "--class", "M-4"]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["-v", "verify", "--class", "M-4"]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.err == "verify: 16 records, 0 failed\n"
+    assert verbose.out == plain.out and plain.err == ""
+    assert cli.main(["--verbose", "classes"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_scoped_passes_and_roundtrips(capsys):

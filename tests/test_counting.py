@@ -285,7 +285,7 @@ def _box_scan_without_instances(monkeypatch):
 
 
 def _empty_splitting_4_2(monkeypatch):
-    monkeypatch.setitem(wallcross.SPLITTING_TABLE, (4, 2), ())
+    monkeypatch.setitem(golden.SPLITTING_TABLE, (4, 2), ())
 
 
 def _multiplicity_capped_at_1(monkeypatch):

@@ -5,15 +5,14 @@ import pytest
 from conftest import vanishing_qhat
 from dp1 import wallcross
 from dp1.counting import BClass, b_classes, sign_of
+from dp1.golden import SPLITTING_TABLE
 from dp1.lattice import MINUS_2K, MINUS_K, LatticeError, dot_tuples
 from dp1.pin import POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.report import build_records
 from dp1.wallcross import (
     MAX_MULTIPLICITY,
-    SPLITTING_TABLE,
     DeltaTable,
-    SplittingCase,
     delta_expected,
     delta_table,
     splittings,
@@ -47,33 +46,51 @@ def test_splitting_cases_match_tables():
         b = _alpha_with(E8, stratum, t, root)
         if b is None:
             continue
-        got = tuple(s.summary for s in splittings(b, root))
+        got = tuple(splittings(b, root))
         assert got == want, (stratum, t)
+
+
+def test_wall_crossing_results_are_plain_values_in_golden_order():
+    # splittings yields golden's rows as plain tuples on every (stratum, v.E) key,
+    # and a DeltaTable is the tuple of Table 7's rows.
+    root = vanishing_roots(E8)[0]
+    for (stratum, t), want in SPLITTING_TABLE.items():
+        rows = splittings(_alpha_with(E8, stratum, t, root), root)
+        assert all(type(row) is tuple for row in rows)
+        assert tuple(rows) == want, (stratum, t)
+    assert DeltaTable._fields == ("d41", "d42", "d20", "d21", "d22")
+    classes = 0
+    for c in deformation_classes():
+        if vanishing_roots(c):
+            assert len(wallcross.q_index_cached(c.id)) == 2  # B^2 and B^4; B^0 has v = 0
+            assert {tuple(delta_table(c, e)) for e in vanishing_roots(c)} == {delta_expected(c)}
+            classes += 1
+    assert classes == 10
 
 
 def test_splitting_fixed_cases():
     root = vanishing_roots(E8)[0]
     b = _alpha_with(E8, 2, 1, root)
-    (case,) = splittings(b, root)
-    assert (case.r, case.d_square, case.d_dot_e, case.d_stratum) == (1, 2, 1, 2)
+    ((r, stratum, d_square, d_dot_e),) = splittings(b, root)
+    assert (r, d_square, d_dot_e, stratum) == (1, 2, 1, 2)
     b = _alpha_with(E8, 2, 2, root)  # e = -E
     assert b.v == -root
-    (case,) = splittings(b, root)
-    assert (case.r, case.d, case.d_square, case.d_dot_e) == (
+    ((r, _, d_square, d_dot_e),) = splittings(b, root)
+    assert (r, b.alpha - r * root, d_square, d_dot_e) == (
         2, MINUS_2K - root, 2, 2)
     (b0,) = b_classes(E8, 0)
-    (case,) = splittings(b0, root)
-    assert (case.r, case.d, case.d_dot_e) == (1, MINUS_2K - root, 2)
+    ((r, _, _, d_dot_e),) = splittings(b0, root)
+    assert (r, b0.alpha - r * root, d_dot_e) == (1, MINUS_2K - root, 2)
     b = _alpha_with(E8, 4, 2, root)
-    (case,) = splittings(b, root)
-    assert (case.r, case.d_stratum, case.d_dot_e) == (2, 4, 2)
+    ((r, stratum, _, d_dot_e),) = splittings(b, root)
+    assert (r, stratum, d_dot_e) == (2, 4, 2)
 
 
 def test_splitting_multiplicity_bounded_by_two():
     root = vanishing_roots(E8)[0]
     for k in (0, 1, 2):
         for b in b_classes(E8, k)[:300]:
-            assert all(s.r <= 2 for s in splittings(b, root))
+            assert all(r <= 2 for r, *_ in splittings(b, root))
 
 
 def test_full_alpha_sweep_single_root():
@@ -82,12 +99,12 @@ def test_full_alpha_sweep_single_root():
     for k in (0, 1, 2):
         for b in b_classes(E8, k):
             t = b.v.dot(root)
-            got = tuple(s.summary for s in splittings(b, root))
+            got = tuple(splittings(b, root))
             assert got == SPLITTING_TABLE[(b.stratum, t)]
-            for case in splittings(b, root):
-                assert case.d == b.alpha - case.r * root
-                assert case.d_square == case.d.square
-                assert case.d_dot_e == case.d.dot(root)
+            for r, _, d_square, d_dot_e in got:
+                d = b.alpha - r * root
+                assert d_square == d.square
+                assert d_dot_e == d.dot(root)
 
 
 def _reference_splittings(alpha, e):
@@ -99,7 +116,7 @@ def _reference_splittings(alpha, e):
             continue
         stratum = {0: 0, -2: 2, -4: 4}.get((MINUS_2K - d).square)
         if stratum is not None:
-            cases.append(SplittingCase(r, d, d.square, d.dot(e), stratum))
+            cases.append((r, stratum, d.square, d.dot(e)))
     return cases
 
 
@@ -114,7 +131,7 @@ def test_splittings_depend_only_on_stratum_and_t():
                 key = (b.stratum, t)
                 cases = splittings(b, root)
                 assert cases == _reference_splittings(b, root)
-                summary = tuple(s.summary for s in cases)
+                summary = tuple(cases)
                 assert seen.setdefault(key, summary) == summary
 
 
@@ -130,7 +147,7 @@ def _reference_delta_table(c, e):
             elif t == 0 and k == 1:
                 orth += sign_of(b.qhat)
     return DeltaTable(d41=pairing[4], d42=2 * orth, d20=-2 * orth, d21=pairing[2],
-                      d22=2 * (c.euler_char - 1), orth=orth)
+                      d22=2 * (c.euler_char - 1))
 
 
 def test_packed_kernel_equals_the_loop_on_every_vanishing_root(monkeypatch):
@@ -237,15 +254,15 @@ def test_scoped_build_checks_the_reflection_facts_once(fresh_caches, monkeypatch
 
 def test_delta_tables():
     root = vanishing_roots(E8)[0]
-    assert delta_table(E8, root).as_tuple() == (0, 28, -28, 0, -16)
+    assert delta_table(E8, root) == (0, 28, -28, 0, -16)
     root4 = vanishing_roots(M4)[0]
-    assert delta_table(M4, root4).as_tuple() == (0, 12, -12, 0, 0)
+    assert delta_table(M4, root4) == (0, 12, -12, 0, 0)
     for c in deformation_classes():
         roots = vanishing_roots(c)
         if not roots:
             continue
         dt = delta_table(c, roots[0])
-        assert dt.as_tuple() == delta_expected(c)
+        assert dt == delta_expected(c)
         assert dt.d42 + dt.d20 == 0
         assert dt.orth == 2 * (c.rank - 1)
         assert dt.balance == 12
