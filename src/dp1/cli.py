@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 usage or
 config error (bad arguments, a negative or non-integer DP1_MAX_ENUM_DEPTH or,
-outside verify, one below the rank an enumeration needs, an unwritable --out path
-or stdout).
+outside verify, one below the rank an enumeration needs, an empty or unwritable
+--out path, or an unwritable stdout).
 Output is deterministic for a fixed invocation; JSON uses lower_snake_case keys
 and unquoted integers.
 """
@@ -184,13 +184,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "real degree-1 del Pezzo surfaces.",
         epilog=f"Set {ENUM_DEPTH_ENV} to cap enumeration recursion depth (fuzzing aid).",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="progress notes on stderr")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="print verify's record counts on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_class: bool = True,
                with_stratum: bool = False) -> None:
         if with_class:
-            p.add_argument("--class", dest="class_id", default="all",
+            p.add_argument("--class", dest="class_id", default="all", metavar="ID",
+                           choices=[c.id for c in real_forms.deformation_classes()] + ["all"],
                            help="deformation class id or 'all'")
         if with_stratum:
             p.add_argument("--stratum", type=int, choices=(0, 2, 4), default=None)
@@ -209,13 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     class_id = getattr(args, "class_id", "all")
-    if class_id != "all":
-        known = {c.id for c in real_forms.deformation_classes()}
-        if class_id not in known:
-            parser.error(f"unknown class {class_id!r}; choose from {sorted(known)} or 'all'")
+    if args.out == "":
+        return _config_error("--out path is empty")
     try:
         if int(os.environ.get(ENUM_DEPTH_ENV, 0)) < 0:
             raise ValueError

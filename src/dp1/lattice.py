@@ -17,6 +17,7 @@ from math import isqrt, lcm
 from operator import add, mul, neg, sub
 
 RANK = 9
+FORM = (1,) + (-1,) * (RANK - 1)  # the diagonal intersection form on (h, l1, ..., l8)
 LANE = 127  # the largest |value| a signed byte lane of `pack_lanes` holds
 
 ENUM_DEPTH_ENV = "DP1_MAX_ENUM_DEPTH"
@@ -96,7 +97,7 @@ def pack_lanes(values: tuple[int, ...]) -> int:
 
 def form_row(v: PicClass) -> tuple[int, ...]:
     """Plain-dot row representing intersection with v: plain(form_row(v), x) = v.x."""
-    return (v.coeffs[0],) + tuple(-c for c in v.coeffs[1:])
+    return tuple(map(mul, FORM, v.coeffs))
 
 
 def reflect(a: PicClass, e: PicClass) -> PicClass:

@@ -139,8 +139,8 @@ def cremona_compatibility() -> PropertyResult:
     quadratic_law_code checks), and a reflection s_e is an integral isometry, so
     q_new(s_e x) - q_old(x) is linear mod 4 and vanishes on the lattice iff it
     vanishes on a Z-basis of it."""
-    simple = {pin.POSITIVE_CODE: real_forms.lambda_basis("M-connected").basis,
-              pin.NEGATIVE_CODE: real_forms.lambda_basis("M-1-connected").basis}
+    simple = {c.code: real_forms.lambda_basis(c.id).basis
+              for c in real_forms.deformation_classes() if c.code is not None}
     moved = [(code, pin.move_root(move), pin.Code(pin.apply_move(code.residues, move)))
              for code in simple for move in pin.moves(code)]
     pairs = [(code, e, new, x) for code, e, new in moved for x in simple[code]]
@@ -150,10 +150,7 @@ def cremona_compatibility() -> PropertyResult:
 
 def weyl_images(images: int, rng: random.Random) -> Iterator[tuple[Sublattice, list[Sublattice]]]:
     """Each vanishing-basis class lattice with `images` bases moved by 1-6 root reflections."""
-    for c in real_forms.deformation_classes():
-        if c.code is not None or c.rank == 0:
-            continue
-        lat = real_forms.lambda_basis(c.id)
+    for lat in _vanishing_basis_lattices():
         roots = enumerate_vectors(lat, -2)
         moved = []
         for _ in range(images):

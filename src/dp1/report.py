@@ -151,7 +151,7 @@ def _class_checks(c: real_forms.DeformationClass) -> list[_Check]:
     cid, cs = c.id, (c.id,)
     checks = [
         _Check(f"complement_type:{cid}", "table1/pairing", ENUMERATED, cs, lambda: (
-            real_forms.get_class(c.bertini_dual_id).lambda_type,
+            real_forms.bertini_dual(c).lambda_type,
             root_system_type(real_forms.orthogonal_complement(real_forms.lambda_basis(cid))))),
         _Check(f"card_roots:{cid}", "table1/root-count", ENUMERATED, cs,
                lambda: (golden.ROOT_COUNTS[c.lambda_type], len(counting.b_classes(c, 1)))),

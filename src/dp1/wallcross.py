@@ -25,15 +25,14 @@ from operator import add
 from typing import NamedTuple
 
 from . import golden
-from .lattice import MINUS_K, MINUS_2K, RANK, LatticeError, PicClass, dot_tuples, pack_lanes
+from .lattice import FORM, MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples, pack_lanes
 from .counting import BClass, b_classes, sign_of
-from .real_forms import DeformationClass, get_class, lambda_basis
+from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
 MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the bound
 
 # Byte lanes of the packed kernel (see delta_table).
 BIAS, NEG = 64, 128
-_FORM = (1,) + (-1,) * (RANK - 1)  # the intersection form on (h, l1, ..., l8)
 
 # d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
 CITED_FIELDS = ("d22",)
@@ -79,7 +78,7 @@ def packed_strata(class_id: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]
     for k in (1, 2):
         bs = b_classes(c, k)
         base = int.from_bytes(bytes(BIAS + NEG * (sign_of(b.qhat) < 0) for b in bs), "little")
-        columns = tuple(form * pack_lanes(col) for form, col in zip(_FORM, zip(*(b.v.coeffs for b in bs))))
+        columns = tuple(form * pack_lanes(col) for form, col in zip(FORM, zip(*(b.v.coeffs for b in bs))))
         packs.append((len(bs), base, columns))
     return tuple(packs)
 
@@ -178,4 +177,4 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
 
 def delta_expected(c: DeformationClass) -> tuple[int, int, int, int, int]:
     """The golden.TABLE7 formulas evaluated at this class's rank and its dual's."""
-    return tuple(formula(c.rank, 8 - c.rank) for _, _, formula in golden.TABLE7)
+    return tuple(formula(c.rank, bertini_dual(c).rank) for _, _, formula in golden.TABLE7)

@@ -198,12 +198,17 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_empty_out_path_is_a_config_error(capsys):
-    # An empty --out names no file: it is refused, not taken to mean stdout.
-    assert cli.main(["classes", "--out", ""]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and "cannot write" in err
+def test_empty_out_path_is_a_config_error(capsys, monkeypatch):
+    # An empty --out names no file: it is refused before anything is built, not
+    # taken to mean stdout.
+    def unbuilt(*args):
+        raise AssertionError("a builder ran")
+
+    monkeypatch.setattr(cli, "classes_output", unbuilt)
+    monkeypatch.setattr(report, "build_records", unbuilt)
+    for command in ("classes", "verify"):
+        assert cli.main([command, "--out", ""]) == 2
+        assert capsys.readouterr() == ("", "dp1: error: --out path is empty\n")
 
 
 def _unwritable_stdout_error(**popen) -> str:

@@ -360,6 +360,9 @@ FAULTS = {
     # The complement type is checked by its record alone, not by the lattice constructor.
     "m4_dual_m2_i_a": ("M-4", _replace_class("M-4", bertini_dual_id="M-2-I-a"), {
         "complement_type:M-4"}),
+    # A dual of the wrong rank also breaks Table 7, whose formulas read the dual's rank.
+    "m4_dual_m3_split": ("M-4", _replace_class("M-4", bertini_dual_id="M-3-split"), {
+        "complement_type:M-4", "delta_table:M-4", "pair_line_sum_16:M-4", "pair_total_96:M-4"}),
     # Same signed sums, different q per row: only the row-level records can see it.
     "e8_cremona_equivalent_code": (E8.id, _replace_class(
         E8.id, code=Code((1, 1, 1, 1, 1, 3, 3, 3, 3))), {"table2_rows", "table3_rows", "table4_rows"}),

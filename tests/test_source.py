@@ -1,4 +1,5 @@
-"""Source hygiene: every name a dp1 module imports is used in that module."""
+"""Source hygiene: every name a dp1 module imports is used in that module, and
+only the modules that own the class table name a class id."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,13 @@ from pathlib import Path
 import pytest
 
 import dp1
+from dp1 import real_forms
 
-MODULES = sorted(p for p in Path(dp1.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")  # the package re-exports what it imports
+MODULES = sorted(Path(dp1.__file__).resolve().parent.glob("*.py"))
+
+# The class table, the frozen tables and the records that name the class they check.
+CLASS_ID_OWNERS = {"real_forms.py", "golden.py", "report.py"}
+CLASS_IDS = {c.id for c in real_forms.deformation_classes()}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,10 +29,26 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def class_id_constants(source: str) -> list[str]:
+    """The string constants of the module that are class ids."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in CLASS_IDS]
+
+
 def test_the_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom dataclasses import dataclass\nos.sep\n") == ["dataclass"]
+
+
+def test_the_scan_sees_a_class_id():
+    assert class_id_constants('lambda_basis("M-4")\nname = "M-4:x"\n') == ["M-4"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in CLASS_ID_OWNERS],
+                         ids=lambda p: p.name)
+def test_only_the_class_table_owners_name_a_class_id(path):
+    assert class_id_constants(path.read_text(encoding="utf-8")) == []
