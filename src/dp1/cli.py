@@ -144,9 +144,33 @@ def _cell(v) -> str:
     return "" if v is None else str(v)
 
 
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
+    """Append json.dumps(obj, indent=2, ensure_ascii=False)'s pieces to parts (keys
+    are str); a list of exact ints is one join, since type() keeps bools out of it."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            parts += (",\n" if i else "{\n", inner, _ENCODE(key), ": ")
+            _write_json(value, inner, parts)
+        parts += ("\n", indent, "}")
+    elif isinstance(obj, (list, tuple)) and obj and all(type(x) is int for x in obj):
+        parts += ("[\n", inner, (",\n" + inner).join(map(str, obj)), "\n", indent, "]")
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, value in enumerate(obj):
+            parts += (",\n" if i else "[\n", inner)
+            _write_json(value, inner, parts)
+        parts += ("\n", indent, "]")
+    else:  # a scalar, {} or []
+        parts.append(str(obj) if type(obj) is int else _ENCODE(obj))
+    return parts
+
+
 def render(out: Output, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(out.payload, indent=2, ensure_ascii=False) + "\n"
+        return "".join(_write_json(out.payload, "", [])) + "\n"
     rows = ([_cell(row.get(h)) for h in out.header] for row in out.rows)
     if fmt == "csv":
         buf = io.StringIO()

@@ -95,6 +95,12 @@ def pack_lanes(values: tuple[int, ...]) -> int:
     return int.from_bytes(bytes(map((LANE + 1).__add__, values)), "little") - _halves(len(values))
 
 
+def unpack_lanes(packed: int, n: int) -> memoryview:
+    """The n signed lanes of a sum of `pack_lanes` columns, each within +-LANE."""
+    half = _halves(n)
+    return memoryview(((packed + half) ^ half).to_bytes(n, "little")).cast("b")
+
+
 def form_row(v: PicClass) -> tuple[int, ...]:
     """Plain-dot row representing intersection with v: plain(form_row(v), x) = v.x."""
     return tuple(map(mul, FORM, v.coeffs))
@@ -153,10 +159,7 @@ class Sublattice:
         if bound > LANE:
             raise LatticeError(f"lane bound {bound} exceeds {LANE}")
         packed = list(map(pack_lanes, xs))
-        half = _halves(n)
-        lanes = [memoryview((sum(map(mul, c, packed), half) ^ half).to_bytes(n, "little")).cast("b")
-                 for c in columns]
-        return list(zip(*lanes))
+        return list(zip(*(unpack_lanes(sum(map(mul, c, packed)), n) for c in columns)))
 
     def coordinates_of(self, x: PicClass) -> tuple[int, ...]:
         """Integer coordinates of x in this basis; raises if x is outside the span.

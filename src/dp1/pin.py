@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .lattice import LatticeError, PicClass, pic
 
@@ -85,7 +86,7 @@ def qhat_code(code: Code, x: PicClass) -> int:
 
 def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int, ...]) -> int:
     """q(sum n_i b_i) = x.x + sum n_i t_i mod 4, given x.x and the twist t on the basis."""
-    return (square + sum(n * t for n, t in zip(coords, twist))) % 4
+    return (square + sum(map(mul, coords, twist))) % 4
 
 
 def moves(code: Code) -> list[Move]:

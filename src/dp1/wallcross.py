@@ -10,22 +10,23 @@ are one table of (stratum, t), with |t| <= 2 by Cauchy-Schwarz, frozen as
 Classes pairing off under the reflection in E cancel and classes orthogonal to
 E sum to rank-linear values; `delta_table` counts both at one root.
 
-The reflection facts belong to the class, not to E, and `q_index_cached` checks
-them once on the class's simple roots b: B^2 and B^4 are closed under s_b and
-q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4 (B^0 is {v = 0}, which s_b fixes).  The
-simple reflections generate the Weyl group and every root is conjugate to a
-simple one, so this is the same law for every root E; for q(E) = 0 it shifts q
-by 2 exactly when |v.E| = 1.
+The reflection facts belong to the class, not to E.  `q_index_cached` checks
+them on the class's simple roots b, one packed pass per (b, stratum) with an
+exact walk that names the first failure: B^2 and B^4 are closed under s_b and
+q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4 (s_b fixes B^0 = {0}).  The simple
+reflections generate the Weyl group and every root is conjugate to a simple one,
+so this is the law for every root E; for q(E) = 0 it shifts q by 2 iff |v.E| = 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import mul
 from typing import NamedTuple
 
 from . import golden
-from .lattice import FORM, MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples, pack_lanes
+from .lattice import (FORM, LANE, MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples,
+                      pack_lanes, unpack_lanes)
 from .counting import BClass, b_classes, sign_of
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
@@ -33,6 +34,7 @@ MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the boun
 
 # Byte lanes of the packed kernel (see delta_table).
 BIAS, NEG = 64, 128
+MOD4 = bytes(x % 4 for x in range(256))  # a signed byte lane's residue mod 4
 
 # d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
 CITED_FIELDS = ("d22",)
@@ -47,20 +49,31 @@ def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
 def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
     """{v: q} of the B^2 and B^4 stratum vectors of the class, after checking
     on every simple root b that s_b(v) = v + (v.b)b stays in v's stratum with
-    q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4."""
+    q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum)
+    reads every v.b, image and predicted q off `_form_columns`' lanes, and as s_b
+    is injective, {s_b v: q} = {v: q} exactly when the law holds.  Where a lane
+    could pass LANE, or the two differ, the exact walk raises at the first v."""
     c = get_class(class_id)
     q_of = tuple({b.v.coeffs: b.qhat for b in b_classes(c, k)} for k in (1, 2))
+    tops = [[max(max(col), -min(col)) for col in zip(*by_v)] for by_v in q_of]
+    packs = [(_form_columns(zip(*by_v)), pack_lanes(tuple(by_v.values())))
+             if max(top, default=0) <= LANE else (None, None) for by_v, top in zip(q_of, tops)]
     for b in lambda_basis(class_id).basis:
         bc = b.coeffs
         q_b = q_of[0].get(bc)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
-        # |v.b| <= 2 by Cauchy-Schwarz; any other t takes the general path.
-        steps = {t: tuple(map(t.__mul__, bc)) for t in range(-2, 3)}
-        for by_v in q_of:
+        for by_v, top, (columns, qs) in zip(q_of, tops, packs):
+            bound = sum(map(mul, top, map(abs, bc)))  # on |v.b|, hence on each image and q lane
+            reach = max([3 + bound * (q_b + 2), *(x + bound * abs(y) for x, y in zip(top, bc))])
+            if columns and reach <= LANE:
+                t, n = sum(map(mul, bc, columns)), len(by_v)
+                images = zip(*(unpack_lanes(f * col + x * t, n) for f, col, x in zip(FORM, columns, bc)))
+                if dict(zip(images, bytes(unpack_lanes(qs + (q_b + 2) * t, n)).translate(MOD4))) == by_v:
+                    continue
             for vc, q in by_v.items():
                 t = dot_tuples(vc, bc)
-                q_image = by_v.get(tuple(map(add, vc, steps.get(t) or map(t.__mul__, bc))))
+                q_image = by_v.get(tuple(x + t * y for x, y in zip(vc, bc)))
                 if q_image is None:
                     raise LatticeError(f"reflection left the stratum: {PicClass(vc)} by {b}")
                 if q_image != (q + t * (q_b + 2)) % 4:
@@ -68,18 +81,22 @@ def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
     return q_of
 
 
+def _form_columns(cols) -> tuple[int, ...]:
+    # FORM_j times packed coordinate column j: sum_j x_j column_j packs every v.x at once.
+    return tuple(form * pack_lanes(col) for form, col in zip(FORM, cols))
+
+
 @lru_cache(maxsize=None)
 def packed_strata(class_id: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(size, base, columns) of B^2 and B^4 of the class, one byte lane per class
-    in stratum order: base holds BIAS, plus NEG where q = 2 mod 4, and column j
-    holds the form's sign times coordinate j of each class's v."""
+    in stratum order: base holds BIAS, plus NEG where q = 2 mod 4, and the
+    columns are `_form_columns` of the classes' v."""
     c = get_class(class_id)
     packs = []
     for k in (1, 2):
         bs = b_classes(c, k)
         base = int.from_bytes(bytes(BIAS + NEG * (sign_of(b.qhat) < 0) for b in bs), "little")
-        columns = tuple(form * pack_lanes(col) for form, col in zip(FORM, zip(*(b.v.coeffs for b in bs))))
-        packs.append((len(bs), base, columns))
+        packs.append((len(bs), base, _form_columns(zip(*(b.v.coeffs for b in bs)))))
     return tuple(packs)
 
 

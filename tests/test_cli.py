@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -417,3 +419,38 @@ def test_flat_formats_are_byte_identical(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FLAT_SHA256[argv]
+
+
+class _Pair(NamedTuple):
+    count: int
+    name: str
+
+
+# Payloads where a hand-written writer could part from json: empty containers,
+# tuples and named tuples as lists, bools beside ints, None, and strings to escape.
+JSON_EDGES = [{}, [], (), {"a": {}, "b": [], "c": (), "d": [[], {}, [()]]}, _Pair(-2, "x"),
+              [1, True, 0, -3], [False], None, True, -7, {"n": None, "i": -12, "t": (True, 5)},
+              {"s": 'caf\u00e9 "q" \\ back\nline', "\u00fc\u00df": ["\u2192", "\t", ""]}]
+
+JSON_BUILDERS = {
+    "classes": cli.classes_output,
+    "enumerate --class M-4": partial(cli.enumerate_output, "M-4", None),
+    **{f"tables {n}": partial(cli.tables_output, n) for n in range(2, 8)},
+    "verify --class M-4": partial(cli.verify_output, "M-4"),
+    "wallcross": partial(cli.wallcross_output, "all"),
+}
+
+
+def _assert_json_dumps(payload):
+    want = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    assert cli.render(cli.Output(payload, [], []), "json") == want
+
+
+@pytest.mark.parametrize("payload", JSON_EDGES, ids=[f"edge{i}" for i in range(len(JSON_EDGES))])
+def test_json_of_edge_payloads_is_indented_json_dumps(payload):
+    _assert_json_dumps(payload)
+
+
+@pytest.mark.parametrize("name", list(JSON_BUILDERS))
+def test_json_of_each_builder_is_indented_json_dumps(name):
+    _assert_json_dumps(JSON_BUILDERS[name]().payload)

@@ -413,6 +413,26 @@ FAULTS = {
 }
 
 
+# The reflection check's text for the faults it catches, taken before it became a
+# packed pass: the exact walk names the first failing vector and simple root.
+REFLECTION_ERRORS = {
+    "d6_four_vector_pair_dropped": "error: LatticeError: reflection left the stratum: "
+                                   "(-2; 0,0,0,2,1,1,1,1) by (1; -1,-1,-1,0,0,0,0,0)",
+    "d6_four_vector_q_flipped": "error: LatticeError: reflection law failed at "
+                                "(-3; 0,1,2,2,1,1,1,1) by (0; 0,1,-1,0,0,0,0,0)",
+    "non_quadratic_evaluator": "error: LatticeError: reflection law failed at "
+                               "(-3; 1,1,2,1,1,1,1,1) by (1; -1,-1,-1,0,0,0,0,0)",
+}
+
+
+@pytest.mark.parametrize("fault", list(REFLECTION_ERRORS))
+def test_the_reflection_check_names_the_first_failing_vector(fresh_caches, monkeypatch, fault):
+    scope, perturb, _ = FAULTS[fault]
+    perturb(monkeypatch)
+    actual = {r.name: r.actual for r in _records(scope) if not r.passed and isinstance(r.actual, str)}
+    assert actual == {"delta_table:M-2-connected": REFLECTION_ERRORS[fault]}
+
+
 def test_clear_model_caches_finds_every_cache():
     # A cache the faults below do not clear would hand them the green tables.
     assert {f"{fn.__module__}.{fn.__qualname__}" for fn in model_caches()} == {

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -197,6 +198,23 @@ def test_a_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypatch
     monkeypatch.setattr(wallcross, "b_classes", spoiled)
     with pytest.raises(LatticeError, match=r"1 classes of B\^4 of M-connected have \|v.E\| > 2"):
         delta_table(E8, root)
+
+
+@pytest.mark.parametrize("scale", [3, 40, 200])
+def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monkeypatch, scale):
+    # scale * u lies in no stratum.  At 3 the packed pass sees it; at 40 the bound on
+    # v.b and its images passes LANE, and at 200 so do its coordinates: a wrapped lane
+    # must not pass it, and the exact walk names it.
+    u = _alpha_with(E8, 2, 1, vanishing_roots(E8)[0]).v
+    good = wallcross.b_classes
+
+    def spoiled(c, k):
+        extra = (BClass(4, scale * u, MINUS_2K - scale * u, 0),) if k == 2 else ()
+        return good(c, k) + extra
+
+    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {scale * u} by (")):
+        wallcross.q_index_cached(E8.id)
 
 
 def test_orth_root_sum_values():
