@@ -10,7 +10,6 @@ here and are a hard error).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -22,8 +21,7 @@ from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 from .roots import lex_positive
 
 
-@dataclass(frozen=True)
-class BClass:
+class BClass(NamedTuple):
     """A degree-2 candidate class alpha = -2K - v with its quadratic value."""
 
     stratum: int  # 0, 2 or 4: the negated square of v

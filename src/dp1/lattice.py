@@ -1,20 +1,19 @@
 """Exact arithmetic in the Picard lattice Z^{1,8} of a degree-1 del Pezzo surface.
 
 Divisor classes are integer 9-tuples in the ordered basis (h, l1, ..., l8)
-with the diagonal intersection form h.h = +1, li.li = -1.  Everything here is
-integer or Fraction arithmetic; no floats enter any decision.  Fractions appear
-only in the once-per-gram LDL (and `_search`'s scaling of it to integers): the
-short-vector search and the coordinate solves run on integers.
+with the diagonal intersection form h.h = +1, li.li = -1.  All arithmetic here
+is on integers: the LDL is fraction-free (Bareiss), the short-vector search runs
+on its rows, and the coordinate solves use `integer_kernel`.  No float enters
+any decision.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 RANK = 9
 FORM = (1,) + (-1,) * (RANK - 1)  # the diagonal intersection form on (h, l1, ..., l8)
@@ -31,15 +30,15 @@ class EnumerationDepthError(LatticeError):
     """Raised when an enumeration exceeds the DP1_MAX_ENUM_DEPTH cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class PicClass:
+class PicClass(NamedTuple("PicClass", [("coeffs", tuple)])):
     """A divisor class, stored as plain coordinates (c0; c1..c8)."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != RANK or not all(map(int.__instancecheck__, self.coeffs)):
-            raise LatticeError(f"expected {RANK} integer coordinates, got {self.coeffs!r}")
+    def __new__(cls, coeffs: tuple[int, ...]) -> "PicClass":
+        if len(coeffs) != RANK or not all(map(int.__instancecheck__, coeffs)):
+            raise LatticeError(f"expected {RANK} integer coordinates, got {coeffs!r}")
+        return tuple.__new__(cls, (coeffs,))
 
     def dot(self, other: "PicClass") -> int:
         return dot_tuples(self.coeffs, other.coeffs)
@@ -114,8 +113,7 @@ def reflect(a: PicClass, e: PicClass) -> PicClass:
     return PicClass(tuple(x + n * y for x, y in zip(a.coeffs, e.coeffs)))
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(NamedTuple):
     """A negative-definite sublattice of K-perp given by an ordered basis."""
 
     basis: tuple[PicClass, ...]
@@ -175,27 +173,29 @@ class Sublattice:
         return tuple(-m * a for a in n)
 
 
-def _ldl(q: list[list[Fraction | int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact LDL data of a positive-definite matrix: Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
+def _ldl(q: list[list[int]]) -> list[list[int]]:
+    """Fraction-free (Bareiss) LDL of a positive-definite integer matrix: row i
+    holds, from column i on, the a_ij of row i when it becomes the pivot row.  The
+    pivots a_ii = D_{i+1} are the leading principal minors, and with D_0 = 1
 
-    Raises LatticeError on any non-positive pivot (matrix not positive definite,
+        Q(x) = sum_i s_i^2 / (D_i D_{i+1}),  s_i = D_{i+1} x_i + sum_{j>i} a_ij x_j.
+
+    Each division by the previous pivot is exact (Sylvester's identity).  Raises
+    LatticeError on any non-positive pivot (matrix not positive definite,
     equivalently the original gram not negative definite or basis dependent).
     """
-    k = len(q)
-    a = [[Fraction(q[i][j]) for j in range(k)] for i in range(k)]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        piv = a[i][i]
-        if piv <= 0:
+    a = [list(row) for row in q]
+    k, prev = len(a), 1
+    for i, row in enumerate(a):
+        p = row[i]
+        if p <= 0:
             raise LatticeError("matrix is not positive definite")
-        d.append(piv)
-        for j in range(i + 1, k):
-            u[i][j] = a[i][j] / piv
         for r in range(i + 1, k):
+            ar, m = a[r], row[r]
             for c in range(r, k):
-                a[r][c] -= a[i][r] * a[i][c] / piv
-    return d, u
+                ar[c] = (p * ar[c] - m * row[c]) // prev
+        prev = p
+    return a
 
 
 def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
@@ -216,21 +216,21 @@ def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ...], ...]:
     """Bounded recursive search on the negated (positive-definite) gram matrix with
-    completed-square bounds (Fincke-Pohst).  The exact LDL data is scaled once to
-    integers, Q(x) * scale = sum_i w_i s_i^2 with s_i = den_i x_i + sum_{j>i} U_ij x_j,
-    so the search itself is integer-only."""
+    completed-square bounds (Fincke-Pohst), on integers only.  The rows of `_ldl`
+    give Q(x) * scale = sum_i w_i s_i^2 with w_i = scale / (D_i D_{i+1}) and
+    scale the lcm of those denominators."""
     k = len(gram)
-    d, u = _ldl([[-x for x in row] for row in gram])
-    den = [lcm(*(u[i][j].denominator for j in range(i + 1, k))) for i in range(k)]
-    big_u = [[int(u[i][j] * den[i]) for j in range(k)] for i in range(k)]
-    w_frac = [d[i] / den[i] ** 2 for i in range(k)]
-    scale = lcm(*(f.denominator for f in w_frac))
-    w = [int(f * scale) for f in w_frac]
+    rows = _ldl([[-x for x in row] for row in gram])
+    minors = [1] + [row[i] for i, row in enumerate(rows)]
+    dens = list(map(mul, minors, minors[1:]))  # D_i D_{i+1}
+    scale = lcm(*dens)
+    w = [scale // d for d in dens]
     found: list[tuple[int, ...]] = []
     x = [0] * k
 
     def descend(i: int, budget: int) -> None:
-        row, di, wi = big_u[i], den[i], w[i]
+        row, wi = rows[i], w[i]
+        di = row[i]
         c = sum(row[j] * x[j] for j in range(i + 1, k))
         # w s^2 <= budget  <=>  |s| <= isqrt(budget // w), with s = di*xi + c.
         r = isqrt(budget // wi)

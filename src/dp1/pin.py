@@ -22,9 +22,9 @@ on them, building a `Code` only for each newly reached code.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 from .lattice import LatticeError, PicClass, pic
 
@@ -34,11 +34,15 @@ Move = tuple  # ("cremona", i, j, k) or ("swap", i)
 PAIRS = ((7, 8), (5, 6), (3, 4), (1, 2))
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(NamedTuple("Code", [("residues", tuple)])):
     """Residues (a0, a1, ..., a_{8-2r}), each +-1 mod 4 (stored as 1 or 3)."""
 
-    residues: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, residues: tuple[int, ...]) -> "Code":
+        code = tuple.__new__(cls, (residues,))
+        code.__post_init__()
+        return code
 
     def __post_init__(self) -> None:
         n = len(self.residues)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 from . import counting, pin, real_forms
 from .lattice import (
@@ -29,8 +29,7 @@ from .lattice import (
 SEED = 20260810
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     instances: int
     failures: int

@@ -13,8 +13,8 @@ by its roots.  The root count and the complement type are checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .lattice import (
     K,
@@ -29,8 +29,7 @@ from .pin import NEGATIVE_CODE, PAIRS, POSITIVE_CODE, Code
 from .roots import cartan_gram, identify
 
 
-@dataclass(frozen=True)
-class DeformationClass:
+class DeformationClass(NamedTuple):
     """One of the 11 real deformation classes (metadata only; no topology computed)."""
 
     id: str

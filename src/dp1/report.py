@@ -15,9 +15,8 @@ checks are declared.  Two rules then make the report in `build_records`:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import counting, golden, pin, properties, real_forms, wallcross
 from .roots import root_system_type
@@ -26,8 +25,7 @@ ENUMERATED = "enumerated"
 CITED = "cited-formula"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     name: str
     anchor: str
     provenance: str
@@ -37,8 +35,7 @@ class VerificationRecord:
     classes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     name: str
     anchor: str
     provenance: str

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import clear_model_caches, corrupt_4a1_embedding, model_caches, vanishing_qhat
@@ -239,7 +237,7 @@ def _bump_four_vector_count(monkeypatch):
 
 def _replace_class(cid, **changes):
     def patch(monkeypatch):
-        moved = dataclasses.replace(get_class(cid), **changes)
+        moved = get_class(cid)._replace(**changes)
         monkeypatch.setitem(real_forms._BY_ID, cid, moved)
         monkeypatch.setattr(real_forms, "_CLASSES",
                             tuple(moved if c.id == cid else c for c in real_forms._CLASSES))

@@ -217,6 +217,46 @@ def test_weyl_moved_bases_give_the_same_vectors(c):
             assert len(got) == len(vectors) and set(got) == vectors
 
 
+def unimodular(rng: random.Random, k: int) -> list[list[int]]:
+    """A seeded k x k integer matrix of determinant +-1: k additions of +-1 times
+    one row to another, then a row permutation."""
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(k):
+        i, j = rng.sample(range(k), 2)
+        sign = rng.choice((-1, 1))
+        m[i] = [a + sign * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return m
+
+
+@pytest.mark.parametrize("name", [c.id for c in real_forms.deformation_classes() if c.rank > 1]
+                         + ["K-perp"])
+def test_gram_changing_bases_give_the_same_vectors(name):
+    # A unimodular basis change keeps the lattice but not the gram.  Each new gram
+    # has a norm below -2, so it is no Cartan matrix and gets searches of its own,
+    # and each shell must come back as the same set of ambient vectors.  (Rank 1
+    # has no gram-changing basis change.)
+    lat = real_forms.kperp() if name == "K-perp" else real_forms.lambda_basis(name)
+    rng = random.Random(f"unimodular:{name}")
+    want = {n: set(enumerate_vectors(lat, n)) for n in (-2, -4, -6, -8)}
+    for _ in range(2):
+        moved = Sublattice.span([lat.from_coordinates(tuple(row)) for row in unimodular(rng, lat.rank)])
+        assert min(moved.gram[i][i] for i in range(lat.rank)) < -2
+        for n, vectors in want.items():
+            got = enumerate_vectors(moved, n)
+            assert len(got) == len(vectors) and set(got) == vectors
+
+
+def test_span_rejects_a_dependent_basis(kperp):
+    # The LDL's definiteness check is also the independence check: a repeated
+    # vector, and a sum of two vectors of a gram-changed basis put among them,
+    # each make a pivot vanish.
+    basis = [kperp.from_coordinates(tuple(row)) for row in unimodular(random.Random("dependent"), 8)]
+    for dependent in ([basis[0], basis[0]], basis[:5] + [basis[1] + basis[3]] + basis[5:]):
+        with pytest.raises(LatticeError, match="matrix is not positive definite"):
+            Sublattice.span(dependent)
+
+
 def test_bulk_conversion_equals_from_coordinates(kperp):
     lattices = [real_forms.lambda_basis(c.id) for c in real_forms.deformation_classes()]
     lattices += [kperp] + [m for _, moved in properties.weyl_images(20, random.Random(properties.SEED))

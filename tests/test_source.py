@@ -2,6 +2,9 @@
 only the modules that own the class table name a class id."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,10 @@ MODULES = sorted(Path(dp1.__file__).resolve().parent.glob("*.py"))
 # The class table, the frozen tables and the records that name the class they check.
 CLASS_ID_OWNERS = {"real_forms.py", "golden.py", "report.py"}
 CLASS_IDS = {c.id for c in real_forms.deformation_classes()}
+
+# Every dp1 process imports dp1.cli, so these stay off its import path: dataclasses
+# brings inspect, ast, dis and tokenize, and fractions brings decimal.
+SLOW_IMPORTS = ("dataclasses", "fractions", "decimal", "inspect")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +59,12 @@ def test_every_import_is_used(path):
                          ids=lambda p: p.name)
 def test_only_the_class_table_owners_name_a_class_id(path):
     assert class_id_constants(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_imports_no_slow_stdlib_module():
+    # -S leaves out site and its .pth files, so only dp1's own imports count.
+    src = str(Path(dp1.__file__).resolve().parents[1])
+    code = f"import dp1.cli, sys; print([m for m in {SLOW_IMPORTS!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
