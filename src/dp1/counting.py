@@ -67,14 +67,14 @@ def sign_of(qhat: int) -> int:
 
 
 def signed_sum(c: DeformationClass, k: int) -> int:
-    """Sum of i^q over B^{2k}; exact integer (only even values occur)."""
-    return sum(sign_of(b.qhat) for b in b_classes(c, k))
+    """Sum of i^q over B^{2k}, counted per q in first-seen order: an odd q raises."""
+    return sum(n * sign_of(q) for q, n in Counter(map(attrgetter("qhat"), b_classes(c, k))).items())
 
 
 def lattice_signed_sum(lat: Sublattice, k: int, twist: tuple[int, ...]) -> int:
     """Sum of i^q over the vectors of square -2k in lat, q given by a twist on its basis."""
-    return sum(sign_of(qhat_from_coordinates(t, -2 * k, twist))
-               for t in enumerate_coordinates(lat, -2 * k))
+    qs = (qhat_from_coordinates(t, -2 * k, twist) for t in enumerate_coordinates(lat, -2 * k))
+    return sum(n * sign_of(q) for q, n in Counter(qs).items())
 
 
 def c4_total(c: DeformationClass) -> int:

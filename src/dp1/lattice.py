@@ -216,33 +216,35 @@ def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ...], ...]:
     """Bounded recursive search on the negated (positive-definite) gram matrix with
-    completed-square bounds (Fincke-Pohst), on integers only.  The rows of `_ldl`
-    give Q(x) * scale = sum_i w_i s_i^2 with w_i = scale / (D_i D_{i+1}) and
-    scale the lcm of those denominators."""
+    completed-square bounds (Fincke-Pohst), on integers only: Q(x) * scale = sum_i
+    w_i s_i^2 off the rows of `_ldl`, w_i = scale / (D_i D_{i+1}), scale their lcm.
+    The last level solves w_0 s_0^2 = budget in closed form, s_0 = +-r or 0."""
     k = len(gram)
     rows = _ldl([[-x for x in row] for row in gram])
     minors = [1] + [row[i] for i, row in enumerate(rows)]
     dens = list(map(mul, minors, minors[1:]))  # D_i D_{i+1}
     scale = lcm(*dens)
     w = [scale // d for d in dens]
+    tails = [row[i + 1:] for i, row in enumerate(rows)]
     found: list[tuple[int, ...]] = []
     x = [0] * k
 
     def descend(i: int, budget: int) -> None:
-        row, wi = rows[i], w[i]
-        di = row[i]
-        c = sum(row[j] * x[j] for j in range(i + 1, k))
+        wi, di = w[i], rows[i][i]
+        c = sum(map(mul, tails[i], x[i + 1:]))
         # w s^2 <= budget  <=>  |s| <= isqrt(budget // w), with s = di*xi + c.
         r = isqrt(budget // wi)
+        if i == 0:
+            if wi * r * r == budget:
+                for s in (r, -r) if r else (0,):
+                    x0, rest = divmod(s - c, di)  # x_0 = (s - c) / D_1 where integral
+                    if not rest:
+                        found.append((x0, *x[1:]))
+            return
         for xi in range(-((c + r) // di), (r - c) // di + 1):
             s = di * xi + c
-            rest = budget - wi * s * s
             x[i] = xi
-            if i == 0:
-                if rest == 0:
-                    found.append(tuple(x))
-            else:
-                descend(i - 1, rest)
+            descend(i - 1, budget - wi * s * s)
         x[i] = 0
 
     descend(k - 1, scale * -norm)

@@ -1,7 +1,7 @@
 """Root-system identification for negative-definite sublattices of K-perp.
 
-A simple system is extracted as the indecomposable lex-positive roots; each
-component graph is then matched once against the simply-laced Dynkin shapes.
+One lex-ordered pass finds the simple roots (v is simple iff v.s != -1 for every
+simple s < v); each component graph is matched once against the ADE Dynkin shapes.
 The sorted components give both the ADE label and the canonical order of the
 returned simple roots, so downstream golden outputs are stable.
 """
@@ -9,9 +9,8 @@ returned simple roots, so downstream golden outputs are stable.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import sub
 
-from .lattice import LatticeError, PicClass, Sublattice, enumerate_vectors
+from .lattice import LatticeError, PicClass, Sublattice, dot_tuples, enumerate_vectors
 
 
 def lex_positive(v: PicClass) -> bool:
@@ -23,11 +22,12 @@ def lex_positive(v: PicClass) -> bool:
 
 
 def _simple_roots(roots: list[PicClass]) -> list[PicClass]:
-    """Indecomposable positive roots of a root set."""
-    pos = [v for v in roots if lex_positive(v)]
-    pos_set = {v.coeffs for v in pos}
-    # v - v = 0 is not lex-positive, so v itself never decomposes v.
-    return [v for v in pos if not any(tuple(map(sub, v.coeffs, p)) in pos_set for p in pos_set)]
+    """Indecomposable positive roots of a lattice's whole root set, in one pass in lex order."""
+    simple: list[PicClass] = []
+    for v in sorted(filter(lex_positive, roots)):
+        if all(dot_tuples(v.coeffs, s.coeffs) != -1 for s in simple):
+            simple.append(v)
+    return simple
 
 
 def _components(nodes: list[PicClass]) -> tuple[list[list[int]], list[list[int]]]:

@@ -10,10 +10,11 @@ are one table of (stratum, t), with |t| <= 2 by Cauchy-Schwarz, frozen as
 Classes pairing off under the reflection in E cancel and classes orthogonal to
 E sum to rank-linear values; `delta_table` counts both at one root.
 
-The reflection facts belong to the class, not to E.  `q_index_cached` checks
-them on the class's simple roots b, one packed pass per (b, stratum) with an
-exact walk that names the first failure: B^2 and B^4 are closed under s_b and
-q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4 (s_b fixes B^0 = {0}).  The simple
+The reflection facts belong to the class, not to E.  `q_index_cached` checks on
+the class's simple roots b that B^2 and B^4 are closed under s_b with q(s_b v) =
+q(v) + (v.b)(q(b) + 2) mod 4 (s_b fixes B^0 = {0}): one packed pass per (b,
+stratum) looks each s_b v up in {v: q} by a 64-bit key (a class's l1..l8 in
+K-perp) and compares q, and an exact walk names the first failure.  The simple
 reflections generate the Weyl group and every root is conjugate to a simple one,
 so this is the law for every root E; for q(E) = 0 it shifts q by 2 iff |v.E| = 1.
 """
@@ -21,11 +22,11 @@ so this is the law for every root E; for q(E) = 0 it shifts q by 2 iff |v.E| = 1
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from . import golden
-from .lattice import (FORM, LANE, MINUS_K, MINUS_2K, LatticeError, PicClass, dot_tuples,
+from .lattice import (FORM, K, LANE, MINUS_K, MINUS_2K, ZERO, LatticeError, PicClass, dot_tuples,
                       pack_lanes, unpack_lanes)
 from .counting import BClass, b_classes, sign_of
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
@@ -47,29 +48,38 @@ def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
 
 @lru_cache(maxsize=None)
 def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
-    """{v: q} of the B^2 and B^4 stratum vectors of the class, after checking
-    on every simple root b that s_b(v) = v + (v.b)b stays in v's stratum with
-    q(s_b v) = q(v) + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum)
-    reads every v.b, image and predicted q off `_form_columns`' lanes, and as s_b
-    is injective, {s_b v: q} = {v: q} exactly when the law holds.  Where a lane
-    could pass LANE, or the two differ, the exact walk raises at the first v."""
+    """{v: q} of the B^2 and B^4 stratum vectors of the class, after checking on
+    every simple root b that s_b(v) = v + (v.b)b stays in v's stratum with q(s_b v)
+    = q(v) + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum) reads every v.b,
+    image and predicted q off `_form_columns`' lanes and looks each image's q up by
+    its l1..l8 (`_keys`).  Where one packed v.K is 0 and no two keys collide, a key
+    names one class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the
+    n images are the n classes.  Else, or past a lane bound, the exact walk raises."""
     c = get_class(class_id)
-    q_of = tuple({b.v.coeffs: b.qhat for b in b_classes(c, k)} for k in (1, 2))
-    tops = [[max(max(col), -min(col)) for col in zip(*by_v)] for by_v in q_of]
-    packs = [(_form_columns(zip(*by_v)), pack_lanes(tuple(by_v.values())))
-             if max(top, default=0) <= LANE else (None, None) for by_v, top in zip(q_of, tops)]
+    q_of = tuple(dict(map(attrgetter("v.coeffs", "qhat"), b_classes(c, k))) for k in (1, 2))
+    cols = [list(zip(*by_v)) for by_v in q_of]
+    tops = [[max(max(col), -min(col)) for col in by_col] for by_col in cols]
+    packs = []
+    for by_v, top, by_col in zip(q_of, tops, cols):
+        packs.append(None)
+        if sum(map(mul, top, map(abs, K.coeffs))) <= LANE:  # bounds v.K and every lane
+            columns = _form_columns(by_col)
+            own = dict(zip(_keys(columns, len(by_v)), by_v.values()))
+            if len(own) == len(by_v) and not sum(map(mul, K.coeffs, columns)):
+                packs[-1] = columns, pack_lanes(tuple(by_v.values())), own
     for b in lambda_basis(class_id).basis:
         bc = b.coeffs
         q_b = q_of[0].get(bc)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
-        for by_v, top, (columns, qs) in zip(q_of, tops, packs):
+        for by_v, top, pack in zip(q_of, tops, packs):
             bound = sum(map(mul, top, map(abs, bc)))  # on |v.b|, hence on each image and q lane
             reach = max([3 + bound * (q_b + 2), *(x + bound * abs(y) for x, y in zip(top, bc))])
-            if columns and reach <= LANE:
-                t, n = sum(map(mul, bc, columns)), len(by_v)
-                images = zip(*(unpack_lanes(f * col + x * t, n) for f, col, x in zip(FORM, columns, bc)))
-                if dict(zip(images, bytes(unpack_lanes(qs + (q_b + 2) * t, n)).translate(MOD4))) == by_v:
+            if pack and reach <= LANE:
+                (columns, qs, own), n = pack, len(by_v)
+                t = sum(map(mul, bc, columns))
+                q_images = bytes(unpack_lanes(qs + (q_b + 2) * t, n)).translate(MOD4)
+                if list(map(own.get, _keys(columns, n, t, bc))) == list(q_images):
                     continue
             for vc, q in by_v.items():
                 t = dot_tuples(vc, bc)
@@ -79,6 +89,14 @@ def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
                 if q_image != (q + t * (q_b + 2)) % 4:
                     raise LatticeError(f"reflection law failed at {PicClass(vc)} by {b}")
     return q_of
+
+
+def _keys(columns: tuple[int, ...], n: int, t: int = 0, b: tuple[int, ...] = ZERO.coeffs):
+    # The l1..l8 lanes of the n images v + (v.b)b, t = packed v.b, as one 64-bit int each.
+    rows = bytearray(8 * n)
+    for j, (f, col, x) in enumerate(zip(FORM[1:], columns[1:], b[1:])):
+        rows[j::8] = unpack_lanes(f * col + x * t, n)
+    return memoryview(rows).cast("q")
 
 
 def _form_columns(cols) -> tuple[int, ...]:

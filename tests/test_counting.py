@@ -105,6 +105,29 @@ def test_lattice_signed_sum_matches_the_strata_and_rejects_odd_values():
         lattice_signed_sum(lat, 1, (1,) + vanishing[1:])
 
 
+def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
+    # Odd values 3 then 1 at two positions of D6's roots: both sums name the 3,
+    # the first one met, not the smaller one.
+    d6, lat = get_class("M-2-connected"), lambda_basis("M-2-connected")
+    coords = enumerate_coordinates(lat, -2)
+    odd = {3: 3, 7: 1}
+    strata, evaluate = counting.b_classes, counting.qhat_from_coordinates
+
+    def odd_strata(c, k):
+        return tuple(b._replace(qhat=odd.get(i, b.qhat)) for i, b in enumerate(strata(c, k)))
+
+    def odd_values(x, square, twist):
+        return odd.get(coords.index(x), evaluate(x, square, twist))
+
+    monkeypatch.setattr(counting, "b_classes", odd_strata)
+    with pytest.raises(LatticeError, match="odd quadratic value 3 on"):
+        signed_sum(d6, 1)
+    monkeypatch.undo()  # a cold stratum cache must not be built with odd values
+    monkeypatch.setattr(counting, "qhat_from_coordinates", odd_values)
+    with pytest.raises(LatticeError, match="odd quadratic value 3 on"):
+        lattice_signed_sum(lat, 1, (2,) * lat.rank)
+
+
 def test_classify_roots_rows():
     rows = classify_roots(E8)
     assert [(r.level, r.count, r.qhat) for r in rows] == [

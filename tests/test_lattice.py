@@ -247,6 +247,28 @@ def test_gram_changing_bases_give_the_same_vectors(name):
             assert len(got) == len(vectors) and set(got) == vectors
 
 
+def test_rank_one_shells_are_read_off_the_last_level():
+    # On A1 the whole search is its last level, where 2 x^2 = -norm has the two
+    # solutions +-x or none.
+    a1 = real_forms.lambda_basis("M-1-split")
+    assert [enumerate_coordinates(a1, n) for n in (-2, -4, -6, -8, -10)] == [
+        [(-1,), (1,)], [], [], [(-2,), (2,)], []]
+
+
+@pytest.mark.parametrize("c", [c for c in real_forms.deformation_classes() if 0 < c.rank <= 4],
+                         ids=lambda c: c.id)
+def test_search_equals_the_box_scan_on_small_ranks(c):
+    # The box-scan oracle of the property suite, on the class lattice and on the
+    # seeded gram-changed bases of test_gram_changing_bases_give_the_same_vectors.
+    lat = real_forms.lambda_basis(c.id)
+    rng = random.Random(f"unimodular:{c.id}")
+    moved = [Sublattice.span([lat.from_coordinates(tuple(row)) for row in unimodular(rng, lat.rank)])
+             for _ in range(2 if lat.rank > 1 else 0)]
+    for basis in [lat, *moved]:
+        for n in (-2, -4, -6, -8):
+            assert enumerate_coordinates(basis, n) == properties._box_scan(basis, n), (basis.gram, n)
+
+
 def test_span_rejects_a_dependent_basis(kperp):
     # The LDL's definiteness check is also the independence check: a repeated
     # vector, and a sum of two vectors of a gram-changed basis put among them,

@@ -7,7 +7,7 @@ from conftest import vanishing_qhat
 from dp1 import wallcross
 from dp1.counting import BClass, b_classes, sign_of
 from dp1.golden import SPLITTING_TABLE
-from dp1.lattice import MINUS_2K, MINUS_K, LatticeError, dot_tuples
+from dp1.lattice import H, MINUS_2K, MINUS_K, LatticeError, dot_tuples
 from dp1.pin import POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.report import build_records
@@ -215,6 +215,50 @@ def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monke
     monkeypatch.setattr(wallcross, "b_classes", spoiled)
     with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {scale * u} by (")):
         wallcross.q_index_cached(E8.id)
+
+
+def test_the_packed_pass_decides_every_green_reflection(monkeypatch):
+    # The exact walk reads each v.b through dot_tuples; on green data the packed
+    # pass decides every (simple root, stratum), so a silent fallback shows here.
+    walked = []
+    exact = wallcross.dot_tuples
+    monkeypatch.setattr(wallcross, "dot_tuples", lambda a, b: walked.append(a) or exact(a, b))
+    classes = [c for c in deformation_classes() if c.rank]
+    for c in classes:
+        wallcross.q_index_cached.__wrapped__(c.id)
+    assert len(classes) == 10 and walked == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_class_off_k_perp_fails_the_reflection_check(monkeypatch, k):
+    # w = v + H has the l1..l8 of the stratum vector v, so its 64-bit key is v's,
+    # and w.K = -3: the packed pass may not decide the stratum, and the exact walk
+    # names w.
+    w = b_classes(E8, k)[0].v + H
+    good = wallcross.b_classes
+
+    def spoiled(c, j):
+        extra = (BClass(2 * j, w, MINUS_2K - w, 0),) if j == k else ()
+        return good(c, j) + extra
+
+    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {w} by (")):
+        wallcross.q_index_cached.__wrapped__(E8.id)
+
+
+def test_a_class_off_k_perp_that_keeps_every_key_fails_the_reflection_check(monkeypatch):
+    # M-4's simple roots have no h, so replacing -b by w = -b + H with q(-b) keeps
+    # every key and every predicted q: only the v.K = 0 guard tells w from -b.
+    b = lambda_basis(M4.id).basis[0]
+    w = -b + H
+    good = wallcross.b_classes
+
+    def spoiled(c, k):
+        return tuple(x._replace(v=w, alpha=MINUS_2K - w) if x.v == -b else x for x in good(c, k))
+
+    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {w} by {b}")):
+        wallcross.q_index_cached.__wrapped__(M4.id)
 
 
 def test_orth_root_sum_values():
