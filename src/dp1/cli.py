@@ -62,14 +62,14 @@ def enumerate_output(class_id: str, stratum: int | None) -> Output:
     for cid in ids:
         c = real_forms.get_class(cid)
         for s in strata:
-            bs = counting.b_classes(c, s // 2)
+            st = counting.b_classes(c, s // 2)
             blocks.append({
                 "class": cid,
                 "stratum": s,
-                "count": len(bs),
+                "count": len(st.vs),
                 "signed_sum": counting.signed_sum(c, s // 2),
-                "classes": [{"alpha": list(b.alpha.coeffs), "v": list(b.v.coeffs),
-                             "qhat": b.qhat} for b in bs],
+                "classes": [{"alpha": counting.alpha_of(v), "v": v, "qhat": q}
+                            for v, q in zip(st.vs, st.qs)],
             })
     return Output({"enumeration": blocks}, ["class", "stratum", "alpha", "v", "qhat"],
                   ({**b, **item} for b in blocks for item in b["classes"]))
@@ -149,7 +149,8 @@ _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
     """Append json.dumps(obj, indent=2, ensure_ascii=False)'s pieces to parts (keys
-    are str); a list of exact ints is one join, since type() keeps bools out of it."""
+    are str); a list of exact ints is one join, since type() keeps bools out of it,
+    and a list of uniform int rows is one %-format (`_int_rows`)."""
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
         for i, (key, value) in enumerate(obj.items()):
@@ -158,6 +159,8 @@ def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
         parts += ("\n", indent, "}")
     elif isinstance(obj, (list, tuple)) and obj and all(type(x) is int for x in obj):
         parts += ("[\n", inner, (",\n" + inner).join(map(str, obj)), "\n", indent, "]")
+    elif isinstance(obj, (list, tuple)) and obj and (rows := _int_rows(obj, inner)):
+        parts += ("[\n", inner, rows, "\n", indent, "]")
     elif isinstance(obj, (list, tuple)) and obj:
         for i, value in enumerate(obj):
             parts += (",\n" if i else "[\n", inner)
@@ -166,6 +169,35 @@ def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
     else:  # a scalar, {} or []
         parts.append(str(obj) if type(obj) is int else _ENCODE(obj))
     return parts
+
+
+def _int_rows(rows, indent: str) -> str | None:
+    """`_write_json`'s rows at indent, joined, through one template built by its own
+    rules, where every row is a dict with the first row's keys in its order and each
+    value an exact int or a non-empty list or tuple of exact ints, of the first row's
+    length at that key.  None where any row differs: the recursion writes those."""
+    first = rows[0]
+    if type(first) is not dict or not first:
+        return None
+    keys = list(first)
+    sizes = [len(v) if isinstance(v, (list, tuple)) else 0 for v in first.values()]
+    values: list = []
+    for row in rows:
+        if type(row) is not dict or list(row) != keys:
+            return None
+        for v, size in zip(row.values(), sizes):
+            if size and not (isinstance(v, (list, tuple)) and len(v) == size):
+                return None
+            values += v if size else (v,)
+    if not set(map(type, values)) <= {int}:
+        return None
+    inner, deeper = indent + "  ", indent + "    "
+    slots = ["[\n" + deeper + (",\n" + deeper).join(["%d"] * size) + "\n" + inner + "]"
+             if size else "%d" for size in sizes]
+    fields = (",\n" + inner).join(_ENCODE(key).replace("%", "%%") + ": " + slot
+                                  for key, slot in zip(keys, slots))
+    template = "{\n" + inner + fields + "\n" + indent + "}"
+    return (",\n" + indent).join([template] * len(rows)) % tuple(values)
 
 
 def render(out: Output, fmt: str) -> str:

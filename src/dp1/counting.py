@@ -4,30 +4,47 @@ For each deformation class the candidate classes of canonical degree 2 split
 into strata B^0 = {-2K}, B^2 = {-2K-e : e a root of the class lattice} and
 B^4 = {-2K-v : v.v = -4}.  Each class carries the Z/4 value of its stratum
 vector; signed sums weight classes by i^q in {+1, -1} (odd values never occur
-here and are a hard error).
+here and are a hard error).  A stratum is plain columns (`Stratum`): the
+coefficient tuples of its vectors v, their q values and the packed coefficient
+columns; alpha = -2K - v is read off v (`alpha_of`), and no class object is
+built per vector.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import attrgetter
+from operator import neg, sub
 from typing import Callable, NamedTuple
 
 from . import golden
-from .lattice import MINUS_2K, ZERO, LatticeError, PicClass, Sublattice, enumerate_coordinates
+from .lattice import (MINUS_2K, RANK, ZERO, LatticeError, Sublattice, enumerate_coordinates,
+                      pack_lanes, unpack_lanes)
 from .pin import code_coordinates, qhat_code, qhat_from_coordinates
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
-from .roots import lex_positive
 
 
-class BClass(NamedTuple):
-    """A degree-2 candidate class alpha = -2K - v with its quadratic value."""
+class Stratum(NamedTuple):
+    """B^{2k} as columns, in search order: each stratum vector v as its coefficient
+    9-tuple, with alpha = -2K - v, and its quadratic value q.  `columns` are the
+    coefficient columns of the vs, each one `pack_lanes` int (None past LANE)."""
 
-    stratum: int  # 0, 2 or 4: the negated square of v
-    v: PicClass
-    alpha: PicClass
-    qhat: int
+    k: int
+    vs: tuple[tuple[int, ...], ...]
+    qs: tuple[int, ...]
+    columns: tuple[int, ...] | None
+
+
+def stratum(k: int, vs: tuple[tuple[int, ...], ...], qs: tuple[int, ...],
+            columns: tuple[int, ...] | None = None) -> Stratum:
+    """The one constructor: it packs the columns of vs where the search did not
+    (`Sublattice.pic_columns`); past a byte lane they stay None."""
+    if columns is None:
+        try:
+            columns = tuple(map(pack_lanes, zip(*vs))) if vs else (0,) * RANK
+        except ValueError:
+            pass
+    return Stratum(k, vs, qs, columns)
 
 
 def twist(c: DeformationClass) -> tuple[int, ...]:
@@ -40,20 +57,21 @@ def twist(c: DeformationClass) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def b_classes_cached(class_id: str, k: int) -> tuple[BClass, ...]:
+def b_classes_cached(class_id: str, k: int) -> Stratum:
     c = get_class(class_id)
     if k == 0:
-        return (BClass(0, ZERO, MINUS_2K, 0),)
+        return stratum(0, (ZERO.coeffs,), (0,))
     lat = lambda_basis(class_id)
     if lat.rank == 0:
-        return ()
+        return stratum(k, (), ())
     t = twist(c)
     coords = enumerate_coordinates(lat, -2 * k)
-    return tuple(BClass(2 * k, v, MINUS_2K - v, qhat_from_coordinates(x, -2 * k, t))
-                 for x, v in zip(coords, map(PicClass, lat.pic_coordinates(coords))))
+    columns = lat.pic_columns(coords)
+    vs = tuple(zip(*(unpack_lanes(col, len(coords)) for col in columns)))
+    return stratum(k, vs, tuple(qhat_from_coordinates(x, -2 * k, t) for x in coords), columns)
 
 
-def b_classes(c: DeformationClass, k: int) -> tuple[BClass, ...]:
+def b_classes(c: DeformationClass, k: int) -> Stratum:
     """The stratum B^{2k} of the class, k in {0, 1, 2}, with quadratic values filled."""
     if k not in (0, 1, 2):
         raise LatticeError(f"stratum index must be 0, 1 or 2, got {k}")
@@ -68,7 +86,7 @@ def sign_of(qhat: int) -> int:
 
 def signed_sum(c: DeformationClass, k: int) -> int:
     """Sum of i^q over B^{2k}, counted per q in first-seen order: an odd q raises."""
-    return sum(n * sign_of(q) for q, n in Counter(map(attrgetter("qhat"), b_classes(c, k))).items())
+    return sum(n * sign_of(q) for q, n in Counter(b_classes(c, k).qs).items())
 
 
 def lattice_signed_sum(lat: Sublattice, k: int, twist: tuple[int, ...]) -> int:
@@ -120,33 +138,41 @@ class TableRow(NamedTuple):
         return self.level % 2, sum(s % 2 for s in self.signature)
 
 
-def _table_rows(c: DeformationClass, k: int, read: Callable[[BClass], PicClass]) -> list[TableRow]:
-    """Rows by (level, signature, pair, q) of the code coordinates of read(b) over
+def _table_rows(c: DeformationClass, k: int,
+                read: Callable[[tuple[int, ...]], tuple[int, ...]]) -> list[TableRow]:
+    """Rows by (level, signature, pair, q) of the code coordinates of read(v) over
     B^{2k}: a q that varies on a coefficient type gives that type one row per value."""
     code = c.code
     if code is None:
         raise LatticeError(f"{c.id} has no blowup-model code")
     n_real, has_pair = code.n_real, code.r == 1
     counts: Counter = Counter()
-    for b in b_classes(c, k):
-        x = code_coordinates(code, read(b))
+    s = b_classes(c, k)
+    for v, q in zip(s.vs, s.qs):
+        x = code_coordinates(code, read(v))
         sig = tuple(sorted(x[1 : n_real + 1], reverse=True))
-        counts[x[0], sig, x[n_real + 1] if has_pair else None, b.qhat] += 1
+        counts[x[0], sig, x[n_real + 1] if has_pair else None, q] += 1
     rows = [TableRow(level, sig, pair, count, q) for (level, sig, pair, q), count in counts.items()]
     rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
     return rows
 
 
+def alpha_of(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of alpha = -2K - v."""
+    return tuple(map(sub, MINUS_2K.coeffs, v))
+
+
 def classify_roots(c: DeformationClass) -> list[TableRow]:
-    """Root table of a code class: rows by (level, type), roots folded by sign."""
-    return _table_rows(c, 1, lambda b: b.v if lex_positive(b.v) else -b.v)
+    """Root table of a code class: rows by (level, type), roots folded by sign (the
+    lex-positive of v and -v is the larger tuple)."""
+    return _table_rows(c, 1, lambda v: max(v, tuple(map(neg, v))))
 
 
 def count_report(c: DeformationClass) -> tuple[list[list[int]], list[list[int]]]:
     """Row totals of a code class: [count, signed sum] of B^2 and of B^4, once from
     the strata and once from the classify_levels rows.  Not a verify record: the
     rows partition the same strata, so the two halves agree whatever q is."""
-    strata = [[len(b_classes(c, k)), signed_sum(c, k)] for k in (1, 2)]
+    strata = [[len(b_classes(c, k).vs), signed_sum(c, k)] for k in (1, 2)]
     by_rows = [[sum(r.count for r in rows), sum(r.count * sign_of(r.qhat) for r in rows)]
                for rows in (classify_levels(c, 1), classify_levels(c, 2))]
     return strata, by_rows
@@ -156,4 +182,4 @@ def classify_levels(c: DeformationClass, k: int) -> list[TableRow]:
     """Level/bi-level rows of B^{2k} for a code class."""
     if k not in (1, 2):
         raise LatticeError(f"stratum index must be 1 or 2, got {k}")
-    return _table_rows(c, k, attrgetter("alpha"))
+    return _table_rows(c, k, alpha_of)

@@ -142,14 +142,13 @@ class Sublattice(NamedTuple):
                 total[i] += n * c
         return PicClass(tuple(total))
 
-    def pic_coordinates(self, coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """The coefficient tuples of `from_coordinates` for a whole list in one pass:
-        each coordinate column is packed once (`pack_lanes`), and each ambient
-        column is rank multiply-adds of them.  Lane j of a vector holds at most
-        sum_i max|x_i| * |b_ij|; a bound past LANE raises instead of wrapping."""
-        n = len(coords)
-        if not (n and self.basis):
-            return [ZERO.coeffs] * n
+    def pic_columns(self, coords: list[tuple[int, ...]]) -> tuple[int, ...]:
+        """The RANK coefficient columns of `from_coordinates` over a whole list, each
+        as one `pack_lanes` int: each coordinate column is packed once, and each
+        ambient column is rank multiply-adds of them.  Lane j of a vector holds at
+        most sum_i max|x_i| * |b_ij|; a bound past LANE raises instead of wrapping."""
+        if not (coords and self.basis):
+            return (0,) * RANK
         xs = list(zip(*coords))
         tops = [max(max(x), -min(x)) for x in xs]
         columns = list(zip(*(b.coeffs for b in self.basis)))
@@ -157,7 +156,13 @@ class Sublattice(NamedTuple):
         if bound > LANE:
             raise LatticeError(f"lane bound {bound} exceeds {LANE}")
         packed = list(map(pack_lanes, xs))
-        return list(zip(*(unpack_lanes(sum(map(mul, c, packed)), n) for c in columns)))
+        return tuple(sum(map(mul, c, packed)) for c in columns)
+
+    def pic_coordinates(self, coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The coefficient tuples of `from_coordinates` for a whole list: the lanes of
+        `pic_columns`."""
+        n = len(coords)
+        return list(zip(*(unpack_lanes(col, n) for col in self.pic_columns(coords))))
 
     def coordinates_of(self, x: PicClass) -> tuple[int, ...]:
         """Integer coordinates of x in this basis; raises if x is outside the span.

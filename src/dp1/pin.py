@@ -71,21 +71,20 @@ POSITIVE_CODE = Code((1,) * 9)  # M-connected, 8 real points
 NEGATIVE_CODE = Code((3,) * 7)  # M-1-connected, 6 real points + 1 imaginary pair
 
 
-def code_coordinates(code: Code, x: PicClass) -> tuple[int, ...]:
-    """Coordinates of a real class over {h, real l_i, pair sums}: c0, the real c_i
-    and the first slot of each imaginary pair."""
-    c = x.coeffs
+def code_coordinates(code: Code, c: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates over {h, real l_i, pair sums} of a real class with coefficients
+    c: c0, the real c_i and the first slot of each imaginary pair."""
     coords = c[: code.n_real + 1]
     for i, j in PAIRS[: code.r]:
         if c[i] != c[j]:
-            raise LatticeError(f"{x} is not real for a code with {code.r} imaginary pairs")
+            raise LatticeError(f"{PicClass(c)} is not real for a code with {code.r} imaginary pairs")
         coords += (c[i],)
     return coords
 
 
 def qhat_code(code: Code, x: PicClass) -> int:
     """Value on a real class via the code's twist on its code coordinates."""
-    return qhat_from_coordinates(code_coordinates(code, x), x.square, code.twist)
+    return qhat_from_coordinates(code_coordinates(code, x.coeffs), x.square, code.twist)
 
 
 def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int, ...]) -> int:

@@ -183,7 +183,7 @@ def enumeration_closure() -> PropertyResult:
     checks = fails = 0
     for c in real_forms.deformation_classes():
         for k in (1, 2):
-            vs = {b.v.coeffs for b in counting.b_classes(c, k)}
+            vs = set(counting.b_classes(c, k).vs)
             fails += sum(tuple(-x for x in v) not in vs for v in vs)
             checks += len(vs)
     return PropertyResult("enumeration_closure", checks, fails)
@@ -235,9 +235,10 @@ def alpha_qhat_consistency() -> PropertyResult:
         if c.code is None:
             continue
         for k in (1, 2):
-            for b in counting.b_classes(c, k):
+            s = counting.b_classes(c, k)
+            for v, q in zip(s.vs, s.qs):
                 checks += 1
-                fails += pin.qhat_code(c.code, b.alpha) != b.qhat
+                fails += pin.qhat_code(c.code, PicClass(counting.alpha_of(v))) != q
     return PropertyResult("alpha_qhat_consistency", checks, fails)
 
 

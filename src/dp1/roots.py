@@ -8,6 +8,7 @@ returned simple roots, so downstream golden outputs are stable.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import groupby
 
 from .lattice import LatticeError, PicClass, Sublattice, dot_tuples, enumerate_vectors
@@ -105,9 +106,11 @@ def _classify_component(nodes: list[PicClass], adj: list[list[int]],
     return "unknown", comp
 
 
-def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
+@lru_cache(maxsize=None)
+def identify(lat: Sublattice) -> tuple[str, tuple[PicClass, ...]]:
     """ADE label of the root system of lat and its canonical simple system: the
-    components sorted by rank (descending), label and roots, each in Dynkin order."""
+    components sorted by rank (descending), label and roots, each in Dynkin order.
+    Memoized on the lattice: the class lattices and their complements repeat."""
     simple = _simple_roots(enumerate_vectors(lat, -2))
     blocks = []
     adj, comps = _components(simple)
@@ -115,7 +118,7 @@ def identify(lat: Sublattice) -> tuple[str, list[PicClass]]:
         label, order = _classify_component(simple, adj, comp)
         blocks.append((label, [simple[i] for i in order]))
     blocks.sort(key=lambda b: (-len(b[1]), b[0], [v.coeffs for v in b[1]]))
-    ordered = [v for _, vs in blocks for v in vs]
+    ordered = tuple(v for _, vs in blocks for v in vs)
     labels = [label for label, _ in blocks]
     if "unknown" in labels:
         return "unknown", ordered

@@ -22,13 +22,13 @@ so this is the law for every root E; for q(E) = 0 it shifts q by 2 iff |v.E| = 1
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import golden
 from .lattice import (FORM, K, LANE, MINUS_K, MINUS_2K, ZERO, LatticeError, PicClass, dot_tuples,
                       pack_lanes, unpack_lanes)
-from .counting import BClass, b_classes, sign_of
+from .counting import Stratum, alpha_of, b_classes, sign_of
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
 MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the bound
@@ -43,7 +43,8 @@ CITED_FIELDS = ("d22",)
 
 @lru_cache(maxsize=None)
 def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
-    return tuple(b.v for b in b_classes(get_class(class_id), 1) if b.qhat == 0)
+    s = b_classes(get_class(class_id), 1)
+    return tuple(PicClass(v) for v, q in zip(s.vs, s.qs) if q == 0)
 
 
 @lru_cache(maxsize=None)
@@ -56,17 +57,17 @@ def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
     names one class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the
     n images are the n classes.  Else, or past a lane bound, the exact walk raises."""
     c = get_class(class_id)
-    q_of = tuple(dict(map(attrgetter("v.coeffs", "qhat"), b_classes(c, k))) for k in (1, 2))
-    cols = [list(zip(*by_v)) for by_v in q_of]
-    tops = [[max(max(col), -min(col)) for col in by_col] for by_col in cols]
+    strata = [b_classes(c, k) for k in (1, 2)]
+    q_of = tuple(dict(zip(s.vs, s.qs)) for s in strata)
+    tops = [[max(max(col), -min(col)) for col in zip(*s.vs)] for s in strata]
     packs = []
-    for by_v, top, by_col in zip(q_of, tops, cols):
+    for s, top in zip(strata, tops):
         packs.append(None)
         if sum(map(mul, top, map(abs, K.coeffs))) <= LANE:  # bounds v.K and every lane
-            columns = _form_columns(by_col)
-            own = dict(zip(_keys(columns, len(by_v)), by_v.values()))
-            if len(own) == len(by_v) and not sum(map(mul, K.coeffs, columns)):
-                packs[-1] = columns, pack_lanes(tuple(by_v.values())), own
+            n, columns = len(s.vs), _form_columns(s)
+            own = dict(zip(_keys(columns, n), s.qs))
+            if len(own) == n and not sum(map(mul, K.coeffs, columns)):
+                packs[-1] = columns, pack_lanes(s.qs), own, n
     for b in lambda_basis(class_id).basis:
         bc = b.coeffs
         q_b = q_of[0].get(bc)
@@ -76,7 +77,7 @@ def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
             bound = sum(map(mul, top, map(abs, bc)))  # on |v.b|, hence on each image and q lane
             reach = max([3 + bound * (q_b + 2), *(x + bound * abs(y) for x, y in zip(top, bc))])
             if pack and reach <= LANE:
-                (columns, qs, own), n = pack, len(by_v)
+                columns, qs, own, n = pack
                 t = sum(map(mul, bc, columns))
                 q_images = bytes(unpack_lanes(qs + (q_b + 2) * t, n)).translate(MOD4)
                 if list(map(own.get, _keys(columns, n, t, bc))) == list(q_images):
@@ -99,22 +100,24 @@ def _keys(columns: tuple[int, ...], n: int, t: int = 0, b: tuple[int, ...] = ZER
     return memoryview(rows).cast("q")
 
 
-def _form_columns(cols) -> tuple[int, ...]:
-    # FORM_j times packed coordinate column j: sum_j x_j column_j packs every v.x at once.
-    return tuple(form * pack_lanes(col) for form, col in zip(FORM, cols))
+def _form_columns(s: Stratum) -> tuple[int, ...]:
+    # FORM_j times the stratum's packed column j: sum_j x_j column_j packs every v.x at once.
+    if s.columns is None:
+        raise LatticeError(f"a coefficient of B^{2 * s.k} is past the lane bound {LANE}")
+    return tuple(map(mul, FORM, s.columns))
 
 
 @lru_cache(maxsize=None)
 def packed_strata(class_id: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(size, base, columns) of B^2 and B^4 of the class, one byte lane per class
     in stratum order: base holds BIAS, plus NEG where q = 2 mod 4, and the
-    columns are `_form_columns` of the classes' v."""
+    columns are `_form_columns` of the stratum."""
     c = get_class(class_id)
     packs = []
     for k in (1, 2):
-        bs = b_classes(c, k)
-        base = int.from_bytes(bytes(BIAS + NEG * (sign_of(b.qhat) < 0) for b in bs), "little")
-        packs.append((len(bs), base, _form_columns(zip(*(b.v.coeffs for b in bs)))))
+        s = b_classes(c, k)
+        base = int.from_bytes(bytes(BIAS + NEG * (sign_of(q) < 0) for q in s.qs), "little")
+        packs.append((len(s.vs), base, _form_columns(s)))
     return tuple(packs)
 
 
@@ -125,16 +128,17 @@ def vanishing_roots(c: DeformationClass) -> tuple[PicClass, ...]:
 
 def splitting_summaries(c: DeformationClass) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
     """{(stratum, v.E): `splittings`} at the class's first vanishing root E, each
-    key run on its first class in stratum order: golden.SPLITTING_TABLE's layout."""
+    key run on the alpha of its first class in stratum order: golden.SPLITTING_TABLE's
+    layout."""
     e = vanishing_roots(c)[0]
-    witnesses: dict[tuple[int, int], BClass] = {}
+    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
     for k in (0, 1, 2):
-        for b in b_classes(c, k):
-            witnesses.setdefault((b.stratum, dot_tuples(b.v.coeffs, e.coeffs)), b)
-    return {key: tuple(splittings(b, e)) for key, b in witnesses.items()}
+        for v in b_classes(c, k).vs:
+            witnesses.setdefault((2 * k, dot_tuples(v, e.coeffs)), v)
+    return {key: tuple(splittings(PicClass(alpha_of(v)), e)) for key, v in witnesses.items()}
 
 
-def splittings(alpha: BClass, e: PicClass) -> list[tuple[int, int, int, int]]:
+def splittings(alpha: PicClass, e: PicClass) -> list[tuple[int, int, int, int]]:
     """Admissible splittings alpha = D + r*E for r >= 1, as the rows
     (r, stratum of D, D.D, D.E) of golden.SPLITTING_TABLE.
 
@@ -144,7 +148,7 @@ def splittings(alpha: BClass, e: PicClass) -> list[tuple[int, int, int, int]]:
     """
     cases = []
     for r in range(1, MAX_MULTIPLICITY + 1):
-        d = alpha.alpha - r * e
+        d = alpha - r * e
         if d.dot(MINUS_K - e) < 0 or d.dot(e) < 1 or d.square < -1:
             continue
         stratum = {0: 0, -2: 2, -4: 4}.get((MINUS_2K - d).square)

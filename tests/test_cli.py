@@ -15,7 +15,7 @@ import pytest
 import dp1
 from conftest import clear_model_caches, corrupt_4a1_embedding
 from dp1 import cli, golden, real_forms, report, wallcross
-from dp1.lattice import pic
+from dp1.lattice import PicClass, pic
 
 BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -382,11 +382,13 @@ def test_stdout_is_byte_identical(capsys, argv):
 # sha256 of stdout under --format csv and --format md, taken when the flat tables
 # were still built by a second pass over the JSON payload; the two tables 7 pins
 # were re-taken with the STDOUT_SHA256 one, both times.  The empty M-split B^2
-# prints a header and no rows.
+# prints a header and no rows.  The two enumerate --class all pins were taken
+# before the strata became columns and uniform JSON rows one template.
 FLAT_ARGVS = [("classes",), ("enumerate", "--class", "M-4"),
               ("enumerate", "--class", "M-split", "--stratum", "2"),
               *(("tables", str(n)) for n in range(2, 8)),
-              ("verify", "--class", "M-4"), ("wallcross", "--class", "all")]
+              ("verify", "--class", "M-4"), ("wallcross", "--class", "all"),
+              ("enumerate", "--class", "all")]
 FLAT_SHA256 = dict(zip(
     [(*argv, "--format", fmt) for fmt in ("csv", "md") for argv in FLAT_ARGVS], [
         "b00fc71592dd9005dbdd0412298783e5c766fc3c70a9169ddae31df87d269e04",
@@ -400,6 +402,7 @@ FLAT_SHA256 = dict(zip(
         "cf88f380670a3b623c6590bcf69c20befe596955ad9ddb671adfbb27013e2d09",
         "58002ef6a8d3148f2f4036cecc2178435f2702ebc87363f339dccb39b9f8b0bd",
         "0eb078051bfb5aee74c879ac23eb0a91272acc738f568d81b8cb0c38381593ea",
+        "26da9924649513ca6a5a35f890665ab05f22f59427c9f0d8e75ee6d7a8df871d",
         "fd3f02eb48558db1a167f6d9593eed3552ff014702e5a0fea016c80c03711eca",
         "b5cf76d14413d09bd7d9c64c09f4b4163888e9bd59e6a106bba0226de9ccb194",
         "3819c5247da1800bf0623ffe60a81b197bfecae5f8bdc03075789711477a670e",
@@ -411,6 +414,7 @@ FLAT_SHA256 = dict(zip(
         "400b37e4786d9ea36b4602e1a6373e696d4a39999619f3b720d3f7c7009aa9b8",
         "da2c07b20cf4b965266dc41f297d12722f5d5a153dfc15b6c2388778ba7c6eda",
         "fb3e02d832cbd39dd395e2b7041ff235a7792f11daaff8b14a0c33dda4917dd1",
+        "a89da48e980f05151968927e8932f26c4daa27c639f9944ede076098a167d505",
     ]))
 
 
@@ -428,9 +432,27 @@ class _Pair(NamedTuple):
 
 # Payloads where a hand-written writer could part from json: empty containers,
 # tuples and named tuples as lists, bools beside ints, None, and strings to escape.
+# From edge12 on, lists of rows: uniform int rows take one template, and every row
+# that breaks uniformity must send the whole list back to the recursion.
 JSON_EDGES = [{}, [], (), {"a": {}, "b": [], "c": (), "d": [[], {}, [()]]}, _Pair(-2, "x"),
               [1, True, 0, -3], [False], None, True, -7, {"n": None, "i": -12, "t": (True, 5)},
-              {"s": 'caf\u00e9 "q" \\ back\nline', "\u00fc\u00df": ["\u2192", "\t", ""]}]
+              {"s": 'caf\u00e9 "q" \\ back\nline', "\u00fc\u00df": ["\u2192", "\t", ""]},
+              [{"alpha": [6, -2, 0], "v": [0, 1, -1], "qhat": 2}, {"alpha": [1, 2, 3], "v": [4, 5, 6], "qhat": 0}],
+              [{"a": 1, "b": [1, 2]}, {"a": True, "b": [3, 4]}],
+              [{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3, True]}],
+              [{"a": 1, "b": [1]}, {"a": "x", "b": [2]}],
+              [{"a": 1, "b": [1]}, {"a": 2, "b": [None]}],
+              [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+              [{"a": [1, 2]}, {"a": [1, 2, 3]}],
+              [{"a": [], "b": 1}, {"a": [], "b": 2}],
+              [{"a": [1], "b": 1}, {"a": [], "b": 2}],
+              [{"t": (1, 2), "u": 3}, {"t": (4, 5), "u": 6}],
+              [{"d20%": 5, "%d": [1, 2], "100%s": -1}, {"d20%": 0, "%d": [3, 4], "100%s": 7}],
+              [{"a": {"b": 1}}, {"a": {"b": 2}}],
+              [{"a": 1, "b": [2, 3]}],
+              [{"a": -10 ** 30, "b": [-2 ** 63, 2 ** 64]}, {"a": -1, "b": [0, -12345678901234567890]}],
+              [{"a": 1}, {"a": 1.5}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, [1]], [{}, {}],
+              {"blocks": [{"rows": [{"x": [1, -1]}, {"x": [2, -2]}], "n": 2}]}]
 
 JSON_BUILDERS = {
     "classes": cli.classes_output,
@@ -454,3 +476,35 @@ def test_json_of_edge_payloads_is_indented_json_dumps(payload):
 @pytest.mark.parametrize("name", list(JSON_BUILDERS))
 def test_json_of_each_builder_is_indented_json_dumps(name):
     _assert_json_dumps(JSON_BUILDERS[name]().payload)
+
+
+def test_render_writes_each_list_of_uniform_rows_in_one_call(monkeypatch):
+    # The 3,859 stratum items are (alpha, v, qhat) rows of exact ints: each block's
+    # list is one template, so a silent fallback to the per-value recursion shows here.
+    calls = []
+    write = cli._write_json
+
+    def counted(obj, indent, parts):
+        calls.append(indent)
+        return write(obj, indent, parts)
+
+    out = cli.enumerate_output("all", None)
+    monkeypatch.setattr(cli, "_write_json", counted)
+    cli.render(out, "json")
+    assert 0 < len(calls) < 500
+
+
+def test_enumerate_builds_no_class_per_stratum_vector(fresh_caches, monkeypatch):
+    # The strata are plain columns: a PicClass is built for the lattice bases and
+    # roots, not for each of the 3,859 stratum vectors (B^0 included) or their alphas.
+    built = []
+    new = PicClass.__new__
+
+    def counted(cls, coeffs):
+        built.append(coeffs)
+        return new(cls, coeffs)
+
+    monkeypatch.setattr(PicClass, "__new__", counted)
+    out = cli.enumerate_output("all", None)
+    assert sum(b["count"] for b in out.payload["enumeration"]) == 3859
+    assert 0 < len(built) < 1000

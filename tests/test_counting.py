@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import clear_model_caches, corrupt_4a1_embedding, model_caches, vanishing_qhat
-from dp1 import counting, golden, lattice, pin, properties, real_forms, report, wallcross
+from dp1 import counting, golden, lattice, pin, properties, real_forms, report, roots, wallcross
 from dp1.counting import (
     TableRow,
+    alpha_of,
     b_classes,
     c0_total,
     c2_total,
@@ -16,8 +17,9 @@ from dp1.counting import (
     sign_of,
     signed_sum,
     signed_total,
+    stratum,
 )
-from dp1.lattice import MINUS_2K, LatticeError, enumerate_coordinates
+from dp1.lattice import MINUS_2K, LatticeError, PicClass, enumerate_coordinates
 from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code
 from dp1.real_forms import get_class, lambda_basis
 from dp1.report import build_records
@@ -27,25 +29,39 @@ E7 = get_class("M-1-connected")
 
 
 def test_b_class_cardinalities():
-    assert len(b_classes(E8, 1)) == 240
-    assert len(b_classes(E8, 2)) == 2160
-    assert len(b_classes(E7, 2)) == 756
-    assert b_classes(get_class("M-split"), 1) == ()
-    assert b_classes(get_class("M-split"), 2) == ()
+    assert len(b_classes(E8, 1).vs) == 240
+    assert len(b_classes(E8, 2).vs) == 2160
+    assert len(b_classes(E7, 2).vs) == 756
+    for k in (1, 2):
+        s = b_classes(get_class("M-split"), k)
+        assert (s.vs, s.qs) == ((), ())
 
 
 def test_b0_is_minus_2k(all_classes):
     for c in all_classes:
-        (b,) = b_classes(c, 0)
-        assert b.alpha == MINUS_2K and b.qhat == 0 and b.stratum == 0
+        s = b_classes(c, 0)
+        ((v,), (q,)) = s.vs, s.qs
+        assert alpha_of(v) == MINUS_2K.coeffs and q == 0 and s.k == 0
+
+
+def test_each_stratum_holds_the_packed_columns_of_its_vectors(all_classes):
+    # The search hands its packed columns to the stratum; packing the vectors again
+    # must give the same ints, in every class and stratum.
+    for c in all_classes:
+        for k in (0, 1, 2):
+            s = b_classes(c, k)
+            assert s.k == k and len(s.vs) == len(s.qs)
+            assert s.columns == stratum(k, s.vs, s.qs).columns
 
 
 def test_b_class_invariants():
-    for b in b_classes(E8, 2)[:100]:
-        assert b.alpha.degree == 2
-        assert b.alpha.square == 0
-        assert b.qhat % 2 == 0
-        assert qhat_code(POSITIVE_CODE, b.alpha) == b.qhat
+    s = b_classes(E8, 2)
+    for v, q in list(zip(s.vs, s.qs))[:100]:
+        alpha = PicClass(alpha_of(v))
+        assert alpha.degree == 2
+        assert alpha.square == 0
+        assert q % 2 == 0
+        assert qhat_code(POSITIVE_CODE, alpha) == q
 
 
 def test_signed_sums_match_rank_forms(all_classes):
@@ -65,7 +81,7 @@ def test_named_four_sums():
 def test_four_a1_line_sum():
     c = get_class("M-4")
     assert signed_sum(c, 1) == 8
-    assert all(b.qhat == 0 for b in b_classes(c, 1))
+    assert all(q == 0 for q in b_classes(c, 1).qs)
 
 
 def test_c2_and_c0_values():
@@ -114,7 +130,8 @@ def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
     strata, evaluate = counting.b_classes, counting.qhat_from_coordinates
 
     def odd_strata(c, k):
-        return tuple(b._replace(qhat=odd.get(i, b.qhat)) for i, b in enumerate(strata(c, k)))
+        s = strata(c, k)
+        return stratum(k, s.vs, tuple(odd.get(i, q) for i, q in enumerate(s.qs)))
 
     def odd_values(x, square, twist):
         return odd.get(coords.index(x), evaluate(x, square, twist))
@@ -164,7 +181,7 @@ def test_classify_levels_aggregate_for_basis_classes():
     d6 = get_class("M-2-connected")
     with pytest.raises(LatticeError):
         classify_levels(d6, 2)
-    assert (len(b_classes(d6, 2)), signed_sum(d6, 2)) == (252, 60)
+    assert (len(b_classes(d6, 2).vs), signed_sum(d6, 2)) == (252, 60)
 
 
 def test_classify_levels_rejects_bad_stratum():
@@ -176,22 +193,24 @@ def test_count_report_consistency(all_classes):
     assert count_report(E8) == ([[240, 16], [2160, 112]],) * 2
     assert count_report(E7) == ([[126, 14], [756, 84]],) * 2
     for c in all_classes:
-        assert len(b_classes(c, 0)) == 1
+        assert len(b_classes(c, 0).vs) == 1
         if c.code is None:
             with pytest.raises(LatticeError):
                 count_report(c)
 
 
 def test_model_qhat_consistency_between_alpha_and_v():
-    for b in b_classes(E7, 2)[:200]:
-        assert qhat_code(NEGATIVE_CODE, b.alpha) == b.qhat
+    s = b_classes(E7, 2)
+    for v, q in list(zip(s.vs, s.qs))[:200]:
+        assert qhat_code(NEGATIVE_CODE, PicClass(alpha_of(v))) == q
 
 
 def test_model_qhat_on_basis_class():
     c = get_class("M-3-connected")
     lat = lambda_basis(c.id)
-    for b in b_classes(c, 1)[:20]:
-        assert vanishing_qhat(lat, b.v) == b.qhat
+    s = b_classes(c, 1)
+    for v, q in list(zip(s.vs, s.qs))[:20]:
+        assert vanishing_qhat(lat, PicClass(v)) == q
 
 
 def test_twists_on_simple_roots():
@@ -459,15 +478,19 @@ def test_clear_model_caches_finds_every_cache():
     assert {f"{fn.__module__}.{fn.__qualname__}" for fn in model_caches()} == {
         "dp1.real_forms.lambda_basis", "dp1.real_forms._kernel_sublattice",
         "dp1.counting.b_classes_cached", "dp1.wallcross.vanishing_roots_cached",
-        "dp1.wallcross.q_index_cached", "dp1.wallcross.packed_strata", "dp1.lattice._search"}
+        "dp1.wallcross.q_index_cached", "dp1.wallcross.packed_strata", "dp1.lattice._search",
+        "dp1.roots.identify"}
 
 
 def test_full_build_searches_once_per_gram_and_norm(fresh_caches):
     # 42 distinct (gram, norm) keys reach enumerate_coordinates; the rank-0 one
-    # returns before the cache, so the other 41 are each searched once.
+    # returns before the cache, so the other 41 are each searched once.  The 22
+    # root-system identifications name 12 distinct lattices, each identified once.
     build_records("all")
     info = lattice._search.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (23, 41, 41)
+    assert (info.hits, info.misses, info.currsize) == (14, 41, 41)
+    info = roots.identify.cache_info()
+    assert (info.hits, info.misses) == (10, 12)
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

@@ -179,9 +179,9 @@ def test_move_set_and_roots():
 
 def test_code_coordinates_read_h_the_real_classes_and_each_pair_once():
     x = pic(2, -1, -1, 0, 0, 0, 0, -3, -3)
-    assert pin.code_coordinates(POSITIVE_CODE, x) == x.coeffs
-    assert pin.code_coordinates(NEGATIVE_CODE, x) == (2, -1, -1, 0, 0, 0, 0, -3)
-    assert pin.code_coordinates(pin.Code((1, 1, 3)), x) == (2, -1, -1, -3, 0, 0)
+    assert pin.code_coordinates(POSITIVE_CODE, x.coeffs) == x.coeffs
+    assert pin.code_coordinates(NEGATIVE_CODE, x.coeffs) == (2, -1, -1, 0, 0, 0, 0, -3)
+    assert pin.code_coordinates(pin.Code((1, 1, 3)), x.coeffs) == (2, -1, -1, -3, 0, 0)
 
 
 def test_cremona_matches_reflection_spotcheck():

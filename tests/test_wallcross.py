@@ -5,9 +5,9 @@ import pytest
 
 from conftest import vanishing_qhat
 from dp1 import wallcross
-from dp1.counting import BClass, b_classes, sign_of
+from dp1.counting import alpha_of, b_classes, sign_of, stratum
 from dp1.golden import SPLITTING_TABLE
-from dp1.lattice import H, MINUS_2K, MINUS_K, LatticeError, dot_tuples
+from dp1.lattice import H, MINUS_2K, MINUS_K, LatticeError, PicClass, dot_tuples
 from dp1.pin import POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.report import build_records
@@ -34,11 +34,25 @@ def test_vanishing_root_counts():
         assert qhat_code(POSITIVE_CODE, root) == 0
 
 
+def _classes(c, k):
+    """(v, alpha, q) of each class of B^{2k} in stratum order, v and alpha as PicClass."""
+    s = b_classes(c, k)
+    return [(PicClass(v), PicClass(alpha_of(v)), q) for v, q in zip(s.vs, s.qs)]
+
+
 def _alpha_with(c, stratum, t, root):
-    for b in b_classes(c, stratum // 2):
-        if b.v.dot(root) == t:
-            return b
+    for v, alpha, _ in _classes(c, stratum // 2):
+        if v.dot(root) == t:
+            return alpha
     return None
+
+
+def _with_extra(good, k, w):
+    """The strata of good with the class w, q = 0, appended to B^{2k}."""
+    def spoiled(c, j):
+        s = good(c, j)
+        return stratum(j, s.vs + (w.coeffs,), s.qs + (0,)) if j == k else s
+    return spoiled
 
 
 def test_splitting_cases_match_tables():
@@ -75,13 +89,13 @@ def test_splitting_fixed_cases():
     ((r, stratum, d_square, d_dot_e),) = splittings(b, root)
     assert (r, d_square, d_dot_e, stratum) == (1, 2, 1, 2)
     b = _alpha_with(E8, 2, 2, root)  # e = -E
-    assert b.v == -root
+    assert MINUS_2K - b == -root
     ((r, _, d_square, d_dot_e),) = splittings(b, root)
-    assert (r, b.alpha - r * root, d_square, d_dot_e) == (
+    assert (r, b - r * root, d_square, d_dot_e) == (
         2, MINUS_2K - root, 2, 2)
-    (b0,) = b_classes(E8, 0)
+    ((_, b0, _),) = _classes(E8, 0)
     ((r, _, _, d_dot_e),) = splittings(b0, root)
-    assert (r, b0.alpha - r * root, d_dot_e) == (1, MINUS_2K - root, 2)
+    assert (r, b0 - r * root, d_dot_e) == (1, MINUS_2K - root, 2)
     b = _alpha_with(E8, 4, 2, root)
     ((r, stratum, _, d_dot_e),) = splittings(b, root)
     assert (r, stratum, d_dot_e) == (2, 4, 2)
@@ -90,20 +104,20 @@ def test_splitting_fixed_cases():
 def test_splitting_multiplicity_bounded_by_two():
     root = vanishing_roots(E8)[0]
     for k in (0, 1, 2):
-        for b in b_classes(E8, k)[:300]:
-            assert all(r <= 2 for r, *_ in splittings(b, root))
+        for _, alpha, _ in _classes(E8, k)[:300]:
+            assert all(r <= 2 for r, *_ in splittings(alpha, root))
 
 
 def test_full_alpha_sweep_single_root():
     # Every candidate class against one degeneration root, no shortcuts.
     root = vanishing_roots(E8)[17]
     for k in (0, 1, 2):
-        for b in b_classes(E8, k):
-            t = b.v.dot(root)
-            got = tuple(splittings(b, root))
-            assert got == SPLITTING_TABLE[(b.stratum, t)]
+        for v, alpha, _ in _classes(E8, k):
+            t = v.dot(root)
+            got = tuple(splittings(alpha, root))
+            assert got == SPLITTING_TABLE[(2 * k, t)]
             for r, _, d_square, d_dot_e in got:
-                d = b.alpha - r * root
+                d = alpha - r * root
                 assert d_square == d.square
                 assert d_dot_e == d.dot(root)
 
@@ -112,7 +126,7 @@ def _reference_splittings(alpha, e):
     # The filters of `splittings`, in PicClass arithmetic.
     cases = []
     for r in range(1, MAX_MULTIPLICITY + 1):
-        d = alpha.alpha - r * e
+        d = alpha - r * e
         if d.dot(MINUS_K - e) < 0 or d.dot(e) < 1 or d.square < -1:
             continue
         stratum = {0: 0, -2: 2, -4: 4}.get((MINUS_2K - d).square)
@@ -127,11 +141,11 @@ def test_splittings_depend_only_on_stratum_and_t():
     seen = {}
     for root in roots:
         for k in (0, 1, 2):
-            for b in b_classes(c, k):
-                t = b.v.dot(root)
-                key = (b.stratum, t)
-                cases = splittings(b, root)
-                assert cases == _reference_splittings(b, root)
+            for v, alpha, _ in _classes(c, k):
+                t = v.dot(root)
+                key = (2 * k, t)
+                cases = splittings(alpha, root)
+                assert cases == _reference_splittings(alpha, root)
                 summary = tuple(cases)
                 assert seen.setdefault(key, summary) == summary
 
@@ -141,12 +155,13 @@ def _reference_delta_table(c, e):
     orth = 0
     pairing = {2: 0, 4: 0}
     for k in (0, 1, 2):
-        for b in b_classes(c, k):
-            t = dot_tuples(b.v.coeffs, e.coeffs)
+        s = b_classes(c, k)
+        for v, q in zip(s.vs, s.qs):
+            t = dot_tuples(v, e.coeffs)
             if abs(t) == 1:
-                pairing[b.stratum] += sign_of(b.qhat)
+                pairing[2 * k] += sign_of(q)
             elif t == 0 and k == 1:
-                orth += sign_of(b.qhat)
+                orth += sign_of(q)
     return DeltaTable(d41=pairing[4], d42=2 * orth, d20=-2 * orth, d21=pairing[2],
                       d22=2 * (c.euler_char - 1))
 
@@ -169,13 +184,14 @@ def test_splitting_summaries_run_the_first_class_of_each_key(monkeypatch):
     root = vanishing_roots(E8)[0]
     want = {}
     for k in (0, 1, 2):
-        for b in b_classes(E8, k):
-            want.setdefault((b.stratum, b.v.dot(root)), b)
+        for v, alpha, _ in _classes(E8, k):
+            want.setdefault((2 * k, v.dot(root)), alpha)
     seen = {}
 
     def recorded(alpha, e):
         assert e == root
-        seen[(alpha.stratum, alpha.v.dot(e))] = alpha
+        v = MINUS_2K - alpha
+        seen[(-v.square, v.dot(e))] = alpha
         return splittings(alpha, e)
 
     monkeypatch.setattr(wallcross, "splittings", recorded)
@@ -187,15 +203,9 @@ def test_splitting_summaries_run_the_first_class_of_each_key(monkeypatch):
 def test_a_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypatch):
     # 3u with u.E = 1 is no stratum vector; only the lane count can notice it.
     root = vanishing_roots(E8)[0]
-    u = _alpha_with(E8, 2, 1, root).v
+    u = MINUS_2K - _alpha_with(E8, 2, 1, root)
     wallcross.q_index_cached(E8.id)  # the reflection facts, before the stratum is spoiled
-    good = wallcross.b_classes
-
-    def spoiled(c, k):
-        extra = (BClass(4, 3 * u, MINUS_2K - 3 * u, 0),) if k == 2 else ()
-        return good(c, k) + extra
-
-    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, 2, 3 * u))
     with pytest.raises(LatticeError, match=r"1 classes of B\^4 of M-connected have \|v.E\| > 2"):
         delta_table(E8, root)
 
@@ -205,14 +215,8 @@ def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monke
     # scale * u lies in no stratum.  At 3 the packed pass sees it; at 40 the bound on
     # v.b and its images passes LANE, and at 200 so do its coordinates: a wrapped lane
     # must not pass it, and the exact walk names it.
-    u = _alpha_with(E8, 2, 1, vanishing_roots(E8)[0]).v
-    good = wallcross.b_classes
-
-    def spoiled(c, k):
-        extra = (BClass(4, scale * u, MINUS_2K - scale * u, 0),) if k == 2 else ()
-        return good(c, k) + extra
-
-    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    u = MINUS_2K - _alpha_with(E8, 2, 1, vanishing_roots(E8)[0])
+    monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, 2, scale * u))
     with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {scale * u} by (")):
         wallcross.q_index_cached(E8.id)
 
@@ -234,14 +238,8 @@ def test_a_class_off_k_perp_fails_the_reflection_check(monkeypatch, k):
     # w = v + H has the l1..l8 of the stratum vector v, so its 64-bit key is v's,
     # and w.K = -3: the packed pass may not decide the stratum, and the exact walk
     # names w.
-    w = b_classes(E8, k)[0].v + H
-    good = wallcross.b_classes
-
-    def spoiled(c, j):
-        extra = (BClass(2 * j, w, MINUS_2K - w, 0),) if j == k else ()
-        return good(c, j) + extra
-
-    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    w = PicClass(b_classes(E8, k).vs[0]) + H
+    monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, k, w))
     with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {w} by (")):
         wallcross.q_index_cached.__wrapped__(E8.id)
 
@@ -254,7 +252,8 @@ def test_a_class_off_k_perp_that_keeps_every_key_fails_the_reflection_check(monk
     good = wallcross.b_classes
 
     def spoiled(c, k):
-        return tuple(x._replace(v=w, alpha=MINUS_2K - w) if x.v == -b else x for x in good(c, k))
+        s = good(c, k)
+        return stratum(k, tuple(w.coeffs if v == (-b).coeffs else v for v in s.vs), s.qs)
 
     monkeypatch.setattr(wallcross, "b_classes", spoiled)
     with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {w} by {b}")):
@@ -285,18 +284,19 @@ def test_reflection_shifts_qhat_by_two_on_unit_pairing():
     assert len(roots) == 36
     hits = 0
     for k in (1, 2):
-        q_of = {b.v: vanishing_qhat(lat, b.v) for b in b_classes(c, k)}
+        classes = _classes(c, k)
+        q_of = {v: vanishing_qhat(lat, v) for v, _, _ in classes}
         for root in roots:
-            for b in b_classes(c, k):
-                t = dot_tuples(b.v.coeffs, root.coeffs)
-                image = b.v + t * root
+            for v, _, q in classes:
+                t = dot_tuples(v.coeffs, root.coeffs)
+                image = v + t * root
                 assert image in q_of
                 q_image = q_of[image]
                 if abs(t) == 1:
-                    assert q_image == (b.qhat + 2) % 4
+                    assert q_image == (q + 2) % 4
                     hits += 1
                 else:
-                    assert q_image == b.qhat
+                    assert q_image == q
     assert hits > 0
 
 
@@ -332,7 +332,7 @@ def test_delta_tables():
 
 def test_invalid_vanishing_root_rejected():
     c = get_class("M-connected")
-    bad = next(b.v for b in b_classes(c, 1) if b.qhat != 0)
+    bad = next(v for v, _, q in _classes(c, 1) if q != 0)
     with pytest.raises(LatticeError, match="nonzero quadratic value"):
         delta_table(c, bad)
     with pytest.raises(LatticeError):
@@ -343,7 +343,7 @@ def test_root_outside_the_class_lattice_rejected():
     # Roots of K-perp = E8 that the class lattice does not contain.
     for cid in ("M-1-connected", "M-2-connected", "M-4"):
         c = get_class(cid)
-        inside = {b.v for b in b_classes(c, 1)}
-        outside = next(b.v for b in b_classes(E8, 1) if b.v not in inside)
+        inside = {v for v, _, _ in _classes(c, 1)}
+        outside = next(v for v, _, _ in _classes(E8, 1) if v not in inside)
         with pytest.raises(LatticeError, match=f"not a root of the {cid} class lattice"):
             delta_table(c, outside)
