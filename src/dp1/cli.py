@@ -1,9 +1,8 @@
 """Command-line front end: renders enumerations, the tables `report` derives, and reports.
 
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 usage or
-config error (bad arguments, a negative or non-integer DP1_MAX_ENUM_DEPTH or,
-outside verify, one below the rank an enumeration needs, an empty or unwritable
---out path, or an unwritable stdout).
+config error (bad arguments, an empty or unwritable --out path, or an unwritable
+stdout).
 Output is deterministic for a fixed invocation; JSON uses lower_snake_case keys
 and unquoted integers.
 """
@@ -14,12 +13,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Iterable, NamedTuple
 
 from . import counting, golden, real_forms, report, wallcross
-from .lattice import ENUM_DEPTH_ENV, EnumerationDepthError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -138,13 +135,14 @@ def wallcross_output(scope: str) -> Output:
 # -- rendering ----------------------------------------------------------------
 
 
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps' bytes, built once
+
+
 def _cell(v) -> str:
     if isinstance(v, (list, tuple, dict)):
-        return json.dumps(v, separators=(",", ":"))
+        return _COMPACT(v)
     return "" if v is None else str(v)
-
-
-_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
@@ -238,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dp1",
         description="Lattice enumerations and signed-count verification for "
                     "real degree-1 del Pezzo surfaces.",
-        epilog=f"Set {ENUM_DEPTH_ENV} to cap enumeration recursion depth (fuzzing aid).",
     )
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print verify's record counts on stderr")
@@ -271,23 +268,13 @@ def main(argv: list[str] | None = None) -> int:
     class_id = getattr(args, "class_id", "all")
     if args.out == "":
         return _config_error("--out path is empty")
-    try:
-        if int(os.environ.get(ENUM_DEPTH_ENV, 0)) < 0:
-            raise ValueError
-    except ValueError:
-        return _config_error(f"{ENUM_DEPTH_ENV} must be a non-negative integer, "
-                             f"got {os.environ[ENUM_DEPTH_ENV]!r}")
-    build = {
+    out = {
         "classes": classes_output,
         "enumerate": lambda: enumerate_output(class_id, args.stratum),
         "tables": lambda: tables_output(args.number),
         "verify": lambda: verify_output(class_id),  # its builders turn errors into failed records
         "wallcross": lambda: wallcross_output(class_id),
-    }[args.command]
-    try:
-        out = build()
-    except EnumerationDepthError as err:
-        return _config_error(str(err))
+    }[args.command]()
     text = render(out, args.fmt)
     try:
         _emit(text, args.out)

@@ -9,7 +9,6 @@ any decision.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import add, mul, neg, sub
@@ -19,15 +18,9 @@ RANK = 9
 FORM = (1,) + (-1,) * (RANK - 1)  # the diagonal intersection form on (h, l1, ..., l8)
 LANE = 127  # the largest |value| a signed byte lane of `pack_lanes` holds
 
-ENUM_DEPTH_ENV = "DP1_MAX_ENUM_DEPTH"
-
 
 class LatticeError(ValueError):
     """Raised when a lattice-level precondition is violated."""
-
-
-class EnumerationDepthError(LatticeError):
-    """Raised when an enumeration exceeds the DP1_MAX_ENUM_DEPTH cap."""
 
 
 class PicClass(NamedTuple("PicClass", [("coeffs", tuple)])):
@@ -76,8 +69,6 @@ def dot_tuples(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return 2 * a[0] * b[0] - sum(map(mul, a, b))
 
 
-H = pic(1, 0, 0, 0, 0, 0, 0, 0, 0)
-L = tuple(PicClass(tuple(1 if j == i else 0 for j in range(RANK))) for i in range(1, RANK))
 K = pic(-3, 1, 1, 1, 1, 1, 1, 1, 1)
 MINUS_K = -K
 MINUS_2K = 2 * MINUS_K
@@ -206,16 +197,10 @@ def _ldl(q: list[list[int]]) -> list[list[int]]:
 def enumerate_coordinates(lat: Sublattice, norm: int) -> list[tuple[int, ...]]:
     """All integer coordinate tuples x with (sum x_i b_i)^2 = norm, in lex order.
     The search reads only the gram and the norm, so it runs once per (gram, norm);
-    the depth cap is checked on every call, and each call gets a fresh list."""
+    each call gets a fresh list."""
     if norm >= 0:
         raise LatticeError(f"enumeration requires a negative norm, got {norm}")
-    k = lat.rank
-    if k == 0:
-        return []
-    cap = os.environ.get(ENUM_DEPTH_ENV)
-    if cap is not None and k > int(cap):
-        raise EnumerationDepthError(f"rank {k} exceeds {ENUM_DEPTH_ENV}={cap}")
-    return list(_search(lat.gram, norm))
+    return list(_search(lat.gram, norm)) if lat.rank else []
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ import pkgutil
 import pytest
 
 import dp1
-from dp1 import real_forms
-from dp1.lattice import PicClass, Sublattice, pic
+from dp1 import lattice, real_forms
+from dp1.lattice import LatticeError, PicClass, Sublattice, pic
 from dp1.pin import qhat_from_coordinates
 
 
@@ -24,6 +24,14 @@ def corrupt_4a1_embedding(monkeypatch) -> None:
     raw = real_forms._raw_lattice
     monkeypatch.setattr(real_forms, "_raw_lattice", lambda c: real_forms.saturate(
         Sublattice.span(BAD_4A1)) if c.id == "M-4" else raw(c))
+
+
+def break_the_enumerator(monkeypatch) -> None:
+    """Make every short-vector search raise, whatever the lattice."""
+    def broken(gram, norm):
+        raise LatticeError(f"search of rank {len(gram)} at norm {norm} broke")
+
+    monkeypatch.setattr(lattice, "_search", broken)
 
 
 def model_caches() -> list:

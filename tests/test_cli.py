@@ -13,7 +13,7 @@ from typing import NamedTuple
 import pytest
 
 import dp1
-from conftest import clear_model_caches, corrupt_4a1_embedding
+from conftest import break_the_enumerator, clear_model_caches, corrupt_4a1_embedding
 from dp1 import cli, golden, real_forms, report, wallcross
 from dp1.lattice import PicClass, pic
 
@@ -145,34 +145,18 @@ def test_verify_fails_on_corrupted_splitting_table(monkeypatch, capsys):
     assert failing == ["splitting_table"]
 
 
-# Each case is (DP1_MAX_ENUM_DEPTH, *argv).  A cap that is not a non-negative
-# integer is refused at startup; a cap below the rank that enumerate, tables or
-# wallcross needs ends the run with the same one-line error.
-@pytest.mark.parametrize("argv", [
-    ("abc", "verify", "--class", "M-4"),
-    ("abc", "tables", "4"),
-    ("-1", "verify", "--class", "M-4"),
-    ("3", "enumerate", "--class", "M-4"),
-    ("3", "tables", "4"),
-    ("3", "wallcross", "--class", "M-4"),
-])
-def test_non_integer_depth_cap_is_a_config_error(fresh_caches, monkeypatch, capsys, argv):
-    cap, *argv = argv
-    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", cap)
-    assert cli.main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and "DP1_MAX_ENUM_DEPTH" in err
-
-
-def test_depth_cap_in_verify_fails_records_and_keeps_the_report(fresh_caches, monkeypatch,
-                                                                capsys):
-    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", "3")
+def test_a_raising_enumerator_in_verify_fails_records_and_keeps_the_report(fresh_caches,
+                                                                            monkeypatch, capsys):
+    green = [r["name"] for r in cli.verify_output("M-4").payload["records"]]
+    break_the_enumerator(monkeypatch)
+    clear_model_caches()
     code, out = run_cli(capsys, "verify", "--class", "M-4")
     assert code == 1
-    failing = [r for r in json.loads(out)["records"] if not r["passed"]]
+    records = json.loads(out)["records"]
+    assert [r["name"] for r in records] == green
+    failing = [r for r in records if not r["passed"]]
     assert failing
-    assert all(r["actual"].startswith("error: EnumerationDepthError: ") for r in failing)
+    assert all(r["actual"].startswith("error: LatticeError: ") for r in failing)
 
 
 def test_table7_formulas_have_one_source(monkeypatch, capsys):

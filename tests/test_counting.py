@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import clear_model_caches, corrupt_4a1_embedding, model_caches, vanishing_qhat
+from conftest import (
+    break_the_enumerator,
+    clear_model_caches,
+    corrupt_4a1_embedding,
+    model_caches,
+    vanishing_qhat,
+)
 from dp1 import counting, golden, lattice, pin, properties, real_forms, report, roots, wallcross
 from dp1.counting import (
     TableRow,
@@ -540,13 +546,9 @@ def test_scoped_build_groups_each_level_stratum_once(fresh_caches, monkeypatch):
     assert sorted(calls) == [(E7.id, 1), (E7.id, 2)]
 
 
-def _cap_enumeration_depth(monkeypatch):
-    monkeypatch.setenv("DP1_MAX_ENUM_DEPTH", "3")
-
-
 NAME_FAULTS = {fault: row[:2] for fault, row in FAULTS.items()} | {
     "corrupted_4a1_embedding": ("M-4", corrupt_4a1_embedding),
-    "depth_cap_3": ("M-4", _cap_enumeration_depth),
+    "enumeration_raises": ("M-4", break_the_enumerator),
 }
 
 

@@ -2,13 +2,10 @@ import random
 
 import pytest
 
+from conftest import l
 from dp1 import lattice, properties, real_forms
 from dp1.lattice import (
-    ENUM_DEPTH_ENV,
-    EnumerationDepthError,
-    H,
     K,
-    L,
     MINUS_K,
     MINUS_2K,
     ZERO,
@@ -23,6 +20,8 @@ from dp1.lattice import (
 )
 
 RNG = random.Random(421)
+H = l(0)
+L = tuple(l(i) for i in range(1, 9))
 
 
 def rand_class(bound=5):
@@ -133,27 +132,6 @@ def test_orthogonal_seeds_count():
         lat = Sublattice.span(seeds[:m])
         n4 = len(enumerate_vectors(lat, -4))
         assert n4 == 2 * m * (m - 1)  # 4 * C(m, 2)
-
-
-def test_depth_cap(kperp, monkeypatch):
-    d4, three_a1 = (real_forms.lambda_basis(cid) for cid in ("M-2-I-a", "M-3-split"))
-    monkeypatch.setenv(ENUM_DEPTH_ENV, "3")
-    with pytest.raises(EnumerationDepthError):
-        enumerate_vectors(kperp, -2)
-    monkeypatch.setenv(ENUM_DEPTH_ENV, "8")
-    assert len(enumerate_vectors(kperp, -2)) == 240
-    monkeypatch.setenv(ENUM_DEPTH_ENV, "3")
-    with pytest.raises(EnumerationDepthError):
-        enumerate_coordinates(d4, -2)
-    assert len(enumerate_coordinates(three_a1, -2)) == 6  # 3A1: rank 3 is within the cap
-
-
-def test_depth_cap_holds_on_a_warm_search(kperp, monkeypatch):
-    # The cap is checked before the per-(gram, norm) cache is read.
-    assert len(enumerate_coordinates(kperp, -2)) == 240
-    monkeypatch.setenv(ENUM_DEPTH_ENV, "3")
-    with pytest.raises(EnumerationDepthError):
-        enumerate_coordinates(kperp, -2)
 
 
 def test_enumeration_returns_a_fresh_list(kperp):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a dp1 module imports is used in that module, and
-only the modules that own the class table name a class id."""
+"""Source hygiene: every name a dp1 module imports is used in that module, only
+the modules that own the class table name a class id, and no module reads the
+process environment."""
 
 import ast
 import os
@@ -22,6 +23,9 @@ CLASS_IDS = {c.id for c in real_forms.deformation_classes()}
 # brings inspect, ast, dis and tokenize, and fractions brings decimal.
 SLOW_IMPORTS = ("dataclasses", "fractions", "decimal", "inspect")
 
+# The os names through which a module reads the process environment.
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's imports that no Name node reads."""
@@ -42,6 +46,20 @@ def class_id_constants(source: str) -> list[str]:
             if isinstance(node, ast.Constant) and node.value in CLASS_IDS]
 
 
+def environment_reads(source: str) -> list[str]:
+    """The environment names the module reads or imports, as attribute, name or
+    `from os import`, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names]
+    return sorted(name for name in found if name in ENVIRONMENT_NAMES)
+
+
 def test_the_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom dataclasses import dataclass\nos.sep\n") == ["dataclass"]
 
@@ -50,9 +68,19 @@ def test_the_scan_sees_a_class_id():
     assert class_id_constants('lambda_basis("M-4")\nname = "M-4:x"\n') == ["M-4"]
 
 
+def test_the_scan_sees_an_environment_read():
+    source = "import os\nos.environ.get('X')\nfrom os import getenv as g\nhome = g('HOME')\n"
+    assert environment_reads(source) == ["environ", "getenv"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in CLASS_ID_OWNERS],

@@ -3,11 +3,11 @@ import re
 
 import pytest
 
-from conftest import vanishing_qhat
+from conftest import l, vanishing_qhat
 from dp1 import wallcross
 from dp1.counting import alpha_of, b_classes, sign_of, stratum
 from dp1.golden import SPLITTING_TABLE
-from dp1.lattice import H, MINUS_2K, MINUS_K, LatticeError, PicClass, dot_tuples
+from dp1.lattice import MINUS_2K, MINUS_K, LatticeError, PicClass, dot_tuples
 from dp1.pin import POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.report import build_records
@@ -21,6 +21,7 @@ from dp1.wallcross import (
 )
 
 RNG = random.Random(7)
+H = l(0)
 
 E8 = get_class("M-connected")
 M4 = get_class("M-4")
