@@ -13,14 +13,14 @@ built per vector.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import neg, sub
 from typing import Callable, NamedTuple
 
 from . import golden
 from .lattice import (MINUS_2K, RANK, ZERO, LatticeError, Sublattice, enumerate_coordinates,
                       pack_lanes, unpack_lanes)
-from .pin import code_coordinates, qhat_code, qhat_from_coordinates
+from .pin import code_columns, qhat_code, qhat_from_coordinates
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
 
@@ -145,13 +145,11 @@ def _table_rows(c: DeformationClass, k: int,
     code = c.code
     if code is None:
         raise LatticeError(f"{c.id} has no blowup-model code")
-    n_real, has_pair = code.n_real, code.r == 1
-    counts: Counter = Counter()
     s = b_classes(c, k)
-    for v, q in zip(s.vs, s.qs):
-        x = code_coordinates(code, read(v))
-        sig = tuple(sorted(x[1 : n_real + 1], reverse=True))
-        counts[x[0], sig, x[n_real + 1] if has_pair else None, q] += 1
+    columns = code_columns(code, list(map(read, s.vs)))
+    pairs = columns[-1] if code.r == 1 else [None] * len(s.qs)
+    signatures = map(tuple, map(partial(sorted, reverse=True), zip(*columns[1 : code.n_real + 1])))
+    counts = Counter(zip(columns[0], signatures, pairs, s.qs))
     rows = [TableRow(level, sig, pair, count, q) for (level, sig, pair, q), count in counts.items()]
     rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
     return rows

@@ -126,6 +126,11 @@ class Sublattice(NamedTuple):
     def rank(self) -> int:
         return len(self.basis)
 
+    @property
+    def det(self) -> int:
+        """det(-gram), the last pivot of its `_ldl`; 1 at rank 0."""
+        return _ldl([[-x for x in row] for row in self.gram])[-1][-1] if self.basis else 1
+
     def from_coordinates(self, coords: tuple[int, ...]) -> PicClass:
         total = [0] * RANK
         for n, b in zip(coords, self.basis):
@@ -208,7 +213,9 @@ def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ..
     """Bounded recursive search on the negated (positive-definite) gram matrix with
     completed-square bounds (Fincke-Pohst), on integers only: Q(x) * scale = sum_i
     w_i s_i^2 off the rows of `_ldl`, w_i = scale / (D_i D_{i+1}), scale their lcm.
-    The last level solves w_0 s_0^2 = budget in closed form, s_0 = +-r or 0."""
+    The last level solves w_0 s_0^2 = budget in closed form, s_0 = +-r or 0.
+    A shell is closed under negation and misses 0: the search walks the x whose top
+    nonzero coordinate is positive (`top`: every x_j above x_i is 0), then adds -x."""
     k = len(gram)
     rows = _ldl([[-x for x in row] for row in gram])
     minors = [1] + [row[i] for i, row in enumerate(rows)]
@@ -219,25 +226,26 @@ def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ..
     found: list[tuple[int, ...]] = []
     x = [0] * k
 
-    def descend(i: int, budget: int) -> None:
+    def descend(i: int, budget: int, top: bool) -> None:
         wi, di = w[i], rows[i][i]
         c = sum(map(mul, tails[i], x[i + 1:]))
         # w s^2 <= budget  <=>  |s| <= isqrt(budget // w), with s = di*xi + c.
         r = isqrt(budget // wi)
         if i == 0:
             if wi * r * r == budget:
-                for s in (r, -r) if r else (0,):
+                for s in (r,) if top else (r, -r) if r else (0,):
                     x0, rest = divmod(s - c, di)  # x_0 = (s - c) / D_1 where integral
                     if not rest:
                         found.append((x0, *x[1:]))
             return
-        for xi in range(-((c + r) // di), (r - c) // di + 1):
+        for xi in range(0 if top else -((c + r) // di), (r - c) // di + 1):
             s = di * xi + c
             x[i] = xi
-            descend(i - 1, budget - wi * s * s)
+            descend(i - 1, budget - wi * s * s, top and not xi)
         x[i] = 0
 
-    descend(k - 1, scale * -norm)
+    descend(k - 1, scale * -norm, True)
+    found += [tuple(map(neg, v)) for v in found]
     return tuple(sorted(found))
 
 

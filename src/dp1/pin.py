@@ -26,7 +26,7 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import LatticeError, PicClass, pic
+from .lattice import RANK, LatticeError, PicClass, pic
 
 Move = tuple  # ("cremona", i, j, k) or ("swap", i)
 
@@ -82,6 +82,16 @@ def code_coordinates(code: Code, c: tuple[int, ...]) -> tuple[int, ...]:
     return coords
 
 
+def code_columns(code: Code, cs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The columns of `code_coordinates` over a list of coefficient tuples: where
+    the two columns of an imaginary pair differ, the walk names the first non-real one."""
+    columns = list(zip(*cs)) or [()] * RANK
+    if any(columns[i] != columns[j] for i, j in PAIRS[: code.r]):
+        for c in cs:
+            code_coordinates(code, c)
+    return columns[: code.n_real + 1] + [columns[i] for i, _ in PAIRS[: code.r]]
+
+
 def qhat_code(code: Code, x: PicClass) -> int:
     """Value on a real class via the code's twist on its code coordinates."""
     return qhat_from_coordinates(code_coordinates(code, x.coeffs), x.square, code.twist)
@@ -104,18 +114,16 @@ def apply_move(residues: tuple[int, ...], move: Move) -> tuple[int, ...]:
     """The residues after one move of `moves`: a triple i < j < k replaces each of
     a0, a_i, a_j, a_k with the sum of the other three mod 4; a swap, which needs an
     imaginary pair, exchanges a0 and a_i."""
-    kind, *idx = move
     n = len(residues) - 1
     a = list(residues)
-    if kind == "cremona":
-        i, j, k = idx
+    if move[0] == "cremona":
+        _, i, j, k = move
         if not (1 <= i < j < k <= n):
             raise LatticeError(f"invalid Cremona triple ({i},{j},{k}) for {n} real classes")
-        total = a[0] + a[i] + a[j] + a[k]
-        for t in (0, i, j, k):
-            a[t] = (total - a[t]) % 4
+        s = a[0] + a[i] + a[j] + a[k]
+        a[0], a[i], a[j], a[k] = (s - a[0]) % 4, (s - a[i]) % 4, (s - a[j]) % 4, (s - a[k]) % 4
     else:
-        (i,) = idx
+        _, i = move
         if n >= 8:
             raise LatticeError("imaginary Cremona move needs at least one imaginary pair")
         if not (1 <= i <= n):

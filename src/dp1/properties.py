@@ -140,10 +140,11 @@ def cremona_compatibility() -> PropertyResult:
     vanishes on a Z-basis of it."""
     simple = {c.code: real_forms.lambda_basis(c.id).basis
               for c in real_forms.deformation_classes() if c.code is not None}
+    old = {code: [(x, pin.qhat_code(code, x)) for x in basis] for code, basis in simple.items()}
     moved = [(code, pin.move_root(move), pin.Code(pin.apply_move(code.residues, move)))
              for code in simple for move in pin.moves(code)]
-    pairs = [(code, e, new, x) for code, e, new in moved for x in simple[code]]
-    fails = sum(pin.qhat_code(new, reflect(x, e)) != pin.qhat_code(code, x) for code, e, new, x in pairs)
+    pairs = [(e, new, x, q) for code, e, new in moved for x, q in old[code]]
+    fails = sum(pin.qhat_code(new, reflect(x, e)) != q for e, new, x, q in pairs)
     return PropertyResult("cremona_compatibility", len(pairs), fails)
 
 

@@ -145,7 +145,7 @@ def lambda_basis(class_id: str) -> Sublattice:
     basis = Sublattice.span(simple)
     if c.rank and basis.gram != cartan_gram(c.lambda_type):
         raise LatticeError(f"{class_id}: simple system does not match the {c.lambda_type} Cartan matrix")
-    # The saturated kernel must be generated by its roots.
-    for b in lat.basis:
-        basis.coordinates_of(b)
+    # identify reads the roots off lat: they generate it iff the two determinants agree.
+    if basis.det != lat.det:
+        raise LatticeError(f"{class_id}: the simple roots do not generate the class lattice")
     return basis

@@ -36,6 +36,7 @@ MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the boun
 # Byte lanes of the packed kernel (see delta_table).
 BIAS, NEG = 64, 128
 MOD4 = bytes(x % 4 for x in range(256))  # a signed byte lane's residue mod 4
+LEGAL = bytes(BIAS + sign + t for sign in (0, NEG) for t in range(-2, 3))  # the lanes with |v.E| <= 2
 
 # d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
 CITED_FIELDS = ("d22",)
@@ -201,14 +202,13 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
         acc = base
         for x, column in zip(e.coeffs, columns):
             acc += x * column
-        # The mask keeps a carry or borrow past the top lane in it, for the count to catch.
+        # The mask keeps a carry or borrow past the top lane in it, for the translate to catch.
         lanes = (acc & ((1 << 8 * n) - 1)).to_bytes(n, "little")
-        for t in range(-2, 3):
-            plus, minus = lanes.count(BIAS + t), lanes.count(BIAS + NEG + t)
-            signed[k, t] = plus - minus
-            n -= plus + minus
+        n = len(lanes.translate(None, LEGAL))
         if n:
             raise LatticeError(f"{n} classes of B^{2 * k} of {c.id} have |v.E| > 2 for {e}")
+        for t in (-1, 0, 1):
+            signed[k, t] = lanes.count(BIAS + t) - lanes.count(BIAS + NEG + t)
     orth = signed[1, 0]
     return DeltaTable(signed[2, 1] + signed[2, -1], 2 * orth, -2 * orth,
                       signed[1, 1] + signed[1, -1], 2 * (c.euler_char - 1))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import (
@@ -149,6 +151,26 @@ def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
     monkeypatch.setattr(counting, "qhat_from_coordinates", odd_values)
     with pytest.raises(LatticeError, match="odd quadratic value 3 on"):
         lattice_signed_sum(lat, 1, (2,) * lat.rank)
+
+
+def test_a_non_real_stratum_vector_is_named_in_stratum_order(monkeypatch):
+    # Two vectors of E7's B^2 lose realness (l7 != l8 in their alpha): the paired
+    # columns differ, and the per-vector walk names the earlier one with
+    # code_coordinates' message, as the loop over the stratum did.
+    strata = counting.b_classes
+    spoiled = {9: 1, 4: -1}
+
+    def non_real(c, k):
+        s = strata(c, k)
+        vs = tuple(v[:8] + (v[8] + spoiled.get(i, 0),) for i, v in enumerate(s.vs))
+        return stratum(k, vs, s.qs) if c.id == E7.id and k == 1 else s
+
+    first = strata(E7, 1).vs[4]
+    alpha = PicClass(alpha_of(first[:8] + (first[8] - 1,)))
+    message = f"{alpha} is not real for a code with 1 imaginary pairs"
+    monkeypatch.setattr(counting, "b_classes", non_real)
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        classify_levels(E7, 1)
 
 
 def test_classify_roots_rows():

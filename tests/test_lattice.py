@@ -1,4 +1,6 @@
 import random
+from math import isqrt, lcm
+from operator import mul
 
 import pytest
 
@@ -245,6 +247,65 @@ def test_search_equals_the_box_scan_on_small_ranks(c):
     for basis in [lat, *moved]:
         for n in (-2, -4, -6, -8):
             assert enumerate_coordinates(basis, n) == properties._box_scan(basis, n), (basis.gram, n)
+
+
+def full_tree_search(gram, norm):
+    """`_search` over the whole tree, both signs of every x, sorted: its reference."""
+    k = len(gram)
+    rows = lattice._ldl([[-x for x in row] for row in gram])
+    minors = [1] + [row[i] for i, row in enumerate(rows)]
+    dens = list(map(mul, minors, minors[1:]))
+    scale = lcm(*dens)
+    w = [scale // d for d in dens]
+    tails = [row[i + 1:] for i, row in enumerate(rows)]
+    found = []
+    x = [0] * k
+
+    def descend(i, budget):
+        wi, di = w[i], rows[i][i]
+        c = sum(map(mul, tails[i], x[i + 1:]))
+        r = isqrt(budget // wi)
+        if i == 0:
+            if wi * r * r == budget:
+                for s in (r, -r) if r else (0,):
+                    x0, rest = divmod(s - c, di)
+                    if not rest:
+                        found.append((x0, *x[1:]))
+            return
+        for xi in range(-((c + r) // di), (r - c) // di + 1):
+            s = di * xi + c
+            x[i] = xi
+            descend(i - 1, budget - wi * s * s)
+        x[i] = 0
+
+    descend(k - 1, scale * -norm)
+    return tuple(sorted(found))
+
+
+def _lattice_named(name):
+    """K-perp or a class lattice by id; "raw <id>" is the class's raw lattice and
+    "moved <name>" the first seeded unimodular basis change of <name>."""
+    kind, _, rest = name.partition(" ")
+    if kind == "raw":
+        return real_forms._raw_lattice(real_forms.get_class(rest))
+    if kind == "moved":
+        lat = _lattice_named(rest)
+        rows = unimodular(random.Random(f"unimodular:{rest}"), lat.rank)
+        return Sublattice.span([lat.from_coordinates(tuple(row)) for row in rows])
+    return real_forms.kperp() if name == "K-perp" else real_forms.lambda_basis(name)
+
+
+CLASS_IDS = [c.id for c in real_forms.deformation_classes() if c.rank]
+
+
+@pytest.mark.parametrize("name", ["K-perp", *CLASS_IDS, *(f"raw {cid}" for cid in CLASS_IDS),
+                                  "moved K-perp", "moved M-1-connected", "moved M-2-connected"])
+def test_half_tree_search_equals_the_full_tree(name):
+    # Each shell is closed under negation and misses 0, so walking the x whose top
+    # nonzero coordinate is positive and adding every -x must give the full tree's list.
+    lat = _lattice_named(name)
+    for norm in (-2, -4, -6, -8):
+        assert lattice._search.__wrapped__(lat.gram, norm) == full_tree_search(lat.gram, norm), norm
 
 
 def test_span_rejects_a_dependent_basis(kperp):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import BAD_4A1, corrupt_4a1_embedding
+from dp1 import real_forms
 from dp1.golden import ROOT_COUNTS
 from dp1.lattice import LatticeError, Sublattice, enumerate_vectors, pic
 from dp1.real_forms import (
@@ -112,6 +113,21 @@ def test_constructor_rejects_d4_saturating_quadruple(fresh_caches, monkeypatch):
     corrupt_4a1_embedding(monkeypatch)
     with pytest.raises(LatticeError):
         lambda_basis("M-4")
+
+
+def test_simple_roots_that_miss_part_of_the_lattice_are_refused(fresh_caches, monkeypatch):
+    # A1's simple root e against the raw lattice span(2e): the root gram is the
+    # Cartan matrix and 2e has the integral coordinates (2,) over e, but span(e)
+    # and span(2e) have determinants 2 and 8.
+    e = lambda_basis("M-1-split").basis[0]
+    assert Sublattice.span([e]).coordinates_of(2 * e) == (2,)
+    raw = real_forms._raw_lattice
+    monkeypatch.setattr(real_forms, "_raw_lattice",
+                        lambda c: Sublattice.span([2 * e]) if c.id == "M-1-split" else raw(c))
+    monkeypatch.setattr(real_forms, "identify", lambda lat: ("A1", (e,)))
+    real_forms.lambda_basis.cache_clear()
+    with pytest.raises(LatticeError, match="^M-1-split: the simple roots do not generate the class lattice"):
+        lambda_basis("M-1-split")
 
 
 def test_connected_forms_complement_their_partners():

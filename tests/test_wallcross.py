@@ -211,6 +211,18 @@ def test_a_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypatch
         delta_table(E8, root)
 
 
+def test_a_b2_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypatch):
+    # The B^2 twin of the test above: 3u and -3u, u a root with u.E = 1, are not
+    # roots, and their lanes, v.E = 3 and -3, are two outside the ten legal values.
+    root = vanishing_roots(E8)[0]
+    u = MINUS_2K - _alpha_with(E8, 2, 1, root)
+    wallcross.q_index_cached(E8.id)
+    spoiled = _with_extra(_with_extra(wallcross.b_classes, 1, 3 * u), 1, -3 * u)
+    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    with pytest.raises(LatticeError, match=r"^2 classes of B\^2 of M-connected have \|v.E\| > 2"):
+        delta_table(E8, root)
+
+
 @pytest.mark.parametrize("scale", [3, 40, 200])
 def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monkeypatch, scale):
     # scale * u lies in no stratum.  At 3 the packed pass sees it; at 40 the bound on
