@@ -10,10 +10,10 @@ and unquoted integers.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from . import counting, golden, real_forms, report, wallcross
@@ -65,8 +65,8 @@ def enumerate_output(class_id: str, stratum: int | None) -> Output:
                 "stratum": s,
                 "count": len(st.vs),
                 "signed_sum": counting.signed_sum(c, s // 2),
-                "classes": [{"alpha": counting.alpha_of(v), "v": v, "qhat": q}
-                            for v, q in zip(st.vs, st.qs)],
+                "classes": [{"alpha": alpha, "v": v, "qhat": q}
+                            for alpha, v, q in zip(zip(*counting.alpha_columns(st)), st.vs, st.qs)],
             })
     return Output({"enumeration": blocks}, ["class", "stratum", "alpha", "v", "qhat"],
                   ({**b, **item} for b in blocks for item in b["classes"]))
@@ -170,32 +170,29 @@ def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
 
 
 def _int_rows(rows, indent: str) -> str | None:
-    """`_write_json`'s rows at indent, joined, through one template built by its own
+    """`_write_json`'s rows at indent, joined, through one bytes template built by its own
     rules, where every row is a dict with the first row's keys in its order and each
-    value an exact int or a non-empty list or tuple of exact ints, of the first row's
-    length at that key.  None where any row differs: the recursion writes those."""
-    first = rows[0]
-    if type(first) is not dict or not first:
+    value an exact int or a non-empty list or tuple of exact ints, of one length at
+    that key, checked and read column by column.  None otherwise: the recursion."""
+    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
+    if not keys or set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}:
         return None
-    keys = list(first)
-    sizes = [len(v) if isinstance(v, (list, tuple)) else 0 for v in first.values()]
-    values: list = []
-    for row in rows:
-        if type(row) is not dict or list(row) != keys:
+    sizes, flat = [], []  # flat: one column per %d slot
+    for column in zip(*map(dict.values, rows)):
+        lengths = set(map(len, column)) if set(map(type, column)) <= {list, tuple} else {0}
+        if len(lengths) != 1:
             return None
-        for v, size in zip(row.values(), sizes):
-            if size and not (isinstance(v, (list, tuple)) and len(v) == size):
-                return None
-            values += v if size else (v,)
-    if not set(map(type, values)) <= {int}:
+        sizes.append(lengths.pop())
+        flat += zip(*column) if sizes[-1] else (column,)
+    if not set(map(type, chain.from_iterable(flat))) <= {int}:
         return None
     inner, deeper = indent + "  ", indent + "    "
     slots = ["[\n" + deeper + (",\n" + deeper).join(["%d"] * size) + "\n" + inner + "]"
              if size else "%d" for size in sizes]
     fields = (",\n" + inner).join(_ENCODE(key).replace("%", "%%") + ": " + slot
                                   for key, slot in zip(keys, slots))
-    template = "{\n" + inner + fields + "\n" + indent + "}"
-    return (",\n" + indent).join([template] * len(rows)) % tuple(values)
+    template = (",\n" + indent).join(["{\n" + inner + fields + "\n" + indent + "}"] * len(rows))
+    return (template.encode() % tuple(chain.from_iterable(zip(*flat)))).decode()
 
 
 def render(out: Output, fmt: str) -> str:
@@ -203,6 +200,7 @@ def render(out: Output, fmt: str) -> str:
         return "".join(_write_json(out.payload, "", [])) + "\n"
     rows = ([_cell(row.get(h)) for h in out.header] for row in out.rows)
     if fmt == "csv":
+        import csv  # only --format csv needs it
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(out.header)

@@ -2,12 +2,11 @@
 
 For each deformation class the candidate classes of canonical degree 2 split
 into strata B^0 = {-2K}, B^2 = {-2K-e : e a root of the class lattice} and
-B^4 = {-2K-v : v.v = -4}.  Each class carries the Z/4 value of its stratum
-vector; signed sums weight classes by i^q in {+1, -1} (odd values never occur
-here and are a hard error).  A stratum is plain columns (`Stratum`): the
-coefficient tuples of its vectors v, their q values and the packed coefficient
-columns; alpha = -2K - v is read off v (`alpha_of`), and no class object is
-built per vector.
+B^4 = {-2K-v : v.v = -4}.  Signed sums weight each class by i^q, q the Z/4 value
+of its stratum vector (odd values never occur here and are a hard error).  A
+stratum is plain columns (`Stratum`), and no class object is built per vector:
+q is evaluated over a whole stratum at once (`pin.qhat_columns`), and alpha =
+-2K - v is read off its packed columns (`alpha_columns`).
 """
 
 from __future__ import annotations
@@ -18,10 +17,12 @@ from operator import neg, sub
 from typing import Callable, NamedTuple
 
 from . import golden
-from .lattice import (MINUS_2K, RANK, ZERO, LatticeError, Sublattice, enumerate_coordinates,
+from .lattice import (LANE, MINUS_2K, RANK, ZERO, LatticeError, Sublattice, enumerate_coordinates,
                       pack_lanes, unpack_lanes)
-from .pin import code_columns, qhat_code, qhat_from_coordinates
+from .pin import code_columns, qhat_code, qhat_columns
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
+
+ALPHA_SAFE = bytes(x % 256 for x in range(6 - LANE, LANE - 5))  # v lanes within LANE - 6
 
 
 class Stratum(NamedTuple):
@@ -50,10 +51,8 @@ def stratum(k: int, vs: tuple[tuple[int, ...], ...], qs: tuple[int, ...],
 def twist(c: DeformationClass) -> tuple[int, ...]:
     """The class's q as data: t_i = q(b_i) - b_i.b_i on its simple roots, read off
     its blowup-model code, or 2 each where q vanishes on them."""
-    basis = lambda_basis(c.id).basis
-    if c.code is None:
-        return (2,) * len(basis)
-    return tuple(qhat_code(c.code, b) - b.square for b in basis)
+    return tuple(2 if c.code is None else qhat_code(c.code, b) - b.square
+                 for b in lambda_basis(c.id).basis)
 
 
 @lru_cache(maxsize=None)
@@ -62,13 +61,10 @@ def b_classes_cached(class_id: str, k: int) -> Stratum:
     if k == 0:
         return stratum(0, (ZERO.coeffs,), (0,))
     lat = lambda_basis(class_id)
-    if lat.rank == 0:
-        return stratum(k, (), ())
-    t = twist(c)
     coords = enumerate_coordinates(lat, -2 * k)
-    columns = lat.pic_columns(coords)
+    xs, columns = lat.pic_columns(coords)
     vs = tuple(zip(*(unpack_lanes(col, len(coords)) for col in columns)))
-    return stratum(k, vs, tuple(qhat_from_coordinates(x, -2 * k, t) for x in coords), columns)
+    return stratum(k, vs, tuple(qhat_columns(xs, len(coords), -2 * k, twist(c))), columns)
 
 
 def b_classes(c: DeformationClass, k: int) -> Stratum:
@@ -90,8 +86,11 @@ def signed_sum(c: DeformationClass, k: int) -> int:
 
 
 def lattice_signed_sum(lat: Sublattice, k: int, twist: tuple[int, ...]) -> int:
-    """Sum of i^q over the vectors of square -2k in lat, q given by a twist on its basis."""
-    qs = (qhat_from_coordinates(t, -2 * k, twist) for t in enumerate_coordinates(lat, -2 * k))
+    """Sum of i^q over the vectors of square -2k in lat, q given by a twist on its
+    basis: each coordinate column is packed as its residues mod 4, exact for any x."""
+    coords = enumerate_coordinates(lat, -2 * k)
+    xs = [int.from_bytes(bytes(map((4).__rmod__, x)), "little") for x in zip(*coords)]
+    qs = qhat_columns(xs, len(coords), -2 * k, twist)
     return sum(n * sign_of(q) for q, n in Counter(qs).items())
 
 
@@ -138,15 +137,14 @@ class TableRow(NamedTuple):
         return self.level % 2, sum(s % 2 for s in self.signature)
 
 
-def _table_rows(c: DeformationClass, k: int,
-                read: Callable[[tuple[int, ...]], tuple[int, ...]]) -> list[TableRow]:
-    """Rows by (level, signature, pair, q) of the code coordinates of read(v) over
-    B^{2k}: a q that varies on a coefficient type gives that type one row per value."""
+def _table_rows(c: DeformationClass, k: int, read: Callable[[Stratum], list]) -> list[TableRow]:
+    """Rows by (level, signature, pair, q) of the code coordinates of the columns
+    read(B^{2k}): a q that varies on a coefficient type gives it one row per value."""
     code = c.code
     if code is None:
         raise LatticeError(f"{c.id} has no blowup-model code")
     s = b_classes(c, k)
-    columns = code_columns(code, list(map(read, s.vs)))
+    columns = code_columns(code, read(s))
     pairs = columns[-1] if code.r == 1 else [None] * len(s.qs)
     signatures = map(tuple, map(partial(sorted, reverse=True), zip(*columns[1 : code.n_real + 1])))
     counts = Counter(zip(columns[0], signatures, pairs, s.qs))
@@ -160,10 +158,21 @@ def alpha_of(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(sub, MINUS_2K.coeffs, v))
 
 
+def alpha_columns(s: Stratum) -> list:
+    """The RANK coefficient columns of alpha = -2K - v over the stratum: the lanes of
+    m * (1, ..., 1) - column, m the coefficient of -2K (|m| <= 6), where every v lane
+    is within LANE - 6, so that no alpha lane wraps; else per vector."""
+    n, ones = len(s.vs), int.from_bytes(b"\1" * len(s.vs), "little")
+    if s.columns and not any(bytes(unpack_lanes(c, n)).translate(None, ALPHA_SAFE) for c in s.columns):
+        return [unpack_lanes(m * ones - c, n) for m, c in zip(MINUS_2K.coeffs, s.columns)]
+    return list(zip(*map(alpha_of, s.vs))) or [()] * RANK
+
+
 def classify_roots(c: DeformationClass) -> list[TableRow]:
     """Root table of a code class: rows by (level, type), roots folded by sign (the
     lex-positive of v and -v is the larger tuple)."""
-    return _table_rows(c, 1, lambda v: max(v, tuple(map(neg, v))))
+    return _table_rows(c, 1, lambda s: list(zip(*(max(v, tuple(map(neg, v))) for v in s.vs)))
+                       or [()] * RANK)
 
 
 def count_report(c: DeformationClass) -> tuple[list[list[int]], list[list[int]]]:
@@ -180,4 +189,4 @@ def classify_levels(c: DeformationClass, k: int) -> list[TableRow]:
     """Level/bi-level rows of B^{2k} for a code class."""
     if k not in (1, 2):
         raise LatticeError(f"stratum index must be 1 or 2, got {k}")
-    return _table_rows(c, k, alpha_of)
+    return _table_rows(c, k, alpha_columns)

@@ -132,19 +132,16 @@ class Sublattice(NamedTuple):
         return _ldl([[-x for x in row] for row in self.gram])[-1][-1] if self.basis else 1
 
     def from_coordinates(self, coords: tuple[int, ...]) -> PicClass:
-        total = [0] * RANK
-        for n, b in zip(coords, self.basis):
-            for i, c in enumerate(b.coeffs):
-                total[i] += n * c
-        return PicClass(tuple(total))
+        rows = ([n * c for c in b.coeffs] for n, b in zip(coords, self.basis))
+        return PicClass(tuple(map(sum, zip([0] * RANK, *rows))))
 
-    def pic_columns(self, coords: list[tuple[int, ...]]) -> tuple[int, ...]:
-        """The RANK coefficient columns of `from_coordinates` over a whole list, each
-        as one `pack_lanes` int: each coordinate column is packed once, and each
-        ambient column is rank multiply-adds of them.  Lane j of a vector holds at
-        most sum_i max|x_i| * |b_ij|; a bound past LANE raises instead of wrapping."""
+    def pic_columns(self, coords: list[tuple[int, ...]]) -> tuple[list[int], tuple[int, ...]]:
+        """The coordinate columns of a whole list and the RANK coefficient columns of
+        `from_coordinates` over it, each one `pack_lanes` int: each ambient column is
+        rank multiply-adds of the coordinate columns.  Lane j of a vector holds at most
+        sum_i max|x_i| * |b_ij|; a bound past LANE raises instead of wrapping."""
         if not (coords and self.basis):
-            return (0,) * RANK
+            return [0] * self.rank, (0,) * RANK
         xs = list(zip(*coords))
         tops = [max(max(x), -min(x)) for x in xs]
         columns = list(zip(*(b.coeffs for b in self.basis)))
@@ -152,13 +149,13 @@ class Sublattice(NamedTuple):
         if bound > LANE:
             raise LatticeError(f"lane bound {bound} exceeds {LANE}")
         packed = list(map(pack_lanes, xs))
-        return tuple(sum(map(mul, c, packed)) for c in columns)
+        return packed, tuple(sum(map(mul, c, packed)) for c in columns)
 
     def pic_coordinates(self, coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """The coefficient tuples of `from_coordinates` for a whole list: the lanes of
         `pic_columns`."""
         n = len(coords)
-        return list(zip(*(unpack_lanes(col, n) for col in self.pic_columns(coords))))
+        return list(zip(*(unpack_lanes(col, n) for col in self.pic_columns(coords)[1])))
 
     def coordinates_of(self, x: PicClass) -> tuple[int, ...]:
         """Integer coordinates of x in this basis; raises if x is outside the span.
@@ -250,11 +247,9 @@ def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ..
 
 
 def enumerate_vectors(lat: Sublattice, norm: int) -> list[PicClass]:
-    """All v in the integer span of lat.basis with v.v = norm, in ambient coordinates.
-
-    Deterministic: ordered lexicographically by basis coordinates.  A list past
-    the lane bound of `pic_coordinates` is converted one vector at a time.
-    """
+    """All v in the integer span of lat.basis with v.v = norm, in ambient coordinates,
+    ordered lexicographically by basis coordinates.  A list past the lane bound of
+    `pic_coordinates` is converted one vector at a time."""
     coords = enumerate_coordinates(lat, norm)
     try:
         return list(map(PicClass, lat.pic_coordinates(coords)))

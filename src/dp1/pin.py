@@ -12,11 +12,12 @@ which is the quadratic law q(x+y) = q(x) + q(y) + 2(x.y) summed over the basis
   imaginary pair-sum: twist (a0 - 1, a_i + 1, 2) on {h, real l_i, pair sums};
 * a root basis of the class lattice on which q vanishes: twist (2, ..., 2).
 
-Cremona moves act on codes exactly as the corresponding reflections act on
-classes; `moves`, `apply_move` and `move_root` state the move set, its action
-and each move's reflection root once.  `apply_move` is the one move function: it
-maps residue tuples to residue tuples, and `reachable_codes` walks whole orbits
-on them, building a `Code` only for each newly reached code.
+`qhat_from_coordinates` applies the rule to one vector, `qhat_columns` to a
+whole list at once.  Cremona moves act on codes exactly as the corresponding
+reflections act on classes; `moves`, `apply_move` (the one move function, on
+residue tuples) and `move_root` state the move set, its action and each move's
+reflection root once, and `reachable_codes` walks whole orbits on residue
+tuples, building a `Code` only for each newly reached code.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import RANK, LatticeError, PicClass, pic
+from .lattice import LatticeError, PicClass, pic, unpack_lanes
 
 Move = tuple  # ("cremona", i, j, k) or ("swap", i)
+MOD4 = bytes(x % 4 for x in range(256))  # a signed byte lane's residue mod 4
 
 # Imaginary pairs fill in from the top coordinate slots downward.
 PAIRS = ((7, 8), (5, 6), (3, 4), (1, 2))
@@ -82,12 +84,12 @@ def code_coordinates(code: Code, c: tuple[int, ...]) -> tuple[int, ...]:
     return coords
 
 
-def code_columns(code: Code, cs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The columns of `code_coordinates` over a list of coefficient tuples: where
-    the two columns of an imaginary pair differ, the walk names the first non-real one."""
-    columns = list(zip(*cs)) or [()] * RANK
+def code_columns(code: Code, columns: list) -> list:
+    """The columns of `code_coordinates` over a list given by its RANK coefficient
+    columns: where the two columns of an imaginary pair differ, the walk names the
+    first non-real class."""
     if any(columns[i] != columns[j] for i, j in PAIRS[: code.r]):
-        for c in cs:
+        for c in zip(*columns):
             code_coordinates(code, c)
     return columns[: code.n_real + 1] + [columns[i] for i, _ in PAIRS[: code.r]]
 
@@ -100,6 +102,17 @@ def qhat_code(code: Code, x: PicClass) -> int:
 def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int, ...]) -> int:
     """q(sum n_i b_i) = x.x + sum n_i t_i mod 4, given x.x and the twist t on the basis."""
     return (square + sum(map(mul, coords, twist))) % 4
+
+
+def qhat_columns(columns: list[int], n: int, square: int, twist: tuple[int, ...]) -> bytes:
+    """`qhat_from_coordinates` of n vectors of one square, one byte each, off their
+    coordinate columns as `pack_lanes` ints (or any lanes congruent to them mod 4).
+    Lanes are reduced mod 4 before the multiply-add: none passes 3 + 9 * 8 = 75."""
+    acc = int.from_bytes(bytes((square % 4,)) * n, "little")
+    for t, column in zip(twist, columns):
+        if t % 4:
+            acc += t % 4 * int.from_bytes(bytes(unpack_lanes(column, n)).translate(MOD4), "little")
+    return acc.to_bytes(n, "little").translate(MOD4)
 
 
 def moves(code: Code) -> list[Move]:

@@ -15,16 +15,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import counting, pin, real_forms
-from .lattice import (
-    K,
-    ZERO,
-    PicClass,
-    Sublattice,
-    enumerate_coordinates,
-    enumerate_vectors,
-    pic,
-    reflect,
-)
+from .lattice import (K, ZERO, PicClass, Sublattice, enumerate_coordinates, enumerate_vectors, pic,
+                      reflect)
 
 SEED = 20260810
 
@@ -51,12 +43,8 @@ def _make_real(x: PicClass, r: int) -> PicClass:
 
 
 def _all_codes() -> list[pin.Code]:
-    codes = []
-    for length in (9, 7, 5, 3, 1):
-        for combo in itertools.product((1, 3), repeat=length):
-            if sum(combo) % 4 == 1:
-                codes.append(pin.Code(combo))
-    return codes
+    return [pin.Code(combo) for length in (9, 7, 5, 3, 1)
+            for combo in itertools.product((1, 3), repeat=length) if sum(combo) % 4 == 1]
 
 
 def quadratic_law_code(n: int, rng: random.Random) -> PropertyResult:

@@ -16,15 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .lattice import (
-    K,
-    LatticeError,
-    PicClass,
-    Sublattice,
-    form_row,
-    integer_kernel,
-    pic,
-)
+from .lattice import K, LatticeError, PicClass, Sublattice, form_row, integer_kernel, pic
 from .pin import NEGATIVE_CODE, PAIRS, POSITIVE_CODE, Code
 from .roots import cartan_gram, identify
 

@@ -10,13 +10,11 @@ are one table of (stratum, t), with |t| <= 2 by Cauchy-Schwarz, frozen as
 Classes pairing off under the reflection in E cancel and classes orthogonal to
 E sum to rank-linear values; `delta_table` counts both at one root.
 
-The reflection facts belong to the class, not to E.  `q_index_cached` checks on
+The reflection facts belong to the class, not to E: `q_index_cached` checks on
 the class's simple roots b that B^2 and B^4 are closed under s_b with q(s_b v) =
-q(v) + (v.b)(q(b) + 2) mod 4 (s_b fixes B^0 = {0}): one packed pass per (b,
-stratum) looks each s_b v up in {v: q} by a 64-bit key (a class's l1..l8 in
-K-perp) and compares q, and an exact walk names the first failure.  The simple
-reflections generate the Weyl group and every root is conjugate to a simple one,
-so this is the law for every root E; for q(E) = 0 it shifts q by 2 iff |v.E| = 1.
+q(v) + (v.b)(q(b) + 2) mod 4.  The simple reflections generate the Weyl group and
+every root is conjugate to a simple one, so this is the law for every root E; for
+q(E) = 0 it shifts q by 2 iff |v.E| = 1.
 """
 
 from __future__ import annotations
@@ -29,14 +27,17 @@ from . import golden
 from .lattice import (FORM, K, LANE, MINUS_K, MINUS_2K, ZERO, LatticeError, PicClass, dot_tuples,
                       pack_lanes, unpack_lanes)
 from .counting import Stratum, alpha_of, b_classes, sign_of
+from .pin import MOD4
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
 MAX_MULTIPLICITY = 4  # proofs bound r by 2; searching further verifies the bound
 
-# Byte lanes of the packed kernel (see delta_table).
+# Byte lanes of the wall-crossing kernel (see _pairing_lanes).
 BIAS, NEG = 64, 128
-MOD4 = bytes(x % 4 for x in range(256))  # a signed byte lane's residue mod 4
+SIGN_LANES = bytes(0 if q % 2 else BIAS + NEG * (q % 4 == 2) for q in range(256))  # 0: odd q
 LEGAL = bytes(BIAS + sign + t for sign in (0, NEG) for t in range(-2, 3))  # the lanes with |v.E| <= 2
+UNSIGNED = bytes(x % NEG for x in range(256))  # a lane's BIAS + v.E, without q's sign bit
+FOLD = bytes(x + 2 * (x % NEG == BIAS - 1) for x in range(256))  # the lanes at v.E = -1 onto +1
 
 # d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
 CITED_FIELDS = ("d22",)
@@ -109,17 +110,33 @@ def _form_columns(s: Stratum) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def packed_strata(class_id: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(size, base, columns) of B^2 and B^4 of the class, one byte lane per class
-    in stratum order: base holds BIAS, plus NEG where q = 2 mod 4, and the
-    columns are `_form_columns` of the stratum."""
-    c = get_class(class_id)
-    packs = []
-    for k in (1, 2):
-        s = b_classes(c, k)
-        base = int.from_bytes(bytes(BIAS + NEG * (sign_of(q) < 0) for q in s.qs), "little")
-        packs.append((len(s.vs), base, _form_columns(s)))
-    return tuple(packs)
+def packed_stratum(class_id: str, k: int) -> tuple[int, int, tuple[int, ...]]:
+    """(size, base, columns) of B^{2k} of the class, one byte lane per class in
+    stratum order: base, one translate of the q bytes, holds BIAS plus NEG where
+    q = 2 mod 4 (`sign_of` names the first odd q); columns are `_form_columns`."""
+    s = b_classes(get_class(class_id), k)
+    lanes = bytes(s.qs).translate(SIGN_LANES)
+    if 0 in lanes:
+        sign_of(s.qs[lanes.index(0)])
+    return len(s.vs), int.from_bytes(lanes, "little"), _form_columns(s)
+
+
+def _pairing_lanes(c: DeformationClass, e: PicClass, k: int) -> bytes:
+    """The wall-crossing kernel: one byte per class of B^{2k} in stratum order,
+    BIAS + v.E plus NEG where q(v) = 2 mod 4, read off base + sum_j E_j * column_j
+    of `packed_stratum` (zero coefficients of E skipped).  The lattice is negative
+    definite, so (v.E)^2 <= (v.v)(E.E) <= 8: no lane carries, and a stratum whose
+    lanes are not all among the ten values with |v.E| <= 2 raises."""
+    n, acc, columns = packed_stratum(c.id, k)
+    for x, column in zip(e.coeffs, columns):
+        if x:
+            acc += x * column
+    # The mask keeps a carry or borrow past the top lane in it, for the translate to catch.
+    lanes = (acc & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+    n = len(lanes.translate(None, LEGAL))
+    if n:
+        raise LatticeError(f"{n} classes of B^{2 * k} of {c.id} have |v.E| > 2 for {e}")
+    return lanes
 
 
 def vanishing_roots(c: DeformationClass) -> tuple[PicClass, ...]:
@@ -127,26 +144,30 @@ def vanishing_roots(c: DeformationClass) -> tuple[PicClass, ...]:
     return vanishing_roots_cached(c.id)
 
 
-def splitting_summaries(c: DeformationClass) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
-    """{(stratum, v.E): `splittings`} at the class's first vanishing root E, each
-    key run on the alpha of its first class in stratum order: golden.SPLITTING_TABLE's
-    layout."""
-    e = vanishing_roots(c)[0]
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
+def splitting_witnesses(c: DeformationClass, e: PicClass) -> dict[tuple[int, int], tuple[int, ...]]:
+    """{(stratum, v.E): v}, v the first class of each key in stratum order: the
+    first lane of each v.E value among `_pairing_lanes` at E."""
+    witnesses = {}
     for k in (0, 1, 2):
-        for v in b_classes(c, k).vs:
-            witnesses.setdefault((2 * k, dot_tuples(v, e.coeffs)), v)
-    return {key: tuple(splittings(PicClass(alpha_of(v)), e)) for key, v in witnesses.items()}
+        values, vs = _pairing_lanes(c, e, k).translate(UNSIGNED), b_classes(c, k).vs
+        firsts = sorted((i, t) for t in range(-2, 3) if (i := values.find(BIAS + t)) >= 0)
+        witnesses.update(((2 * k, t), vs[i]) for i, t in firsts)
+    return witnesses
+
+
+def splitting_summaries(c: DeformationClass) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """{(stratum, v.E): `splittings`} at the class's first vanishing root E, each key
+    run on the alpha of its `splitting_witnesses` class: golden.SPLITTING_TABLE's layout."""
+    e = vanishing_roots(c)[0]
+    return {key: tuple(splittings(PicClass(alpha_of(v)), e))
+            for key, v in splitting_witnesses(c, e).items()}
 
 
 def splittings(alpha: PicClass, e: PicClass) -> list[tuple[int, int, int, int]]:
-    """Admissible splittings alpha = D + r*E for r >= 1, as the rows
-    (r, stratum of D, D.D, D.E) of golden.SPLITTING_TABLE.
-
-    Necessary conditions from the degeneration analysis: D.(-K-E) >= 0,
-    D.E >= 1, D.D >= -1, and D must again be a degree-2 stratum class
-    (D.D in {4, 2, 0}, the last forcing the deepest stratum).
-    """
+    """Admissible splittings alpha = D + r*E for r >= 1, as the rows (r, stratum of
+    D, D.D, D.E) of golden.SPLITTING_TABLE.  Necessary conditions from the
+    degeneration analysis: D.(-K-E) >= 0, D.E >= 1, D.D >= -1, and D must again be
+    a degree-2 stratum class (D.D in {4, 2, 0}, the last forcing the deepest stratum)."""
     cases = []
     for r in range(1, MAX_MULTIPLICITY + 1):
         d = alpha - r * e
@@ -180,38 +201,21 @@ class DeltaTable(NamedTuple):
 
 
 def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
-    """The wall-crossing sums at one root E: every v.E of B^2 and B^4 at once.
-
+    """The wall-crossing sums at one root E, off the `_pairing_lanes` of B^2 and B^4.
     E must be in the B^2 index of `q_index_cached` (a root of the class lattice)
     with q(E) = 0; stratum closure and the reflection law are checked there, once
-    per class.  base + sum_j E_j * column_j of a `packed_strata` stratum holds
-    BIAS + v.E, plus NEG where q(v) = 2 mod 4, in each class's byte.  The lattice
-    is negative definite, so (v.E)^2 <= (v.v)(E.E) <= 8: no lane carries, and a
-    stratum whose lanes are not all among the ten values with |v.E| <= 2 raises.
-    The classes with |v.E| = 1 pair off under the reflection with q shifted by 2,
-    so d21 = d41 = 0; the orthogonal sum over roots with v.E = 0 is 2(r-1);
-    d22 = 2(chi - 1) is the cited Euler input.
-    """
+    per class.  The classes with |v.E| = 1 pair off under the reflection with q
+    shifted by 2, so d21 = d41 = 0; the orthogonal sum over roots with v.E = 0 is
+    2(r-1); d22 = 2(chi - 1) is the cited Euler input."""
     q_e = q_index_cached(c.id)[0].get(e.coeffs)
     if q_e is None:
         raise LatticeError(f"{e} is not a root of the {c.id} class lattice")
     if q_e != 0:
         raise LatticeError(f"{e} has nonzero quadratic value")
-    signed = {}  # (k, v.E): sum of i^q over the classes of B^{2k} with that v.E
-    for k, (n, base, columns) in zip((1, 2), packed_strata(c.id)):
-        acc = base
-        for x, column in zip(e.coeffs, columns):
-            acc += x * column
-        # The mask keeps a carry or borrow past the top lane in it, for the translate to catch.
-        lanes = (acc & ((1 << 8 * n) - 1)).to_bytes(n, "little")
-        n = len(lanes.translate(None, LEGAL))
-        if n:
-            raise LatticeError(f"{n} classes of B^{2 * k} of {c.id} have |v.E| > 2 for {e}")
-        for t in (-1, 0, 1):
-            signed[k, t] = lanes.count(BIAS + t) - lanes.count(BIAS + NEG + t)
-    orth = signed[1, 0]
-    return DeltaTable(signed[2, 1] + signed[2, -1], 2 * orth, -2 * orth,
-                      signed[1, 1] + signed[1, -1], 2 * (c.euler_char - 1))
+    b2, b4 = (_pairing_lanes(c, e, k).translate(FOLD) for k in (1, 2))
+    orth, d21, d41 = (lanes.count(BIAS + t) - lanes.count(BIAS + NEG + t)
+                      for lanes, t in ((b2, 0), (b2, 1), (b4, 1)))
+    return DeltaTable(d41, 2 * orth, -2 * orth, d21, 2 * (c.euler_char - 1))
 
 
 def delta_expected(c: DeformationClass) -> tuple[int, int, int, int, int]:

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import random
 
 import pytest
 
@@ -76,3 +77,15 @@ def vanishing_qhat(lat: Sublattice, x: PicClass) -> int:
     """q on x in the span of a root basis on which it vanishes: twist 2 on each root.
     Raises LatticeError, from coordinates_of, when x is outside the span."""
     return qhat_from_coordinates(lat.coordinates_of(x), x.square, (2,) * lat.rank)
+
+
+def unimodular(rng: random.Random, k: int) -> list[list[int]]:
+    """A seeded k x k integer matrix of determinant +-1: k additions of +-1 times
+    one row to another, then a row permutation."""
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(k):
+        i, j = rng.sample(range(k), 2)
+        sign = rng.choice((-1, 1))
+        m[i] = [a + sign * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return m

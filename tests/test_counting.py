@@ -1,4 +1,7 @@
+import random
 import re
+import sys
+from collections import Counter
 
 import pytest
 
@@ -7,6 +10,7 @@ from conftest import (
     clear_model_caches,
     corrupt_4a1_embedding,
     model_caches,
+    unimodular,
     vanishing_qhat,
 )
 from dp1 import counting, golden, lattice, pin, properties, real_forms, report, roots, wallcross
@@ -27,7 +31,7 @@ from dp1.counting import (
     signed_total,
     stratum,
 )
-from dp1.lattice import MINUS_2K, LatticeError, PicClass, enumerate_coordinates
+from dp1.lattice import MINUS_2K, LatticeError, PicClass, Sublattice, enumerate_coordinates
 from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code
 from dp1.real_forms import get_class, lambda_basis
 from dp1.report import build_records
@@ -133,24 +137,99 @@ def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
     # Odd values 3 then 1 at two positions of D6's roots: both sums name the 3,
     # the first one met, not the smaller one.
     d6, lat = get_class("M-2-connected"), lambda_basis("M-2-connected")
-    coords = enumerate_coordinates(lat, -2)
     odd = {3: 3, 7: 1}
-    strata, evaluate = counting.b_classes, counting.qhat_from_coordinates
+    strata, evaluate = counting.b_classes, counting.qhat_columns
 
     def odd_strata(c, k):
         s = strata(c, k)
         return stratum(k, s.vs, tuple(odd.get(i, q) for i, q in enumerate(s.qs)))
 
-    def odd_values(x, square, twist):
-        return odd.get(coords.index(x), evaluate(x, square, twist))
+    def odd_values(columns, n, square, twist):
+        # The evaluator's output, with the odd values at the same vectors, in search order.
+        return bytes(odd.get(i, q) for i, q in enumerate(evaluate(columns, n, square, twist)))
 
     monkeypatch.setattr(counting, "b_classes", odd_strata)
     with pytest.raises(LatticeError, match="odd quadratic value 3 on"):
         signed_sum(d6, 1)
     monkeypatch.undo()  # a cold stratum cache must not be built with odd values
-    monkeypatch.setattr(counting, "qhat_from_coordinates", odd_values)
+    monkeypatch.setattr(counting, "qhat_columns", odd_values)
     with pytest.raises(LatticeError, match="odd quadratic value 3 on"):
         lattice_signed_sum(lat, 1, (2,) * lat.rank)
+
+
+def _per_vector_qs(coords, square, twist):
+    return tuple(pin.qhat_from_coordinates(x, square, twist) for x in coords)
+
+
+def _residue_columns(coords):
+    # Each coordinate column packed as its residues mod 4, as lattice_signed_sum packs it.
+    return [int.from_bytes(bytes(x % 4 for x in column), "little") for column in zip(*coords)]
+
+
+def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypatch, all_classes):
+    rng = random.Random("column evaluator")
+
+    def twists(rank):  # entries negative or at least 4: unreduced, a lane would carry
+        return [tuple(rng.randrange(-9, 10) for _ in range(rank)) for _ in range(3)]
+
+    # Every nonempty stratum of the 11 classes, off the packed columns the search builds.
+    for c in all_classes:
+        lat = lambda_basis(c.id)
+        for k in (1, 2):
+            coords = enumerate_coordinates(lat, -2 * k)
+            if not coords:
+                continue
+            assert b_classes(c, k).qs == _per_vector_qs(coords, -2 * k, counting.twist(c))
+            xs = lat.pic_columns(coords)[0]
+            for t in twists(lat.rank):
+                got = pin.qhat_columns(xs, len(coords), -2 * k, t)
+                assert tuple(got) == _per_vector_qs(coords, -2 * k, t), (c.id, k, t)
+    # Gram-changing bases, one with b_1 + 200 b_2 in place of b_1: its coordinates
+    # pass a byte lane, and only the residue packing keeps them exact.
+    widest = 0
+    for c in [c for c in all_classes if c.rank > 1]:
+        lat = lambda_basis(c.id)
+        skew = [lat.from_coordinates((1, 200) + (0,) * (lat.rank - 2)), *lat.basis[1:]]
+        rows = unimodular(random.Random(f"unimodular:{c.id}"), lat.rank)
+        for moved in (Sublattice.span([lat.from_coordinates(tuple(row)) for row in rows]),
+                      Sublattice.span(skew)):
+            for k in (1, 2):
+                coords = enumerate_coordinates(moved, -2 * k)
+                widest = max(widest, *(max(map(abs, x)) for x in coords))
+                for t in twists(lat.rank) + [(2,) * lat.rank]:
+                    want = _per_vector_qs(coords, -2 * k, t)
+                    got = pin.qhat_columns(_residue_columns(coords), len(coords), -2 * k, t)
+                    assert tuple(got) == want, (c.id, k, t)
+                even = tuple(2 * (x // 2) for x in t)
+                assert lattice_signed_sum(moved, k, even) == sum(
+                    map(sign_of, _per_vector_qs(coords, -2 * k, even)))
+    assert widest > lattice.LANE
+    # A packed wall-crossing stratum names its first odd value in stratum order, in
+    # sign_of's words: the 3 at B^2's sixth class, not the 1 after it; the 1 in B^4.
+    d6, strata = get_class("M-2-connected"), counting.b_classes
+    odd = {1: {5: 3, 9: 1}, 2: {0: 1, 4: 3}}
+
+    def odd_strata(c, k):
+        s = strata(c, k)
+        return stratum(k, s.vs, tuple(odd.get(k, {}).get(i, q) for i, q in enumerate(s.qs)))
+
+    monkeypatch.setattr(wallcross, "b_classes", odd_strata)
+    for k, first in ((1, 3), (2, 1)):
+        with pytest.raises(LatticeError) as want:
+            sign_of(first)
+        with pytest.raises(LatticeError, match=f"^{re.escape(str(want.value))}$"):
+            wallcross.packed_stratum(d6.id, k)
+
+
+def test_alpha_columns_equal_alpha_of_per_vector(all_classes):
+    # Off the packed columns on every stratum; per vector where an alpha lane would
+    # pass LANE (v_0 = -122 gives alpha_0 = 128) or a v lane already does.
+    strata = [b_classes(c, k) for c in all_classes for k in (0, 1, 2)]
+    edge = [(-122,) + (0,) * 8, (0,) * 8 + (126,), (0,) * 8 + (-127,), (200,) + (0,) * 8]
+    strata += [stratum(1, (v,), (0,)) for v in edge]
+    assert strata[-1].columns is None
+    for s in strata:
+        assert list(zip(*counting.alpha_columns(s))) == list(map(alpha_of, s.vs))
 
 
 def test_a_non_real_stratum_vector_is_named_in_stratum_order(monkeypatch):
@@ -397,10 +476,15 @@ def _drop_first_d6_four_vector(monkeypatch):
 
 
 def _perturb_evaluator(shift):
+    # The column evaluator's q, shifted per vector by shift(its coordinate tuple).
     def patch(monkeypatch):
-        good = counting.qhat_from_coordinates
-        monkeypatch.setattr(counting, "qhat_from_coordinates", lambda coords, square, twist: (
-            good(coords, square, twist) + shift(coords)) % 4)
+        good = counting.qhat_columns
+
+        def bad(columns, n, square, twist):
+            coords = zip(*(lattice.unpack_lanes(col, n) for col in columns))
+            return bytes((q + shift(x)) % 4 for q, x in zip(good(columns, n, square, twist), coords))
+
+        monkeypatch.setattr(counting, "qhat_columns", bad)
     return patch
 
 
@@ -506,7 +590,7 @@ def test_clear_model_caches_finds_every_cache():
     assert {f"{fn.__module__}.{fn.__qualname__}" for fn in model_caches()} == {
         "dp1.real_forms.lambda_basis", "dp1.real_forms._kernel_sublattice",
         "dp1.counting.b_classes_cached", "dp1.wallcross.vanishing_roots_cached",
-        "dp1.wallcross.q_index_cached", "dp1.wallcross.packed_strata", "dp1.lattice._search",
+        "dp1.wallcross.q_index_cached", "dp1.wallcross.packed_stratum", "dp1.lattice._search",
         "dp1.roots.identify"}
 
 
@@ -519,6 +603,28 @@ def test_full_build_searches_once_per_gram_and_norm(fresh_caches):
     assert (info.hits, info.misses, info.currsize) == (14, 41, 41)
     info = roots.identify.cache_info()
     assert (info.hits, info.misses) == (10, 12)
+
+
+def test_a_full_build_reads_q_and_alpha_off_columns(fresh_caches):
+    # q and alpha come off packed columns for whole strata: alpha_of runs once per
+    # splitting witness (E8's 11 keys), and the per-vector evaluator only under
+    # qhat_code (twists, the Cremona property), never once per stratum vector.
+    names = {counting.alpha_of.__code__: "alpha_of", pin.qhat_from_coordinates.__code__: "qhat"}
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code], frame.f_back.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        build_records("all")
+    finally:
+        sys.setprofile(previous)
+    assert sum(n for (name, _), n in calls.items() if name == "alpha_of") <= 11
+    assert {caller for name, caller in calls if name == "qhat"} == {"qhat_code"}
+    assert 0 < calls["qhat", "qhat_code"] < 1000
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from conftest import l
+from conftest import l, unimodular
 from dp1 import lattice, properties, real_forms
 from dp1.lattice import (
     K,
@@ -195,18 +195,6 @@ def test_weyl_moved_bases_give_the_same_vectors(c):
         for n, vectors in want.items():
             got = enumerate_vectors(moved, n)
             assert len(got) == len(vectors) and set(got) == vectors
-
-
-def unimodular(rng: random.Random, k: int) -> list[list[int]]:
-    """A seeded k x k integer matrix of determinant +-1: k additions of +-1 times
-    one row to another, then a row permutation."""
-    m = [[int(i == j) for j in range(k)] for i in range(k)]
-    for _ in range(k):
-        i, j = rng.sample(range(k), 2)
-        sign = rng.choice((-1, 1))
-        m[i] = [a + sign * b for a, b in zip(m[i], m[j])]
-    rng.shuffle(m)
-    return m
 
 
 @pytest.mark.parametrize("name", [c.id for c in real_forms.deformation_classes() if c.rank > 1]

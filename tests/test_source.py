@@ -20,8 +20,9 @@ CLASS_ID_OWNERS = {"real_forms.py", "golden.py", "report.py"}
 CLASS_IDS = {c.id for c in real_forms.deformation_classes()}
 
 # Every dp1 process imports dp1.cli, so these stay off its import path: dataclasses
-# brings inspect, ast, dis and tokenize, and fractions brings decimal.
-SLOW_IMPORTS = ("dataclasses", "fractions", "decimal", "inspect")
+# brings inspect, ast, dis and tokenize, fractions brings decimal, and only
+# --format csv needs csv.
+SLOW_IMPORTS = ("dataclasses", "fractions", "decimal", "inspect", "csv")
 
 # The os names through which a module reads the process environment.
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

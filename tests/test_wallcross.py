@@ -201,6 +201,21 @@ def test_splitting_summaries_run_the_first_class_of_each_key(monkeypatch):
     assert seen == want
 
 
+def test_splitting_witnesses_are_the_first_class_of_each_key():
+    # The lane read against a first-seen scan in stratum order, B^0 included, at
+    # every vanishing root of every class.
+    roots = 0
+    for c in deformation_classes():
+        for e in vanishing_roots(c):
+            want = {}
+            for k in (0, 1, 2):
+                for v in b_classes(c, k).vs:
+                    want.setdefault((2 * k, dot_tuples(v, e.coeffs)), v)
+            assert list(wallcross.splitting_witnesses(c, e).items()) == list(want.items())
+            roots += 1
+    assert roots == 304
+
+
 def test_a_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypatch):
     # 3u with u.E = 1 is no stratum vector; only the lane count can notice it.
     root = vanishing_roots(E8)[0]
