@@ -17,7 +17,7 @@ from operator import neg, sub
 from typing import Callable, NamedTuple
 
 from . import golden
-from .lattice import (LANE, MINUS_2K, RANK, ZERO, LatticeError, Sublattice, enumerate_coordinates,
+from .lattice import (LANE, MINUS_2K, RANK, ZERO, LatticeError, enumerate_coordinates,
                       pack_lanes, unpack_lanes)
 from .pin import code_columns, qhat_code, qhat_columns
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
@@ -28,16 +28,18 @@ ALPHA_SAFE = bytes(x % 256 for x in range(6 - LANE, LANE - 5))  # v lanes within
 class Stratum(NamedTuple):
     """B^{2k} as columns, in search order: each stratum vector v as its coefficient
     9-tuple, with alpha = -2K - v, and its quadratic value q.  `columns` are the
-    coefficient columns of the vs, each one `pack_lanes` int (None past LANE)."""
+    coefficient columns of the vs, each one `pack_lanes` int (None past LANE), and
+    `xs` the search's coordinate columns over the simple roots, as `pack_lanes` ints."""
 
     k: int
     vs: tuple[tuple[int, ...], ...]
     qs: tuple[int, ...]
     columns: tuple[int, ...] | None
+    xs: list[int] | None
 
 
 def stratum(k: int, vs: tuple[tuple[int, ...], ...], qs: tuple[int, ...],
-            columns: tuple[int, ...] | None = None) -> Stratum:
+            columns: tuple[int, ...] | None = None, xs: list[int] | None = None) -> Stratum:
     """The one constructor: it packs the columns of vs where the search did not
     (`Sublattice.pic_columns`); past a byte lane they stay None."""
     if columns is None:
@@ -45,7 +47,7 @@ def stratum(k: int, vs: tuple[tuple[int, ...], ...], qs: tuple[int, ...],
             columns = tuple(map(pack_lanes, zip(*vs))) if vs else (0,) * RANK
         except ValueError:
             pass
-    return Stratum(k, vs, qs, columns)
+    return Stratum(k, vs, qs, columns, xs)
 
 
 def twist(c: DeformationClass) -> tuple[int, ...]:
@@ -64,7 +66,7 @@ def b_classes_cached(class_id: str, k: int) -> Stratum:
     coords = enumerate_coordinates(lat, -2 * k)
     xs, columns = lat.pic_columns(coords)
     vs = tuple(zip(*(unpack_lanes(col, len(coords)) for col in columns)))
-    return stratum(k, vs, tuple(qhat_columns(xs, len(coords), -2 * k, twist(c))), columns)
+    return stratum(k, vs, tuple(qhat_columns(xs, len(coords), -2 * k, twist(c))), columns, xs)
 
 
 def b_classes(c: DeformationClass, k: int) -> Stratum:
@@ -80,17 +82,12 @@ def sign_of(qhat: int) -> int:
     return 1 if qhat % 4 == 0 else -1
 
 
-def signed_sum(c: DeformationClass, k: int) -> int:
-    """Sum of i^q over B^{2k}, counted per q in first-seen order: an odd q raises."""
-    return sum(n * sign_of(q) for q, n in Counter(b_classes(c, k).qs).items())
-
-
-def lattice_signed_sum(lat: Sublattice, k: int, twist: tuple[int, ...]) -> int:
-    """Sum of i^q over the vectors of square -2k in lat, q given by a twist on its
-    basis: each coordinate column is packed as its residues mod 4, exact for any x."""
-    coords = enumerate_coordinates(lat, -2 * k)
-    xs = [int.from_bytes(bytes(map((4).__rmod__, x)), "little") for x in zip(*coords)]
-    qs = qhat_columns(xs, len(coords), -2 * k, twist)
+def signed_sum(c: DeformationClass, k: int, twist: tuple[int, ...] | None = None) -> int:
+    """Sum of i^q over B^{2k}, counted per q in first-seen order: an odd q raises.
+    Given a twist on the class's simple roots, q is read with it off the stratum's
+    coordinate columns instead of its stored qs (the cross-model records)."""
+    s = b_classes(c, k)
+    qs = s.qs if twist is None else qhat_columns(s.xs, len(s.vs), -2 * k, twist)
     return sum(n * sign_of(q) for q, n in Counter(qs).items())
 
 

@@ -36,19 +36,21 @@ MOD4 = bytes(x % 4 for x in range(256))  # a signed byte lane's residue mod 4
 PAIRS = ((7, 8), (5, 6), (3, 4), (1, 2))
 
 
-class Code(NamedTuple("Code", [("residues", tuple)])):
-    """Residues (a0, a1, ..., a_{8-2r}), each +-1 mod 4 (stored as 1 or 3)."""
+class Code(NamedTuple("Code", [("residues", tuple), ("twist", tuple)])):
+    """Residues (a0, a1, ..., a_{8-2r}), each +-1 mod 4 (stored as 1 or 3), and the
+    twist q(b) - b.b on h, the real l_i and the pair sums, in that order, stored once."""
 
     __slots__ = ()
 
     def __new__(cls, residues: tuple[int, ...]) -> "Code":
-        code = tuple.__new__(cls, (residues,))
+        code = tuple.__new__(cls, (residues, ()))
         code.__post_init__()
-        return code
+        a0, *real = residues
+        return tuple.__new__(cls, (residues, (a0 - 1, *[a + 1 for a in real], *(2,) * code.r)))
 
     def __post_init__(self) -> None:
         n = len(self.residues)
-        if n not in (9, 7, 5, 3, 1) or any(a not in (1, 3) for a in self.residues):
+        if n not in (9, 7, 5, 3, 1) or not {*self.residues} <= {1, 3}:
             raise LatticeError(f"invalid code {self.residues!r}")
         if sum(self.residues) % 4 != 1:
             raise LatticeError(f"code {self.residues!r} violates sum = 1 mod 4")
@@ -60,12 +62,6 @@ class Code(NamedTuple("Code", [("residues", tuple)])):
     @property
     def n_real(self) -> int:
         return len(self.residues) - 1
-
-    @property
-    def twist(self) -> tuple[int, ...]:
-        """q(b) - b.b on h, the real l_i and the pair sums, in that order."""
-        a0, *real = self.residues
-        return (a0 - 1, *(a + 1 for a in real), *(2,) * self.r)
 
 
 # Blowup-model codes of the two connected classes that admit one.

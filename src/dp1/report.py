@@ -214,12 +214,9 @@ def _table6_checks(col: str) -> list[_Check]:
 
 def _cross_model_checks(c: real_forms.DeformationClass) -> list[_Check]:
     # The code's signed sums against those of q vanishing on the class's simple roots.
-    def sums(k: int) -> tuple[int, int]:
-        lat = real_forms.lambda_basis(c.id)
-        return counting.signed_sum(c, k), counting.lattice_signed_sum(lat, k, (2,) * lat.rank)
-
     return [_Check(f"cross_model_{what}:{c.id}", "code-vs-basis", ENUMERATED, (c.id,),
-                   lambda k=k: sums(k)) for what, k in (("roots", 1), ("four", 2))]
+                   lambda k=k: (counting.signed_sum(c, k), counting.signed_sum(c, k, (2,) * c.rank)))
+            for what, k in (("roots", 1), ("four", 2))]
 
 
 def _property_checks() -> list[_Check]:

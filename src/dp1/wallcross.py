@@ -38,6 +38,7 @@ SIGN_LANES = bytes(0 if q % 2 else BIAS + NEG * (q % 4 == 2) for q in range(256)
 LEGAL = bytes(BIAS + sign + t for sign in (0, NEG) for t in range(-2, 3))  # the lanes with |v.E| <= 2
 UNSIGNED = bytes(x % NEG for x in range(256))  # a lane's BIAS + v.E, without q's sign bit
 FOLD = bytes(x + 2 * (x % NEG == BIAS - 1) for x in range(256))  # the lanes at v.E = -1 onto +1
+ABS = bytes(min(x, 256 - x) for x in range(256))  # a signed byte lane's |value|
 
 # d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
 CITED_FIELDS = ("d22",)
@@ -50,40 +51,43 @@ def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
 
 
 @lru_cache(maxsize=None)
-def q_index_cached(class_id: str) -> tuple[dict[tuple[int, ...], int], ...]:
-    """{v: q} of the B^2 and B^4 stratum vectors of the class, after checking on
-    every simple root b that s_b(v) = v + (v.b)b stays in v's stratum with q(s_b v)
-    = q(v) + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum) reads every v.b,
-    image and predicted q off `_form_columns`' lanes and looks each image's q up by
-    its l1..l8 (`_keys`).  Where one packed v.K is 0 and no two keys collide, a key
-    names one class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the
-    n images are the n classes.  Else, or past a lane bound, the exact walk raises."""
+def q_index_cached(class_id: str) -> dict[tuple[int, ...], int]:
+    """{v: q} of the B^2 stratum vectors of the class, after checking on every simple
+    root b that B^2 and B^4 are closed under s_b(v) = v + (v.b)b with q(s_b v) = q(v)
+    + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum) reads every v.b, image
+    and predicted q off `_form_columns`' lanes and looks each image's q up by its
+    l1..l8 (`_keys`).  Where one packed v.K is 0 and no two keys collide, a key names
+    one class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the n images
+    are the n classes.  Else, or past a lane bound, the exact walk raises; B^4's
+    {v: q} is built only for that walk."""
     c = get_class(class_id)
     strata = [b_classes(c, k) for k in (1, 2)]
-    q_of = tuple(dict(zip(s.vs, s.qs)) for s in strata)
-    tops = [[max(max(col), -min(col)) for col in zip(*s.vs)] for s in strata]
+    q_of = dict(zip(strata[0].vs, strata[0].qs))
     packs = []
-    for s, top in zip(strata, tops):
+    for s in strata:
+        n = len(s.vs)
         packs.append(None)
-        if sum(map(mul, top, map(abs, K.coeffs))) <= LANE:  # bounds v.K and every lane
-            n, columns = len(s.vs), _form_columns(s)
+        top = s.columns and [max({0, *bytes(unpack_lanes(x, n)).translate(ABS)}) for x in s.columns]
+        if top and sum(map(mul, top, map(abs, K.coeffs))) <= LANE:  # bounds v.K and every lane
+            columns = _form_columns(s)
             own = dict(zip(_keys(columns, n), s.qs))
             if len(own) == n and not sum(map(mul, K.coeffs, columns)):
-                packs[-1] = columns, pack_lanes(s.qs), own, n
+                packs[-1] = columns, pack_lanes(s.qs), own, n, top
     for b in lambda_basis(class_id).basis:
         bc = b.coeffs
-        q_b = q_of[0].get(bc)
+        q_b = q_of.get(bc)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
-        for by_v, top, pack in zip(q_of, tops, packs):
-            bound = sum(map(mul, top, map(abs, bc)))  # on |v.b|, hence on each image and q lane
-            reach = max([3 + bound * (q_b + 2), *(x + bound * abs(y) for x, y in zip(top, bc))])
-            if pack and reach <= LANE:
-                columns, qs, own, n = pack
-                t = sum(map(mul, bc, columns))
-                q_images = bytes(unpack_lanes(qs + (q_b + 2) * t, n)).translate(MOD4)
-                if list(map(own.get, _keys(columns, n, t, bc))) == list(q_images):
-                    continue
+        for s, pack in zip(strata, packs):
+            if pack:
+                columns, qs, own, n, top = pack
+                bound = sum(map(mul, top, map(abs, bc)))  # on |v.b|, hence on each image and q lane
+                if max([3 + bound * (q_b + 2), *(x + bound * abs(y) for x, y in zip(top, bc))]) <= LANE:
+                    t = sum(map(mul, bc, columns))
+                    q_images = bytes(unpack_lanes(qs + (q_b + 2) * t, n)).translate(MOD4)
+                    if list(map(own.get, _keys(columns, n, t, bc))) == list(q_images):
+                        continue
+            by_v = q_of if s.k == 1 else dict(zip(s.vs, s.qs))
             for vc, q in by_v.items():
                 t = dot_tuples(vc, bc)
                 q_image = by_v.get(tuple(x + t * y for x, y in zip(vc, bc)))
@@ -207,7 +211,7 @@ def delta_table(c: DeformationClass, e: PicClass) -> DeltaTable:
     per class.  The classes with |v.E| = 1 pair off under the reflection with q
     shifted by 2, so d21 = d41 = 0; the orthogonal sum over roots with v.E = 0 is
     2(r-1); d22 = 2(chi - 1) is the cited Euler input."""
-    q_e = q_index_cached(c.id)[0].get(e.coeffs)
+    q_e = q_index_cached(c.id).get(e.coeffs)
     if q_e is None:
         raise LatticeError(f"{e} is not a root of the {c.id} class lattice")
     if q_e != 0:

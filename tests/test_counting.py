@@ -24,7 +24,6 @@ from dp1.counting import (
     classify_levels,
     classify_roots,
     count_report,
-    lattice_signed_sum,
     pair_signed_total,
     sign_of,
     signed_sum,
@@ -122,21 +121,22 @@ def test_sign_of_rejects_odd():
         sign_of(1)
 
 
-def test_lattice_signed_sum_matches_the_strata_and_rejects_odd_values():
-    lat = lambda_basis("M-2-connected")
+def test_twisted_signed_sum_matches_the_strata_and_rejects_odd_values():
     d6 = get_class("M-2-connected")
-    vanishing = (2,) * lat.rank
-    assert [lattice_signed_sum(lat, k, vanishing) for k in (1, 2)] == [
-        signed_sum(d6, 1), signed_sum(d6, 2)]
+    vanishing = (2,) * d6.rank
+    assert [signed_sum(d6, k, vanishing) for k in (1, 2)] == [signed_sum(d6, 1), signed_sum(d6, 2)]
+    # The cross-model records: the code's sums equal those of q vanishing on the simple roots.
+    for c in (E8, E7):
+        assert [signed_sum(c, k, (2,) * c.rank) for k in (1, 2)] == [signed_sum(c, 1), signed_sum(c, 2)]
     # A twist of 1 on a simple root b gives q(b) = -2 + 1, odd: no sign exists.
     with pytest.raises(LatticeError):
-        lattice_signed_sum(lat, 1, (1,) + vanishing[1:])
+        signed_sum(d6, 1, (1,) + vanishing[1:])
 
 
 def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
     # Odd values 3 then 1 at two positions of D6's roots: both sums name the 3,
     # the first one met, not the smaller one.
-    d6, lat = get_class("M-2-connected"), lambda_basis("M-2-connected")
+    d6 = get_class("M-2-connected")
     odd = {3: 3, 7: 1}
     strata, evaluate = counting.b_classes, counting.qhat_columns
 
@@ -154,7 +154,7 @@ def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
     monkeypatch.undo()  # a cold stratum cache must not be built with odd values
     monkeypatch.setattr(counting, "qhat_columns", odd_values)
     with pytest.raises(LatticeError, match="odd quadratic value 3 on"):
-        lattice_signed_sum(lat, 1, (2,) * lat.rank)
+        signed_sum(d6, 1, (2,) * d6.rank)
 
 
 def _per_vector_qs(coords, square, twist):
@@ -162,7 +162,7 @@ def _per_vector_qs(coords, square, twist):
 
 
 def _residue_columns(coords):
-    # Each coordinate column packed as its residues mod 4, as lattice_signed_sum packs it.
+    # Each coordinate column packed as its residues mod 4: exact for coordinates of any size.
     return [int.from_bytes(bytes(x % 4 for x in column), "little") for column in zip(*coords)]
 
 
@@ -184,6 +184,8 @@ def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypat
             for t in twists(lat.rank):
                 got = pin.qhat_columns(xs, len(coords), -2 * k, t)
                 assert tuple(got) == _per_vector_qs(coords, -2 * k, t), (c.id, k, t)
+                even = tuple(2 * (x // 2) for x in t)
+                assert signed_sum(c, k, even) == sum(map(sign_of, _per_vector_qs(coords, -2 * k, even)))
     # Gram-changing bases, one with b_1 + 200 b_2 in place of b_1: its coordinates
     # pass a byte lane, and only the residue packing keeps them exact.
     widest = 0
@@ -201,8 +203,8 @@ def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypat
                     got = pin.qhat_columns(_residue_columns(coords), len(coords), -2 * k, t)
                     assert tuple(got) == want, (c.id, k, t)
                 even = tuple(2 * (x // 2) for x in t)
-                assert lattice_signed_sum(moved, k, even) == sum(
-                    map(sign_of, _per_vector_qs(coords, -2 * k, even)))
+                got = pin.qhat_columns(_residue_columns(coords), len(coords), -2 * k, even)
+                assert sum(map(sign_of, got)) == sum(map(sign_of, _per_vector_qs(coords, -2 * k, even)))
     assert widest > lattice.LANE
     # A packed wall-crossing stratum names its first odd value in stratum order, in
     # sign_of's words: the 3 at B^2's sixth class, not the 1 after it; the 1 in B^4.
@@ -596,25 +598,28 @@ def test_clear_model_caches_finds_every_cache():
 
 def test_full_build_searches_once_per_gram_and_norm(fresh_caches):
     # 42 distinct (gram, norm) keys reach enumerate_coordinates; the rank-0 one
-    # returns before the cache, so the other 41 are each searched once.  The 22
+    # returns before the cache, so the other 41 are each searched once.  The
+    # cross-model sums read their strata's coordinates and search nothing.  The 22
     # root-system identifications name 12 distinct lattices, each identified once.
     build_records("all")
     info = lattice._search.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (14, 41, 41)
+    assert (info.hits, info.misses, info.currsize) == (10, 41, 41)
     info = roots.identify.cache_info()
     assert (info.hits, info.misses) == (10, 12)
 
 
 def test_a_full_build_reads_q_and_alpha_off_columns(fresh_caches):
     # q and alpha come off packed columns for whole strata: alpha_of runs once per
-    # splitting witness (E8's 11 keys), and the per-vector evaluator only under
-    # qhat_code (twists, the Cremona property), never once per stratum vector.
-    names = {counting.alpha_of.__code__: "alpha_of", pin.qhat_from_coordinates.__code__: "qhat"}
+    # splitting witness (E8's 11 keys), the per-vector evaluator only under qhat_code,
+    # and qhat_code only in twist, once per simple root of each code class's B^2 and
+    # B^4 (8 + 7, twice).  The Cremona property reflects nothing class by class.
+    names = {counting.alpha_of.__code__: "alpha_of", pin.qhat_from_coordinates.__code__: "qhat",
+             pin.qhat_code.__code__: "qhat_code", lattice.reflect.__code__: "reflect"}
     calls = Counter()
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in names:
-            calls[names[frame.f_code], frame.f_back.f_code.co_name] += 1
+            calls[names[frame.f_code], frame.f_back.f_code] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
@@ -622,9 +627,11 @@ def test_a_full_build_reads_q_and_alpha_off_columns(fresh_caches):
         build_records("all")
     finally:
         sys.setprofile(previous)
+    twist = {counting.twist.__code__, *counting.twist.__code__.co_consts}  # with its generator
     assert sum(n for (name, _), n in calls.items() if name == "alpha_of") <= 11
-    assert {caller for name, caller in calls if name == "qhat"} == {"qhat_code"}
-    assert 0 < calls["qhat", "qhat_code"] < 1000
+    assert {(name, "twist" if caller in twist else caller.co_name): n
+            for (name, caller), n in calls.items() if name != "alpha_of"} == {
+        ("qhat", "qhat_code"): 30, ("qhat_code", "twist"): 30}
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

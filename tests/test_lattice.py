@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import isqrt, lcm
 from operator import mul
@@ -223,18 +224,54 @@ def test_rank_one_shells_are_read_off_the_last_level():
         [(-1,), (1,)], [], [], [(-2,), (2,)], []]
 
 
-@pytest.mark.parametrize("c", [c for c in real_forms.deformation_classes() if 0 < c.rank <= 4],
-                         ids=lambda c: c.id)
-def test_search_equals_the_box_scan_on_small_ranks(c):
-    # The box-scan oracle of the property suite, on the class lattice and on the
-    # seeded gram-changed bases of test_gram_changing_bases_give_the_same_vectors.
+def per_norm_box_scan(lat, norm):
+    """The box scan at one norm, sorted: the reference of the bucketed `_box_scan`."""
+    q = [[-x for x in row] for row in lat.gram]
+    n, det_q = -norm, properties._det(q)
+    bounds = [isqrt(n * properties._det([row[:i] + row[i + 1:] for j, row in enumerate(q) if j != i])
+                    // det_q) for i in range(lat.rank)]
+    return sorted(x for x in itertools.product(*[range(-b, b + 1) for b in bounds])
+                  if sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, lat.gram)) == norm)
+
+
+def _small_rank_bases(c):
+    # The class lattice and the seeded gram-changed bases of
+    # test_gram_changing_bases_give_the_same_vectors.
     lat = real_forms.lambda_basis(c.id)
     rng = random.Random(f"unimodular:{c.id}")
-    moved = [Sublattice.span([lat.from_coordinates(tuple(row)) for row in unimodular(rng, lat.rank)])
-             for _ in range(2 if lat.rank > 1 else 0)]
-    for basis in [lat, *moved]:
+    moved = ([lat.from_coordinates(tuple(row)) for row in unimodular(rng, lat.rank)]
+             for _ in range(2 if lat.rank > 1 else 0))
+    return [lat, *map(Sublattice.span, moved)]
+
+
+SMALL_RANKS = [c for c in real_forms.deformation_classes() if 0 < c.rank <= 4]
+
+
+@pytest.mark.parametrize("c", SMALL_RANKS, ids=lambda c: c.id)
+def test_search_equals_the_box_scan_on_small_ranks(c):
+    # The box-scan oracle of the property suite, each norm read off one scan at -8.
+    for basis in _small_rank_bases(c):
+        shells = properties._box_scan(basis, -8)
         for n in (-2, -4, -6, -8):
-            assert enumerate_coordinates(basis, n) == properties._box_scan(basis, n), (basis.gram, n)
+            assert enumerate_coordinates(basis, n) == shells.get(n, []), (basis.gram, n)
+
+
+def test_the_bucketed_box_scan_equals_one_scan_per_norm(monkeypatch):
+    # On the five oracle lattices (one scan each, at -8) and the small-rank bases,
+    # every bucket from -2 to -8 is the scan of its own box.
+    scans, bucketed = [], properties._box_scan
+
+    def spy(lat, norm):
+        scans.append((lat, norm))
+        return bucketed(lat, norm)
+
+    monkeypatch.setattr(properties, "_box_scan", spy)
+    assert properties.box_scan_oracle() == ("box_scan_oracle", 20, 0)
+    assert len(scans) == 5 and {norm for _, norm in scans} == {-8}
+    for lat in [lat for lat, _ in scans] + [b for c in SMALL_RANKS for b in _small_rank_bases(c)]:
+        shells = bucketed(lat, -8)
+        assert [shells.get(n, []) for n in (-2, -4, -6, -8)] == [
+            per_norm_box_scan(lat, n) for n in (-2, -4, -6, -8)], lat.gram
 
 
 def full_tree_search(gram, norm):

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import root_h3, vanishing_qhat
 import dp1
-from dp1 import pin, properties
-from dp1.lattice import MINUS_K, MINUS_2K, LatticeError, ZERO, enumerate_vectors, pic, reflect
+from dp1 import pin, properties, real_forms
+from dp1.lattice import LANE, MINUS_K, MINUS_2K, LatticeError, ZERO, enumerate_vectors, pic, reflect
 from dp1.pin import (
     NEGATIVE_CODE,
     POSITIVE_CODE,
@@ -228,6 +228,18 @@ def test_cremona_compatibility_sees_an_identity_move(monkeypatch):
     assert (res.instances, res.failures) == (630, 315)
 
 
+def _per_instance_cremona_check():
+    """The property as a loop over every (code, move, simple root), one reflect and one
+    qhat_code each, as (checks, failures): the reference of the packed pass."""
+    simple = {POSITIVE_CODE: real_forms.lambda_basis("M-connected").basis,
+              NEGATIVE_CODE: real_forms.lambda_basis("M-1-connected").basis}
+    old = {code: [(x, qhat_code(code, x)) for x in basis] for code, basis in simple.items()}
+    moved = [(code, pin.move_root(move), Code(pin.apply_move(code.residues, move)))
+             for code in simple for move in pin.moves(code)]
+    pairs = [(e, new, x, q) for code, e, new in moved for x, q in old[code]]
+    return len(pairs), sum(qhat_code(new, reflect(x, e)) != q for e, new, x, q in pairs)
+
+
 # (perturbation, property's (checks, failures), exhaustive loop's (checks, failures))
 CREMONA_FAULTS = {
     "true_moves": (lambda monkeypatch: None, (630, 0), (16716, 0)),
@@ -242,9 +254,55 @@ def test_cremona_simple_roots_agree_with_every_root(monkeypatch, fault):
     perturb, simple, exhaustive = CREMONA_FAULTS[fault]
     perturb(monkeypatch)
     res = properties.cremona_compatibility()
-    assert (res.instances, res.failures) == simple
+    assert (res.instances, res.failures) == simple == _per_instance_cremona_check()
     assert _every_root_cremona_check() == exhaustive
     assert res.passed == (exhaustive[1] == 0)
+
+
+def _moved_e8_basis(scale):
+    """E8's simple roots with b_1 + scale * w in place of b_1, w = -b_5 - 2b_6 - b_7 - b_8
+    = (-1; 1,1,1,0,-1,-1,1,1): still a basis of the lattice (w is in the span of the
+    others), and some move's reflection of w has a lane 4 times w's widest."""
+    lat = lambda_basis("M-connected")
+    b = lat.basis
+    w = -b[4] - 2 * b[5] - b[6] - b[7]
+    return type(lat).span([b[0] + scale * w, *b[1:]])
+
+
+def _with_e8_basis(monkeypatch, basis):
+    good = real_forms.lambda_basis
+    monkeypatch.setattr(real_forms, "lambda_basis",
+                        lambda cid: basis if cid == "M-connected" else good(cid))
+
+
+def _widest_image(basis):
+    return max(max(map(abs, reflect(x, pin.move_root(move)).coeffs))
+               for move in pin.moves(POSITIVE_CODE) for x in basis.basis)
+
+
+@pytest.mark.parametrize("fault", list(CREMONA_FAULTS))
+def test_the_packed_cremona_pass_is_exact_on_wider_lanes(monkeypatch, fault):
+    # Any Z-basis decides the property, so the packed pass on a moved basis (lanes up
+    # to 20, within the bound) must count what the per-instance loop counts.
+    perturb, simple, _ = CREMONA_FAULTS[fault]
+    basis = _moved_e8_basis(5)
+    _with_e8_basis(monkeypatch, basis)
+    perturb(monkeypatch)
+    assert _widest_image(basis) == 20
+    res = properties.cremona_compatibility()
+    assert (res.instances, res.failures) == _per_instance_cremona_check()
+    assert (res.instances, res.passed) == (simple[0], simple[1] == 0)
+
+
+def test_a_cremona_image_lane_past_the_bound_raises(monkeypatch):
+    # With scale 32 some image x + (x.e)e has a lane past LANE, which a wrapped lane
+    # would read as a small coefficient: the pass raises before evaluating.
+    basis = _moved_e8_basis(32)
+    _with_e8_basis(monkeypatch, basis)
+    assert _widest_image(basis) > LANE
+    message = f"an image of a simple root of M-connected may pass the lane bound {LANE}"
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        properties.cremona_compatibility()
 
 
 def test_each_seeded_property_draws_alone(monkeypatch):

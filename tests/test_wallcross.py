@@ -78,7 +78,8 @@ def test_wall_crossing_results_are_plain_values_in_golden_order():
     classes = 0
     for c in deformation_classes():
         if vanishing_roots(c):
-            assert len(wallcross.q_index_cached(c.id)) == 2  # B^2 and B^4; B^0 has v = 0
+            s = b_classes(c, 1)  # the index delta_table reads: B^2's {v: q}
+            assert wallcross.q_index_cached(c.id) == dict(zip(s.vs, s.qs))
             assert {tuple(delta_table(c, e)) for e in vanishing_roots(c)} == {delta_expected(c)}
             classes += 1
     assert classes == 10
