@@ -12,7 +12,7 @@ q is evaluated over a whole stratum at once (`pin.qhat_columns`), and alpha =
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import neg, sub
 from typing import Callable, NamedTuple
 
@@ -22,6 +22,7 @@ from .lattice import (LANE, MINUS_2K, RANK, ZERO, LatticeError, enumerate_coordi
 from .pin import code_columns, qhat_code, qhat_columns
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
+ORDERED = bytes(range(128, 256)) + bytes(range(128))  # a signed byte lane as value + 128: order kept
 ALPHA_SAFE = bytes(x % 256 for x in range(6 - LANE, LANE - 5))  # v lanes within LANE - 6
 
 
@@ -83,12 +84,13 @@ def sign_of(qhat: int) -> int:
 
 
 def signed_sum(c: DeformationClass, k: int, twist: tuple[int, ...] | None = None) -> int:
-    """Sum of i^q over B^{2k}, counted per q in first-seen order: an odd q raises.
+    """Sum of i^q over B^{2k}, counted per q: an odd q raises, the first one met.
     Given a twist on the class's simple roots, q is read with it off the stratum's
     coordinate columns instead of its stored qs (the cross-model records)."""
     s = b_classes(c, k)
     qs = s.qs if twist is None else qhat_columns(s.xs, len(s.vs), -2 * k, twist)
-    return sum(n * sign_of(q) for q, n in Counter(qs).items())
+    zeros, twos = qs.count(0), qs.count(2)
+    return zeros - twos if zeros + twos == len(qs) else sum(map(sign_of, qs))
 
 
 def c4_total(c: DeformationClass) -> int:
@@ -136,16 +138,26 @@ class TableRow(NamedTuple):
 
 def _table_rows(c: DeformationClass, k: int, read: Callable[[Stratum], list]) -> list[TableRow]:
     """Rows by (level, signature, pair, q) of the code coordinates of the columns
-    read(B^{2k}): a q that varies on a coefficient type gives it one row per value."""
+    read(B^{2k}): a q that varies on a coefficient type gives it one row per value.
+    Real columns become byte lanes u - low (low -128 on signed byte columns, else the
+    least u: int tuples must span less than 256); each present lane value's 0/1 lanes
+    sum to its count per vector, so rows are counted over the counts in C and each
+    signature is rebuilt from its counts."""
     code = c.code
     if code is None:
         raise LatticeError(f"{c.id} has no blowup-model code")
     s = b_classes(c, k)
     columns = code_columns(code, read(s))
+    real = columns[1 : code.n_real + 1]
+    signed = all(isinstance(col, memoryview) for col in real)
+    low = -128 if signed else min(set().union(*real), default=0)
+    lanes = [bytes(col).translate(ORDERED) if signed else bytes([u - low for u in col]) for col in real]
+    marks = bytes(range(255, -1, -1)).translate(None, bytes(range(256)).translate(None, b"".join(lanes)))
+    counts = [sum(int.from_bytes(lane.translate(bytes(m) + b"\1" + bytes(255 - m)), "little")
+                  for lane in lanes).to_bytes(len(s.qs), "little") for m in marks]
     pairs = columns[-1] if code.r == 1 else [None] * len(s.qs)
-    signatures = map(tuple, map(partial(sorted, reverse=True), zip(*columns[1 : code.n_real + 1])))
-    counts = Counter(zip(columns[0], signatures, pairs, s.qs))
-    rows = [TableRow(level, sig, pair, count, q) for (level, sig, pair, q), count in counts.items()]
+    rows = [TableRow(level, sum(((low + m,) * n for m, n in zip(marks, ns)), ()), pair, count, q)
+            for (level, pair, q, *ns), count in Counter(zip(columns[0], pairs, s.qs, *counts)).items()]
     rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
     return rows
 
@@ -168,8 +180,8 @@ def alpha_columns(s: Stratum) -> list:
 def classify_roots(c: DeformationClass) -> list[TableRow]:
     """Root table of a code class: rows by (level, type), roots folded by sign (the
     lex-positive of v and -v is the larger tuple)."""
-    return _table_rows(c, 1, lambda s: list(zip(*(max(v, tuple(map(neg, v))) for v in s.vs)))
-                       or [()] * RANK)
+    return _table_rows(c, 1, lambda s: list(zip(*[v if v > ZERO.coeffs else tuple(map(neg, v))
+                                                   for v in s.vs])) or [()] * RANK)
 
 
 def count_report(c: DeformationClass) -> tuple[list[list[int]], list[list[int]]]:

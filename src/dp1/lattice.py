@@ -17,6 +17,7 @@ from typing import NamedTuple
 RANK = 9
 FORM = (1,) + (-1,) * (RANK - 1)  # the diagonal intersection form on (h, l1, ..., l8)
 LANE = 127  # the largest |value| a signed byte lane of `pack_lanes` holds
+ABS = bytes(min(x, 256 - x) for x in range(256))  # a signed byte lane's |value|
 
 
 class LatticeError(ValueError):
@@ -139,16 +140,19 @@ class Sublattice(NamedTuple):
         """The coordinate columns of a whole list and the RANK coefficient columns of
         `from_coordinates` over it, each one `pack_lanes` int: each ambient column is
         rank multiply-adds of the coordinate columns.  Lane j of a vector holds at most
-        sum_i max|x_i| * |b_ij|; a bound past LANE raises instead of wrapping."""
+        sum_i max|x_i| * |b_ij|, each max|x_i| read off its packed lanes; a coordinate
+        past a byte lane, or a bound past LANE, raises instead of wrapping."""
         if not (coords and self.basis):
             return [0] * self.rank, (0,) * RANK
-        xs = list(zip(*coords))
-        tops = [max(max(x), -min(x)) for x in xs]
+        try:
+            packed = list(map(pack_lanes, zip(*coords)))
+        except ValueError:
+            raise LatticeError(f"a coordinate passes the lane bound {LANE}") from None
+        tops = [max(bytes(unpack_lanes(x, len(coords))).translate(ABS)) for x in packed]
         columns = list(zip(*(b.coeffs for b in self.basis)))
         bound = max(sum(map(mul, tops, map(abs, c))) for c in columns)
         if bound > LANE:
             raise LatticeError(f"lane bound {bound} exceeds {LANE}")
-        packed = list(map(pack_lanes, xs))
         return packed, tuple(sum(map(mul, c, packed)) for c in columns)
 
     def pic_coordinates(self, coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

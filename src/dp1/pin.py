@@ -14,15 +14,15 @@ which is the quadratic law q(x+y) = q(x) + q(y) + 2(x.y) summed over the basis
 
 `qhat_from_coordinates` applies the rule to one vector, `qhat_columns` to a
 whole list at once.  Cremona moves act on codes exactly as the corresponding
-reflections act on classes; `moves`, `apply_move` (the one move function, on
-residue tuples) and `move_root` state the move set, its action and each move's
-reflection root once, and `reachable_codes` walks whole orbits on residue
-tuples, building a `Code` only for each newly reached code.
+reflections act on classes; `moves`, `flips` (the one move rule, on a code's
+3-bits) and `move_root` state the move set, its action and each move's
+reflection root once.  `apply_move` moves residue tuples by it, and
+`reachable_codes` walks whole orbits on 3-bit ints, building a `Code` once for
+each reached code.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from operator import mul
 from typing import NamedTuple
@@ -119,26 +119,31 @@ def moves(code: Code) -> list[Move]:
     return [("cremona", *ijk) for ijk in combinations(real, 3)] + swaps
 
 
-def apply_move(residues: tuple[int, ...], move: Move) -> tuple[int, ...]:
-    """The residues after one move of `moves`: a triple i < j < k replaces each of
-    a0, a_i, a_j, a_k with the sum of the other three mod 4; a swap, which needs an
-    imaginary pair, exchanges a0 and a_i."""
-    n = len(residues) - 1
-    a = list(residues)
+def flips(move: Move, n: int) -> tuple[int, int]:
+    """A move of `moves` on codes with n real classes as (mask, parity) on the
+    code's 3-bits (bit p set where a_p = 3): the masked bits flip where the number
+    of them set has this parity.  With a = 1 + 2b, a triple gives a0, a_i, a_j, a_k
+    each the sum of the other three mod 4, 3 where their b's sum to even: all four
+    flip where an even number are 3.  A swap exchanges a0 and a_i: both flip where
+    one is."""
     if move[0] == "cremona":
         _, i, j, k = move
         if not (1 <= i < j < k <= n):
             raise LatticeError(f"invalid Cremona triple ({i},{j},{k}) for {n} real classes")
-        s = a[0] + a[i] + a[j] + a[k]
-        a[0], a[i], a[j], a[k] = (s - a[0]) % 4, (s - a[i]) % 4, (s - a[j]) % 4, (s - a[k]) % 4
-    else:
-        _, i = move
-        if n >= 8:
-            raise LatticeError("imaginary Cremona move needs at least one imaginary pair")
-        if not (1 <= i <= n):
-            raise LatticeError(f"invalid real index {i}")
-        a[0], a[i] = a[i], a[0]
-    return tuple(a)
+        return 1 | 1 << i | 1 << j | 1 << k, 0
+    _, i = move
+    if n >= 8:
+        raise LatticeError("imaginary Cremona move needs at least one imaginary pair")
+    if not (1 <= i <= n):
+        raise LatticeError(f"invalid real index {i}")
+    return 1 | 1 << i, 1
+
+
+def apply_move(residues: tuple[int, ...], move: Move) -> tuple[int, ...]:
+    """The residues after one move of `moves`, by its `flips`."""
+    mask, parity = flips(move, len(residues) - 1)
+    mask *= sum(a >> 1 & mask >> p for p, a in enumerate(residues)) % 2 == parity
+    return tuple(a ^ (mask >> p & 1) * 2 for p, a in enumerate(residues))
 
 
 def move_root(move: Move) -> PicClass:
@@ -151,17 +156,17 @@ def move_root(move: Move) -> PicClass:
 
 def reachable_codes(code: Code) -> dict[tuple[int, ...], list[Move]]:
     """Every code in the Cremona orbit of `code`, in breadth-first order, with a
-    witnessing move sequence each.  The walk moves residue tuples and validates each
-    newly reached one as a `Code` once."""
-    seen: dict[tuple[int, ...], list[Move]] = {code.residues: []}
-    queue = deque([code.residues])
-    steps = moves(code)
-    while queue:
-        cur = queue.popleft()
+    witnessing move sequence each.  The walk moves 3-bit ints by each move's `flips`
+    and validates each reached code as a `Code` once."""
+    steps = [(move, *flips(move, code.n_real)) for move in moves(code)]
+    seen: dict[int, list[Move]] = {sum(a >> 1 << p for p, a in enumerate(code.residues)): []}
+    queue = [*seen]
+    for cur in queue:
         path = seen[cur]
-        for move in steps:
-            new = apply_move(cur, move)
+        for move, mask, parity in steps:
+            new = cur ^ mask if (cur & mask).bit_count() % 2 == parity else cur
             if new not in seen:
-                seen[Code(new).residues] = path + [move]
+                seen[new] = path + [move]
                 queue.append(new)
-    return seen
+    return {Code(tuple(1 | (b >> p & 1) << 1 for p in range(len(code.residues)))).residues: path
+            for b, path in seen.items()}

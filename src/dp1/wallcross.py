@@ -24,7 +24,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import golden
-from .lattice import (FORM, K, LANE, MINUS_K, MINUS_2K, ZERO, LatticeError, PicClass, dot_tuples,
+from .lattice import (ABS, FORM, K, LANE, MINUS_K, MINUS_2K, ZERO, LatticeError, PicClass, dot_tuples,
                       pack_lanes, unpack_lanes)
 from .counting import Stratum, alpha_of, b_classes, sign_of
 from .pin import MOD4
@@ -38,7 +38,6 @@ SIGN_LANES = bytes(0 if q % 2 else BIAS + NEG * (q % 4 == 2) for q in range(256)
 LEGAL = bytes(BIAS + sign + t for sign in (0, NEG) for t in range(-2, 3))  # the lanes with |v.E| <= 2
 UNSIGNED = bytes(x % NEG for x in range(256))  # a lane's BIAS + v.E, without q's sign bit
 FOLD = bytes(x + 2 * (x % NEG == BIAS - 1) for x in range(256))  # the lanes at v.E = -1 onto +1
-ABS = bytes(min(x, 256 - x) for x in range(256))  # a signed byte lane's |value|
 
 # d22 = 2(chi - 1) is the cited Euler input in every class, with or without a vanishing root.
 CITED_FIELDS = ("d22",)

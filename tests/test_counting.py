@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from collections import Counter
+from operator import neg
 
 import pytest
 
@@ -157,6 +158,26 @@ def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
         signed_sum(d6, 1, (2,) * d6.rank)
 
 
+def test_a_value_other_than_0_and_2_is_summed_through_sign_of(monkeypatch):
+    # The counted sum reads the values 0 and 2 alone; with any other value the stratum
+    # is summed one value at a time through sign_of: 4 as 0, 6 as 2, and one odd
+    # value among thousands still raises.
+    d6 = get_class("M-2-connected")
+    strata, want = counting.b_classes, [signed_sum(d6, k) for k in (1, 2)]
+
+    def lifted(c, k):
+        s = strata(c, k)
+        return stratum(k, s.vs, tuple(q + 4 * (i % 2) for i, q in enumerate(s.qs)))
+
+    monkeypatch.setattr(counting, "b_classes", lifted)
+    assert {4, 6} <= set(lifted(d6, 2).qs)
+    assert [signed_sum(d6, k) for k in (1, 2)] == want
+    last_odd = lambda c, k: stratum(k, strata(c, k).vs, strata(c, k).qs[:-1] + (5,))
+    monkeypatch.setattr(counting, "b_classes", last_odd)
+    with pytest.raises(LatticeError, match="odd quadratic value 5 on"):
+        signed_sum(d6, 2)
+
+
 def _per_vector_qs(coords, square, twist):
     return tuple(pin.qhat_from_coordinates(x, square, twist) for x in coords)
 
@@ -298,6 +319,71 @@ def test_classify_levels_rejects_bad_stratum():
         classify_levels(E8, 0)
 
 
+def _sorted_signature_rows(c, k, read):
+    """Table rows with each vector's signature a sorted tuple: the reference of the
+    histogram rows of `counting._table_rows`."""
+    code, s = c.code, counting.b_classes(c, k)
+    columns = pin.code_columns(code, read(s))
+    pairs = columns[-1] if code.r == 1 else [None] * len(s.qs)
+    signatures = (tuple(sorted(x, reverse=True)) for x in zip(*columns[1 : code.n_real + 1]))
+    counts = Counter(zip(columns[0], signatures, pairs, s.qs))
+    rows = [TableRow(level, sig, pair, count, q) for (level, sig, pair, q), count in counts.items()]
+    rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
+    return rows
+
+
+def _folded_roots(s):
+    return list(zip(*(max(v, tuple(map(neg, v))) for v in s.vs))) or [()] * 9
+
+
+def _alpha_tuples(s):
+    return list(zip(*map(alpha_of, s.vs))) or [()] * 9
+
+
+def test_histogram_rows_equal_sorted_signature_rows():
+    for c in (E8, E7):
+        assert classify_roots(c) == _sorted_signature_rows(c, 1, _folded_roots)
+        for k in (1, 2):
+            rows = classify_levels(c, k)
+            assert rows == _sorted_signature_rows(c, k, counting.alpha_columns)
+            # Columns as int tuples, as the per-vector path of alpha_columns gives them.
+            assert counting._table_rows(c, k, _alpha_tuples) == rows
+
+
+def _spread(c, k, width, wide=()):
+    """B^{2k} of c with each v's real coefficients moved by up to +-width (an
+    imaginary pair's two by the same amount) and positions `wide` of the first
+    vector set to 200, past a byte lane; qs drawn anew."""
+    rng, s = random.Random(f"spread:{c.id}:{k}:{width}"), counting.b_classes(c, k)
+    vs = []
+    for v in s.vs:
+        shift = [0] + [rng.randint(-width, width) for _ in range(8)]
+        if c.code.r:
+            shift[8] = shift[7]
+        vs.append(tuple(map(sum, zip(v, shift))))
+    vs[0] = tuple(200 if i in wide else x for i, x in enumerate(vs[0]))
+    return stratum(k, tuple(vs), tuple(rng.randrange(4) for _ in vs))
+
+
+def test_histogram_rows_off_coefficients_past_the_table_range(monkeypatch):
+    # Today's real alpha coefficients lie in [-4, 0]: spread them to about +-60 on
+    # byte columns, and past a byte lane (200 - 2) on the per-vector int tuples.
+    cases = [(c, k, width, wide) for c in (E8, E7) for k in (1, 2)
+             for width, wide in ((60, ()), (3, (2,)), (30, (1, 7, 8)))]
+    for c, k, width, wide in cases:
+        s = _spread(c, k, width, wide)
+        monkeypatch.setattr(counting, "b_classes", lambda cc, kk: s)
+        alpha = counting.alpha_columns(s)
+        assert isinstance(alpha[1], memoryview) == (not wide)
+        values = {x for col in pin.code_columns(c.code, alpha)[1 : c.code.n_real + 1] for x in col}
+        assert min(values) < -4 and max(values) > 0
+        rows = classify_levels(c, k)
+        assert rows == _sorted_signature_rows(c, k, counting.alpha_columns), (c.id, k, width)
+        assert counting._table_rows(c, k, _alpha_tuples) == rows
+        assert sum(r.count for r in rows) == len(s.vs)
+        monkeypatch.undo()
+
+
 def test_count_report_consistency(all_classes):
     assert count_report(E8) == ([[240, 16], [2160, 112]],) * 2
     assert count_report(E7) == ([[126, 14], [756, 84]],) * 2
@@ -412,10 +498,10 @@ def _bump_root_count(monkeypatch):
 
 
 def _identity_cremona_move(monkeypatch):
-    # Every triple leaves the code alone; the swaps still move it.
-    good = pin.apply_move
-    monkeypatch.setattr(pin, "apply_move", lambda residues, move: (
-        residues if move[0] == "cremona" else good(residues, move)))
+    # Every triple leaves the code alone, in the orbit walk and in apply_move alike:
+    # it flips no bit.  The swaps still move it.
+    good = pin.flips
+    monkeypatch.setattr(pin, "flips", lambda move, n: (0, 0) if move[0] == "cremona" else good(move, n))
 
 
 def _drop_last_rank_2_vector(monkeypatch):

@@ -368,6 +368,14 @@ def test_a_basis_over_the_lane_bound_raises():
         over.pic_coordinates([(1,), (-2,)])
     # enumerate_vectors converts such a list one vector at a time.
     assert enumerate_vectors(over, 4 * over.gram[0][0]) == [-128 * e, 128 * e]
+    # Coordinates fill a signed byte lane up to +-127; past it, a LatticeError and not
+    # the ValueError of packing, so that enumerate_vectors still falls back.
+    unit = Sublattice.span([e])
+    assert unit.pic_coordinates([(127,), (-127,)]) == [(127 * e).coeffs, (-127 * e).coeffs]
+    for x in (128, -128, 300):
+        with pytest.raises(LatticeError, match="lane bound"):
+            unit.pic_columns([(1,), (x,)])
+    assert enumerate_vectors(unit, 128 * 128 * unit.gram[0][0]) == [-128 * e, 128 * e]
 
 
 def test_integer_kernel_saturation():

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import pkgutil
 import random
+from collections import deque
 
 import pytest
 
@@ -164,6 +165,52 @@ def test_orbit_walk_keeps_its_witnesses_and_builds_one_code_per_new_code(monkeyp
         # The seed and each newly reached code are validated once, not each move's image.
         assert len(built) <= size + 1
         assert set(built) == set(seen)
+
+
+def _residue_move(residues, move):
+    """The move on residue tuples as stated on codes: a triple i < j < k replaces each
+    of a0, a_i, a_j, a_k with the sum of the other three mod 4; a swap exchanges a0
+    and a_i.  The reference of `flips`."""
+    a = list(residues)
+    if move[0] == "cremona":
+        _, i, j, k = move
+        s = a[0] + a[i] + a[j] + a[k]
+        a[0], a[i], a[j], a[k] = (s - a[0]) % 4, (s - a[i]) % 4, (s - a[j]) % 4, (s - a[k]) % 4
+    else:
+        _, i = move
+        a[0], a[i] = a[i], a[0]
+    return tuple(a)
+
+
+def _residue_walk(code):
+    """The breadth-first orbit walk on residue tuples by `_residue_move`."""
+    seen = {code.residues: []}
+    queue = deque([code.residues])
+    while queue:
+        cur = queue.popleft()
+        for move in pin.moves(code):
+            new = _residue_move(cur, move)
+            if new not in seen:
+                seen[Code(new).residues] = seen[cur] + [move]
+                queue.append(new)
+    return seen
+
+
+def test_flips_move_every_code_as_the_residue_rule():
+    assert pin.flips(("cremona", 1, 2, 3), 8) == (0b1111, 0)
+    assert pin.flips(("swap", 2), 6) == (0b101, 1)
+    codes = properties._all_codes()
+    assert len(codes) == 341
+    for code in codes:
+        for move in pin.moves(code):
+            assert apply_move(code.residues, move) == _residue_move(code.residues, move), (code, move)
+
+
+def test_the_bit_walk_equals_the_residue_walk_on_every_orbit():
+    for least, size in ORBITS:
+        seen = reachable_codes(Code(least))
+        assert len(seen) == size
+        assert list(seen.items()) == list(_residue_walk(Code(least)).items())
 
 
 def test_move_set_and_roots():
