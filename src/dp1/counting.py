@@ -17,38 +17,31 @@ from operator import neg, sub
 from typing import Callable, NamedTuple
 
 from . import golden
-from .lattice import (LANE, MINUS_2K, RANK, ZERO, LatticeError, enumerate_coordinates,
-                      pack_lanes, unpack_lanes)
+from .lattice import MINUS_2K, RANK, ZERO, Columns, LatticeError, enumerate_coordinates
 from .pin import code_columns, qhat_code, qhat_columns
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
 ORDERED = bytes(range(128, 256)) + bytes(range(128))  # a signed byte lane as value + 128: order kept
-ALPHA_SAFE = bytes(x % 256 for x in range(6 - LANE, LANE - 5))  # v lanes within LANE - 6
 
 
 class Stratum(NamedTuple):
     """B^{2k} as columns, in search order: each stratum vector v as its coefficient
     9-tuple, with alpha = -2K - v, and its quadratic value q.  `columns` are the
-    coefficient columns of the vs, each one `pack_lanes` int (None past LANE), and
-    `xs` the search's coordinate columns over the simple roots, as `pack_lanes` ints."""
+    coefficient columns of the vs (`lattice.Columns`), and `xs` the search's
+    coordinate columns over the simple roots, as packed ints (`Columns.pack`)."""
 
     k: int
     vs: tuple[tuple[int, ...], ...]
     qs: tuple[int, ...]
-    columns: tuple[int, ...] | None
+    columns: Columns
     xs: list[int] | None
 
 
 def stratum(k: int, vs: tuple[tuple[int, ...], ...], qs: tuple[int, ...],
-            columns: tuple[int, ...] | None = None, xs: list[int] | None = None) -> Stratum:
+            columns: Columns | None = None, xs: list[int] | None = None) -> Stratum:
     """The one constructor: it packs the columns of vs where the search did not
-    (`Sublattice.pic_columns`); past a byte lane they stay None."""
-    if columns is None:
-        try:
-            columns = tuple(map(pack_lanes, zip(*vs))) if vs else (0,) * RANK
-        except ValueError:
-            pass
-    return Stratum(k, vs, qs, columns, xs)
+    (`Sublattice.pic_columns`)."""
+    return Stratum(k, vs, qs, columns or Columns.pack(len(vs), list(zip(*vs)) or [()] * RANK), xs)
 
 
 def twist(c: DeformationClass) -> tuple[int, ...]:
@@ -66,7 +59,7 @@ def b_classes_cached(class_id: str, k: int) -> Stratum:
     lat = lambda_basis(class_id)
     coords = enumerate_coordinates(lat, -2 * k)
     xs, columns = lat.pic_columns(coords)
-    vs = tuple(zip(*(unpack_lanes(col, len(coords)) for col in columns)))
+    vs = tuple(zip(*(columns.lanes(col.packed) for col in columns.cols)))
     return stratum(k, vs, tuple(qhat_columns(xs, len(coords), -2 * k, twist(c))), columns, xs)
 
 
@@ -169,12 +162,10 @@ def alpha_of(v: tuple[int, ...]) -> tuple[int, ...]:
 
 def alpha_columns(s: Stratum) -> list:
     """The RANK coefficient columns of alpha = -2K - v over the stratum: the lanes of
-    m * (1, ..., 1) - column, m the coefficient of -2K (|m| <= 6), where every v lane
-    is within LANE - 6, so that no alpha lane wraps; else per vector."""
-    n, ones = len(s.vs), int.from_bytes(b"\1" * len(s.vs), "little")
-    if s.columns and not any(bytes(unpack_lanes(c, n)).translate(None, ALPHA_SAFE) for c in s.columns):
-        return [unpack_lanes(m * ones - c, n) for m, c in zip(MINUS_2K.coeffs, s.columns)]
-    return list(zip(*map(alpha_of, s.vs))) or [()] * RANK
+    m - column, m the coefficient of -2K, each one `Columns.combine`."""
+    what, cols = f"an alpha of B^{2 * s.k}", s.columns
+    alphas = (cols.combine(((-1, c),), what, m) for m, c in zip(MINUS_2K.coeffs, cols.cols))
+    return [cols.lanes(a.packed) for a in alphas]
 
 
 def classify_roots(c: DeformationClass) -> list[TableRow]:

@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 RANK = 9
 FORM = (1,) + (-1,) * (RANK - 1)  # the diagonal intersection form on (h, l1, ..., l8)
-LANE = 127  # the largest |value| a signed byte lane of `pack_lanes` holds
+LANE = 127  # the largest |value| a signed byte lane of `Columns` holds
 ABS = bytes(min(x, 256 - x) for x in range(256))  # a signed byte lane's |value|
+DOWN = bytes(range(LANE + 1, -1, -1))  # every |value| of ABS, largest first
 
 
 class LatticeError(ValueError):
@@ -76,20 +77,52 @@ MINUS_2K = 2 * MINUS_K
 ZERO = pic(0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
-def _halves(n: int) -> int:
-    return int.from_bytes(b"\x80" * n, "little")
+# A packed column and its top |lane|: read off its lanes, or the bound `combine` checked.
+Column = NamedTuple("Column", [("packed", int), ("top", int)])
 
 
-def pack_lanes(values: tuple[int, ...]) -> int:
-    """sum_l values[l] * 256^l, one byte lane per value: packed columns add and
-    scale lane by lane while every lane stays within +-LANE."""
-    return int.from_bytes(bytes(map((LANE + 1).__add__, values)), "little") - _halves(len(values))
+class Columns(NamedTuple):
+    """n integer vectors as packed columns, one byte lane per vector, which add and scale
+    lane by lane: the one home of the lane bound.  Each lane is within +-LANE, and
+    `combine` forms a sum only where the tops bound it by LANE, so no lane wraps."""
 
+    n: int
+    cols: tuple[Column, ...]
+    half: int  # 128 in every lane: the bias under which a lane reads as a signed byte
 
-def unpack_lanes(packed: int, n: int) -> memoryview:
-    """The n signed lanes of a sum of `pack_lanes` columns, each within +-LANE."""
-    half = _halves(n)
-    return memoryview(((packed + half) ^ half).to_bytes(n, "little")).cast("b")
+    @classmethod
+    def pack(cls, n: int, columns) -> "Columns":
+        """The columns of n vectors, given as tuples of n ints: sum_l x_l * 256^l each.
+        A value past a signed byte raises."""
+        bare = cls(n, (), int.from_bytes(b"\x80" * n, "little"))
+        try:
+            biased = [bytes(map((LANE + 1).__add__, c)) for c in columns]
+        except ValueError:
+            raise LatticeError(f"a packed value passes the lane bound {LANE}") from None
+        return bare.read([int.from_bytes(x, "little") - bare.half for x in biased])
+
+    def read(self, packed: list[int]) -> "Columns":
+        """Packed columns of n lanes each within +-LANE, each top read off its lanes:
+        the |values| that DOWN keeps after deleting those absent, largest first."""
+        absent = (DOWN.translate(None, bytes(self.lanes(p)).translate(ABS)) for p in packed)
+        cols = tuple(Column(p, (DOWN.translate(None, a) or b"\0")[0]) for p, a in zip(packed, absent))
+        return Columns(self.n, cols, self.half)
+
+    def lanes(self, packed: int) -> memoryview:
+        """The n signed lanes of a column of this list, or of a sum formed by `combine`."""
+        return memoryview(((packed + self.half) ^ self.half).to_bytes(self.n, "little")).cast("b")
+
+    def combine(self, terms, what: str, constant: int = 0) -> Column:
+        """constant + sum c * column over the (c, column) terms, with its lane bound
+        |constant| + sum |c| * top as its top: past LANE a lane could wrap, so it raises
+        naming `what`.  A result is a term of the next sum."""
+        packed, top = constant and constant * (self.half >> 7), abs(constant)
+        for c, (column, bound) in terms:
+            if c:
+                packed, top = packed + c * column, top + abs(c) * bound
+        if top > LANE:
+            raise LatticeError(f"{what} may pass the lane bound {LANE}")
+        return Column(packed, top)
 
 
 def form_row(v: PicClass) -> tuple[int, ...]:
@@ -136,30 +169,20 @@ class Sublattice(NamedTuple):
         rows = ([n * c for c in b.coeffs] for n, b in zip(coords, self.basis))
         return PicClass(tuple(map(sum, zip([0] * RANK, *rows))))
 
-    def pic_columns(self, coords: list[tuple[int, ...]]) -> tuple[list[int], tuple[int, ...]]:
-        """The coordinate columns of a whole list and the RANK coefficient columns of
-        `from_coordinates` over it, each one `pack_lanes` int: each ambient column is
-        rank multiply-adds of the coordinate columns.  Lane j of a vector holds at most
-        sum_i max|x_i| * |b_ij|, each max|x_i| read off its packed lanes; a coordinate
-        past a byte lane, or a bound past LANE, raises instead of wrapping."""
-        if not (coords and self.basis):
-            return [0] * self.rank, (0,) * RANK
-        try:
-            packed = list(map(pack_lanes, zip(*coords)))
-        except ValueError:
-            raise LatticeError(f"a coordinate passes the lane bound {LANE}") from None
-        tops = [max(bytes(unpack_lanes(x, len(coords))).translate(ABS)) for x in packed]
-        columns = list(zip(*(b.coeffs for b in self.basis)))
-        bound = max(sum(map(mul, tops, map(abs, c))) for c in columns)
-        if bound > LANE:
-            raise LatticeError(f"lane bound {bound} exceeds {LANE}")
-        return packed, tuple(sum(map(mul, c, packed)) for c in columns)
+    def pic_columns(self, coords: list[tuple[int, ...]]) -> tuple[list[int], Columns]:
+        """The packed coordinate columns of a whole list, and the `Columns` of
+        `from_coordinates` over it: each ambient column is the `Columns.combine` of the
+        coordinate columns by one coefficient of every basis vector."""
+        xs = Columns.pack(len(coords), list(zip(*coords)) or [()] * self.rank)
+        ambient = [xs.combine(zip(c, xs.cols), "a coefficient of the list").packed
+                   for c in list(zip(*(b.coeffs for b in self.basis))) or [()] * RANK]
+        return [x.packed for x in xs.cols], xs.read(ambient)
 
     def pic_coordinates(self, coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """The coefficient tuples of `from_coordinates` for a whole list: the lanes of
         `pic_columns`."""
-        n = len(coords)
-        return list(zip(*(unpack_lanes(col, n) for col in self.pic_columns(coords)[1])))
+        columns = self.pic_columns(coords)[1]
+        return list(zip(*(columns.lanes(c.packed) for c in columns.cols)))
 
     def coordinates_of(self, x: PicClass) -> tuple[int, ...]:
         """Integer coordinates of x in this basis; raises if x is outside the span.
@@ -252,13 +275,8 @@ def _search(gram: tuple[tuple[int, ...], ...], norm: int) -> tuple[tuple[int, ..
 
 def enumerate_vectors(lat: Sublattice, norm: int) -> list[PicClass]:
     """All v in the integer span of lat.basis with v.v = norm, in ambient coordinates,
-    ordered lexicographically by basis coordinates.  A list past the lane bound of
-    `pic_coordinates` is converted one vector at a time."""
-    coords = enumerate_coordinates(lat, norm)
-    try:
-        return list(map(PicClass, lat.pic_coordinates(coords)))
-    except LatticeError:
-        return [lat.from_coordinates(c) for c in coords]
+    ordered lexicographically by basis coordinates."""
+    return list(map(PicClass, lat.pic_coordinates(enumerate_coordinates(lat, norm))))
 
 
 def integer_kernel(rows: list[tuple[int, ...]], width: int) -> list[tuple[int, ...]]:

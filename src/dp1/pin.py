@@ -27,7 +27,7 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import LatticeError, PicClass, pic, unpack_lanes
+from .lattice import Columns, LatticeError, PicClass, pic
 
 Move = tuple  # ("cremona", i, j, k) or ("swap", i)
 MOD4 = bytes(x % 4 for x in range(256))  # a signed byte lane's residue mod 4
@@ -102,12 +102,12 @@ def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int
 
 def qhat_columns(columns: list[int], n: int, square: int, twist: tuple[int, ...]) -> bytes:
     """`qhat_from_coordinates` of n vectors of one square, one byte each, off their
-    coordinate columns as `pack_lanes` ints (or any lanes congruent to them mod 4).
-    Lanes are reduced mod 4 before the multiply-add: none passes 3 + 9 * 8 = 75."""
-    acc = int.from_bytes(bytes((square % 4,)) * n, "little")
+    coordinate columns as packed ints (`lattice.Columns`, or any lanes congruent to them mod 4).
+    Lanes are reduced mod 4 before the multiply-add: none passes 3 + 9 * 9 = 84."""
+    acc, lanes = int.from_bytes(bytes((square % 4,)) * n, "little"), Columns.pack(n, ()).lanes
     for t, column in zip(twist, columns):
         if t % 4:
-            acc += t % 4 * int.from_bytes(bytes(unpack_lanes(column, n)).translate(MOD4), "little")
+            acc += t % 4 * int.from_bytes(bytes(lanes(column)).translate(MOD4), "little")
     return acc.to_bytes(n, "little").translate(MOD4)
 
 

@@ -15,8 +15,8 @@ from operator import mul, ne
 from typing import NamedTuple
 
 from . import counting, pin, real_forms
-from .lattice import (LANE, K, ZERO, LatticeError, PicClass, Sublattice, enumerate_coordinates,
-                      enumerate_vectors, form_row, pack_lanes, pic, reflect)
+from .lattice import (K, ZERO, Columns, PicClass, Sublattice, enumerate_coordinates, enumerate_vectors,
+                      form_row, pic, reflect)
 
 SEED = 20260810
 
@@ -127,21 +127,22 @@ def cremona_compatibility() -> PropertyResult:
     q_new(s_e x) - q_old(x) is linear mod 4 and vanishes on the lattice iff it
     vanishes on a Z-basis of it.  Each (code, move) is one packed pass over the
     simple roots' coefficient columns, with t = x.e in every lane: the images are
-    the columns col_j + e_j t, and q_old is evaluated once per simple root."""
+    the columns col_j + e_j t, each one `Columns.combine`, and q_old is evaluated
+    once per simple root."""
     checks = fails = 0
     for c in real_forms.deformation_classes():
         if c.code is None:
             continue
         basis = real_forms.lambda_basis(c.id).basis
-        n, top = len(basis), max(max(map(abs, b.coeffs)) for b in basis)
-        columns = [pack_lanes(col) for col in zip(*(b.coeffs for b in basis))]
+        n, what = len(basis), f"an image of a simple root of {c.id}"
+        cols = Columns.pack(n, list(zip(*(b.coeffs for b in basis))))
+        columns = [x.packed for x in cols.cols]
         old = pin.qhat_columns(pin.code_columns(c.code, columns), n, -2, c.code.twist)  # x.x = -2
         for move in pin.moves(c.code):
             e, new = pin.move_root(move), pin.Code(pin.apply_move(c.code.residues, move))
-            if top * (1 + max(map(abs, e.coeffs)) * sum(map(abs, e.coeffs))) > LANE:  # bounds every lane
-                raise LatticeError(f"an image of a simple root of {c.id} may pass the lane bound {LANE}")
-            t = sum(map(mul, form_row(e), columns))
-            images = pin.code_columns(new, [x + y * t for x, y in zip(columns, e.coeffs)])
+            t = cols.combine(zip(form_row(e), cols.cols), what)
+            images = pin.code_columns(new, [(cols.combine(((1, x), (y, t)), what) if y else x).packed
+                                            for x, y in zip(cols.cols, e.coeffs)])
             fails += sum(map(ne, old, pin.qhat_columns(images, n, -2, new.twist)))
             checks += n
     return PropertyResult("cremona_compatibility", checks, fails)

@@ -20,13 +20,12 @@ q(E) = 0 it shifts q by 2 iff |v.E| = 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
 from . import golden
-from .lattice import (ABS, FORM, K, LANE, MINUS_K, MINUS_2K, ZERO, LatticeError, PicClass, dot_tuples,
-                      pack_lanes, unpack_lanes)
-from .counting import Stratum, alpha_of, b_classes, sign_of
+from .lattice import (FORM, K, MINUS_K, MINUS_2K, Column, Columns, LatticeError, PicClass, dot_tuples,
+                      form_row)
+from .counting import alpha_of, b_classes, sign_of
 from .pin import MOD4
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
@@ -53,39 +52,35 @@ def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
 def q_index_cached(class_id: str) -> dict[tuple[int, ...], int]:
     """{v: q} of the B^2 stratum vectors of the class, after checking on every simple
     root b that B^2 and B^4 are closed under s_b(v) = v + (v.b)b with q(s_b v) = q(v)
-    + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum) reads every v.b, image
-    and predicted q off `_form_columns`' lanes and looks each image's q up by its
-    l1..l8 (`_keys`).  Where one packed v.K is 0 and no two keys collide, a key names
-    one class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the n images
-    are the n classes.  Else, or past a lane bound, the exact walk raises; B^4's
-    {v: q} is built only for that walk."""
+    + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum) forms every v.b, image
+    and predicted q by `Columns.combine` and looks each image's q up by its l1..l8
+    (`_keys`).  Where the packed v.K is 0 and no two keys collide, a key names one
+    class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the n images
+    are the n classes.  Else, or where an image is missing or its q differs, the
+    exact walk names the first failure; B^4's {v: q} is built only for that walk."""
     c = get_class(class_id)
     strata = [b_classes(c, k) for k in (1, 2)]
     q_of = dict(zip(strata[0].vs, strata[0].qs))
     packs = []
     for s in strata:
-        n = len(s.vs)
-        packs.append(None)
-        top = s.columns and [max({0, *bytes(unpack_lanes(x, n)).translate(ABS)}) for x in s.columns]
-        if top and sum(map(mul, top, map(abs, K.coeffs))) <= LANE:  # bounds v.K and every lane
-            columns = _form_columns(s)
-            own = dict(zip(_keys(columns, n), s.qs))
-            if len(own) == n and not sum(map(mul, K.coeffs, columns)):
-                packs[-1] = columns, pack_lanes(s.qs), own, n, top
+        cols, what = s.columns, f"a reflection of B^{2 * s.k} of {class_id}"
+        own = dict(zip(_keys(cols, cols.cols[1:]), s.qs))
+        keyed = not cols.combine(zip(form_row(K), cols.cols), what).packed and len(own) == cols.n
+        packs.append((cols, Columns.pack(cols.n, [s.qs]).cols[0], own, what) if keyed else None)
     for b in lambda_basis(class_id).basis:
-        bc = b.coeffs
+        bc, row = b.coeffs, form_row(b)
         q_b = q_of.get(bc)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
         for s, pack in zip(strata, packs):
             if pack:
-                columns, qs, own, n, top = pack
-                bound = sum(map(mul, top, map(abs, bc)))  # on |v.b|, hence on each image and q lane
-                if max([3 + bound * (q_b + 2), *(x + bound * abs(y) for x, y in zip(top, bc))]) <= LANE:
-                    t = sum(map(mul, bc, columns))
-                    q_images = bytes(unpack_lanes(qs + (q_b + 2) * t, n)).translate(MOD4)
-                    if list(map(own.get, _keys(columns, n, t, bc))) == list(q_images):
-                        continue
+                cols, qs, own, what = pack
+                t = cols.combine(zip(row, cols.cols), what)
+                q_images = cols.lanes(cols.combine(((1, qs), ((q_b + 2) % 4, t)), what).packed)
+                images = [cols.combine(((1, x), (y, t)), what) if y else x
+                          for x, y in zip(cols.cols[1:], bc[1:])]
+                if list(map(own.get, _keys(cols, images))) == list(bytes(q_images).translate(MOD4)):
+                    continue
             by_v = q_of if s.k == 1 else dict(zip(s.vs, s.qs))
             for vc, q in by_v.items():
                 t = dot_tuples(vc, bc)
@@ -97,31 +92,25 @@ def q_index_cached(class_id: str) -> dict[tuple[int, ...], int]:
     return q_of
 
 
-def _keys(columns: tuple[int, ...], n: int, t: int = 0, b: tuple[int, ...] = ZERO.coeffs):
-    # The l1..l8 lanes of the n images v + (v.b)b, t = packed v.b, as one 64-bit int each.
-    rows = bytearray(8 * n)
-    for j, (f, col, x) in enumerate(zip(FORM[1:], columns[1:], b[1:])):
-        rows[j::8] = unpack_lanes(f * col + x * t, n)
+def _keys(cols: Columns, images: list[Column]) -> memoryview:
+    # The l1..l8 lanes of n classes, given as their 8 packed columns, as one 64-bit int each.
+    rows = bytearray(8 * cols.n)
+    for j, col in enumerate(images):
+        rows[j::8] = cols.lanes(col.packed)
     return memoryview(rows).cast("q")
-
-
-def _form_columns(s: Stratum) -> tuple[int, ...]:
-    # FORM_j times the stratum's packed column j: sum_j x_j column_j packs every v.x at once.
-    if s.columns is None:
-        raise LatticeError(f"a coefficient of B^{2 * s.k} is past the lane bound {LANE}")
-    return tuple(map(mul, FORM, s.columns))
 
 
 @lru_cache(maxsize=None)
 def packed_stratum(class_id: str, k: int) -> tuple[int, int, tuple[int, ...]]:
-    """(size, base, columns) of B^{2k} of the class, one byte lane per class in
-    stratum order: base, one translate of the q bytes, holds BIAS plus NEG where
-    q = 2 mod 4 (`sign_of` names the first odd q); columns are `_form_columns`."""
+    """(size, base, columns) of B^{2k} of the class, one byte lane per class in stratum
+    order: base, one translate of the q bytes, holds BIAS plus NEG where q = 2 mod 4
+    (`sign_of` names the first odd q); sum_j x_j columns_j packs every v.x at once."""
     s = b_classes(get_class(class_id), k)
     lanes = bytes(s.qs).translate(SIGN_LANES)
     if 0 in lanes:
         sign_of(s.qs[lanes.index(0)])
-    return len(s.vs), int.from_bytes(lanes, "little"), _form_columns(s)
+    columns = tuple(f * x for f, (x, _) in zip(FORM, s.columns.cols))  # FORM_j times packed column j
+    return len(s.vs), int.from_bytes(lanes, "little"), columns
 
 
 def _pairing_lanes(c: DeformationClass, e: PicClass, k: int) -> bytes:

@@ -245,14 +245,18 @@ def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypat
 
 
 def test_alpha_columns_equal_alpha_of_per_vector(all_classes):
-    # Off the packed columns on every stratum; per vector where an alpha lane would
-    # pass LANE (v_0 = -122 gives alpha_0 = 128) or a v lane already does.
+    # Off the packed columns on every stratum, with alpha_of as the per-vector
+    # reference, and on edge rows at the lane bound |m| + |v_j| <= 127 of alpha_j =
+    # m - v_j (m = 6 at h, -2 at each l): one past it raises, naming the bound.
     strata = [b_classes(c, k) for c in all_classes for k in (0, 1, 2)]
-    edge = [(-122,) + (0,) * 8, (0,) * 8 + (126,), (0,) * 8 + (-127,), (200,) + (0,) * 8]
-    strata += [stratum(1, (v,), (0,)) for v in edge]
-    assert strata[-1].columns is None
+    strata += [stratum(1, (v,), (0,)) for v in ((-121,) + (0,) * 8, (0,) * 8 + (125,), (0,) * 8 + (-125,))]
     for s in strata:
         assert list(zip(*counting.alpha_columns(s))) == list(map(alpha_of, s.vs))
+    for v in ((-122,) + (0,) * 8, (0,) * 8 + (126,), (0,) * 8 + (-126,)):
+        with pytest.raises(LatticeError, match="^an alpha of B\\^2 may pass the lane bound 127$"):
+            counting.alpha_columns(stratum(1, (v,), (0,)))
+    with pytest.raises(LatticeError, match="^a packed value passes the lane bound 127$"):
+        stratum(1, ((200,) + (0,) * 8,), (0,))
 
 
 def test_a_non_real_stratum_vector_is_named_in_stratum_order(monkeypatch):
@@ -346,13 +350,13 @@ def test_histogram_rows_equal_sorted_signature_rows():
         for k in (1, 2):
             rows = classify_levels(c, k)
             assert rows == _sorted_signature_rows(c, k, counting.alpha_columns)
-            # Columns as int tuples, as the per-vector path of alpha_columns gives them.
+            # Columns as int tuples, as classify_roots gives them.
             assert counting._table_rows(c, k, _alpha_tuples) == rows
 
 
 def _spread(c, k, width, wide=()):
-    """B^{2k} of c with each v's real coefficients moved by up to +-width (an
-    imaginary pair's two by the same amount) and positions `wide` of the first
+    """(vs, qs) of B^{2k} of c with each v's real coefficients moved by up to +-width
+    (an imaginary pair's two by the same amount) and positions `wide` of the first
     vector set to 200, past a byte lane; qs drawn anew."""
     rng, s = random.Random(f"spread:{c.id}:{k}:{width}"), counting.b_classes(c, k)
     vs = []
@@ -362,25 +366,30 @@ def _spread(c, k, width, wide=()):
             shift[8] = shift[7]
         vs.append(tuple(map(sum, zip(v, shift))))
     vs[0] = tuple(200 if i in wide else x for i, x in enumerate(vs[0]))
-    return stratum(k, tuple(vs), tuple(rng.randrange(4) for _ in vs))
+    return tuple(vs), tuple(rng.randrange(4) for _ in vs)
 
 
 def test_histogram_rows_off_coefficients_past_the_table_range(monkeypatch):
     # Today's real alpha coefficients lie in [-4, 0]: spread them to about +-60 on
-    # byte columns, and past a byte lane (200 - 2) on the per-vector int tuples.
+    # byte columns, and past a byte lane (200 - 2) on int tuples, the columns that
+    # classify_roots hands the row builder.  Such a stratum does not pack: building
+    # it raises, naming the bound, so its int tuples ride on a bare Stratum.
     cases = [(c, k, width, wide) for c in (E8, E7) for k in (1, 2)
              for width, wide in ((60, ()), (3, (2,)), (30, (1, 7, 8)))]
     for c, k, width, wide in cases:
-        s = _spread(c, k, width, wide)
+        vs, qs = _spread(c, k, width, wide)
+        if wide:
+            with pytest.raises(LatticeError, match="^a packed value passes the lane bound 127$"):
+                stratum(k, vs, qs)
+        s = counting.Stratum(k, vs, qs, None, None) if wide else stratum(k, vs, qs)
         monkeypatch.setattr(counting, "b_classes", lambda cc, kk: s)
-        alpha = counting.alpha_columns(s)
-        assert isinstance(alpha[1], memoryview) == (not wide)
-        values = {x for col in pin.code_columns(c.code, alpha)[1 : c.code.n_real + 1] for x in col}
+        values = {x for col in pin.code_columns(c.code, _alpha_tuples(s))[1 : c.code.n_real + 1] for x in col}
         assert min(values) < -4 and max(values) > 0
-        rows = classify_levels(c, k)
-        assert rows == _sorted_signature_rows(c, k, counting.alpha_columns), (c.id, k, width)
-        assert counting._table_rows(c, k, _alpha_tuples) == rows
-        assert sum(r.count for r in rows) == len(s.vs)
+        rows = counting._table_rows(c, k, _alpha_tuples)
+        assert rows == _sorted_signature_rows(c, k, _alpha_tuples), (c.id, k, width)
+        assert sum(r.count for r in rows) == len(vs)
+        if not wide:
+            assert classify_levels(c, k) == rows == _sorted_signature_rows(c, k, counting.alpha_columns)
         monkeypatch.undo()
 
 
@@ -569,7 +578,7 @@ def _perturb_evaluator(shift):
         good = counting.qhat_columns
 
         def bad(columns, n, square, twist):
-            coords = zip(*(lattice.unpack_lanes(col, n) for col in columns))
+            coords = zip(*map(lattice.Columns.pack(n, ()).lanes, columns))
             return bytes((q + shift(x)) % 4 for q, x in zip(good(columns, n, square, twist), coords))
 
         monkeypatch.setattr(counting, "qhat_columns", bad)

@@ -12,6 +12,7 @@ from dp1.lattice import (
     MINUS_K,
     MINUS_2K,
     ZERO,
+    Columns,
     LatticeError,
     PicClass,
     Sublattice,
@@ -204,7 +205,8 @@ def test_gram_changing_bases_give_the_same_vectors(name):
     # A unimodular basis change keeps the lattice but not the gram.  Each new gram
     # has a norm below -2, so it is no Cartan matrix and gets searches of its own,
     # and each shell must come back as the same set of ambient vectors.  (Rank 1
-    # has no gram-changing basis change.)
+    # has no gram-changing basis change.)  Coordinates on a moved basis may pass a
+    # byte lane, so each is converted on its own.
     lat = real_forms.kperp() if name == "K-perp" else real_forms.lambda_basis(name)
     rng = random.Random(f"unimodular:{name}")
     want = {n: set(enumerate_vectors(lat, n)) for n in (-2, -4, -6, -8)}
@@ -212,7 +214,7 @@ def test_gram_changing_bases_give_the_same_vectors(name):
         moved = Sublattice.span([lat.from_coordinates(tuple(row)) for row in unimodular(rng, lat.rank)])
         assert min(moved.gram[i][i] for i in range(lat.rank)) < -2
         for n, vectors in want.items():
-            got = enumerate_vectors(moved, n)
+            got = list(map(moved.from_coordinates, enumerate_coordinates(moved, n)))
             assert len(got) == len(vectors) and set(got) == vectors
 
 
@@ -361,21 +363,41 @@ def test_bulk_conversion_of_rank_zero_and_of_no_vectors(kperp):
 
 
 def test_a_basis_over_the_lane_bound_raises():
+    # A lane holds +-127.  Coordinates past a signed byte raise at packing, and a list
+    # whose Pic lanes may pass 127 raises before forming them; enumerate_vectors has no
+    # other path, so it raises alike.  Each error names the bound.
     e = pic(0, 1, -1, 0, 0, 0, 0, 0, 0)
     edge, over = Sublattice.span([127 * e]), Sublattice.span([64 * e])
     assert edge.pic_coordinates([(1,), (-1,)]) == [(127 * e).coeffs, (-127 * e).coeffs]
-    with pytest.raises(LatticeError, match="lane bound 128 exceeds 127"):
+    with pytest.raises(LatticeError, match="^a coefficient of the list may pass the lane bound 127$"):
         over.pic_coordinates([(1,), (-2,)])
-    # enumerate_vectors converts such a list one vector at a time.
-    assert enumerate_vectors(over, 4 * over.gram[0][0]) == [-128 * e, 128 * e]
-    # Coordinates fill a signed byte lane up to +-127; past it, a LatticeError and not
-    # the ValueError of packing, so that enumerate_vectors still falls back.
+    with pytest.raises(LatticeError, match="^a coefficient of the list may pass the lane bound 127$"):
+        enumerate_vectors(over, 4 * over.gram[0][0])
     unit = Sublattice.span([e])
     assert unit.pic_coordinates([(127,), (-127,)]) == [(127 * e).coeffs, (-127 * e).coeffs]
-    for x in (128, -128, 300):
-        with pytest.raises(LatticeError, match="lane bound"):
+    for x in (128, 300):
+        with pytest.raises(LatticeError, match="^a packed value passes the lane bound 127$"):
             unit.pic_columns([(1,), (x,)])
-    assert enumerate_vectors(unit, 128 * 128 * unit.gram[0][0]) == [-128 * e, 128 * e]
+    # -128 fills a byte, and its top of 128 raises at the first sum.
+    with pytest.raises(LatticeError, match="^a coefficient of the list may pass the lane bound 127$"):
+        unit.pic_columns([(1,), (-128,)])
+    with pytest.raises(LatticeError, match="^a packed value passes the lane bound 127$"):
+        enumerate_vectors(unit, 128 * 128 * unit.gram[0][0])
+
+
+def test_a_sum_of_columns_carries_its_bound_into_the_next():
+    # The tops are read off the lanes at packing; a sum's top is its bound, not its
+    # widest lane, and the next sum that takes it as a term is checked against it.
+    cols = Columns.pack(2, [(100, -100), (-20, 20)])
+    first, second = cols.cols
+    assert (first.top, second.top) == (100, 20)
+    t = cols.combine(((1, first), (1, second)), "t", 3)
+    assert (list(cols.lanes(t.packed)), t.top) == ([83, -77], 123)
+    # t + second has lanes 63 and -57, but its bound 123 + 20 passes 127.
+    with pytest.raises(LatticeError, match="^t plus one may pass the lane bound 127$"):
+        cols.combine(((1, t), (1, second)), "t plus one")
+    back = cols.combine(((1, t),), "t less three", -3)
+    assert (list(cols.lanes(back.packed)), back.top) == ([80, -80], 126)
 
 
 def test_integer_kernel_saturation():

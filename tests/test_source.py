@@ -1,6 +1,6 @@
 """Source hygiene: every name a dp1 module imports is used in that module, only
-the modules that own the class table name a class id, and no module reads the
-process environment."""
+the modules that own the class table name a class id, no module reads the
+process environment, and only `lattice` names the byte-lane bound."""
 
 import ast
 import os
@@ -27,6 +27,11 @@ SLOW_IMPORTS = ("dataclasses", "fractions", "decimal", "inspect", "csv")
 # The os names through which a module reads the process environment.
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
+# The byte-lane bound and its |lane| table: `lattice.Columns` checks every lane sum
+# against them, and every other module reaches the lanes through it.
+LANE_NAMES = {"LANE", "ABS"}
+LANE_OWNER = "lattice.py"
+
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's imports that no Name node reads."""
@@ -47,9 +52,9 @@ def class_id_constants(source: str) -> list[str]:
             if isinstance(node, ast.Constant) and node.value in CLASS_IDS]
 
 
-def environment_reads(source: str) -> list[str]:
-    """The environment names the module reads or imports, as attribute, name or
-    `from os import`, sorted."""
+def names_read(source: str, names: set[str]) -> list[str]:
+    """The given names the module reads or imports, as attribute, name or
+    `from ... import`, sorted."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
@@ -58,7 +63,11 @@ def environment_reads(source: str) -> list[str]:
             found.append(node.id)
         elif isinstance(node, ast.ImportFrom):
             found += [a.name for a in node.names]
-    return sorted(name for name in found if name in ENVIRONMENT_NAMES)
+    return sorted(name for name in found if name in names)
+
+
+def environment_reads(source: str) -> list[str]:
+    return names_read(source, ENVIRONMENT_NAMES)
 
 
 def test_the_scan_sees_an_unused_import():
@@ -74,6 +83,11 @@ def test_the_scan_sees_an_environment_read():
     assert environment_reads(source) == ["environ", "getenv"]
 
 
+def test_the_scan_sees_a_lane_name():
+    source = "from .lattice import LANE as bound\nx = lattice.ABS\nLANES = 2\n"
+    assert names_read(source, LANE_NAMES) == ["ABS", "LANE"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -82,6 +96,11 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != LANE_OWNER], ids=lambda p: p.name)
+def test_only_lattice_names_the_lane_bound(path):
+    assert names_read(path.read_text(encoding="utf-8"), LANE_NAMES) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in CLASS_ID_OWNERS],

@@ -239,14 +239,18 @@ def test_a_b2_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypa
         delta_table(E8, root)
 
 
-@pytest.mark.parametrize("scale", [3, 40, 200])
+@pytest.mark.parametrize("scale", [3, 40, 100, 200])
 def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monkeypatch, scale):
-    # scale * u lies in no stratum.  At 3 the packed pass sees it; at 40 the bound on
-    # v.b and its images passes LANE, and at 200 so do its coordinates: a wrapped lane
-    # must not pass it, and the exact walk names it.
+    # scale * u lies in no stratum.  At 3 and 40 the first packed pass sees it and the
+    # exact walk names it.  At 100 its lanes pack but may pass 127 in v.K, and at 200
+    # they do not pack: either way the check raises, naming the lane bound, and never
+    # reads a wrapped lane.
     u = MINUS_2K - _alpha_with(E8, 2, 1, vanishing_roots(E8)[0])
     monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, 2, scale * u))
-    with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {scale * u} by (")):
+    left = re.escape(f"reflection left the stratum: {scale * u} by (")
+    message = {100: r"^a reflection of B\^4 of M-connected may pass the lane bound 127$",
+               200: "^a packed value passes the lane bound 127$"}.get(scale, left)
+    with pytest.raises(LatticeError, match=message):
         wallcross.q_index_cached(E8.id)
 
 
