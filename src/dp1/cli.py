@@ -66,7 +66,7 @@ def enumerate_output(class_id: str, stratum: int | None) -> Output:
                 "count": len(st.vs),
                 "signed_sum": counting.signed_sum(c, s // 2),
                 "classes": [{"alpha": alpha, "v": v, "qhat": q}
-                            for alpha, v, q in zip(zip(*counting.alpha_columns(st)), st.vs, st.qs)],
+                            for alpha, v, q in zip(counting.alpha_columns(st).rows(), st.vs, st.qs)],
             })
     return Output({"enumeration": blocks}, ["class", "stratum", "alpha", "v", "qhat"],
                   ({**b, **item} for b in blocks for item in b["classes"]))
@@ -206,8 +206,8 @@ def render(out: Output, fmt: str) -> str:
         w.writerow(out.header)
         w.writerows(rows)
         return buf.getvalue()
-    lines = [out.header, ["---"] * len(out.header), *rows]
-    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
+    lines = [out.header, ["---"] * len(out.header), *rows]  # an escaped | splits no row
+    return "".join("| " + " | ".join(x.replace("|", r"\|") for x in line) + " |\n" for line in lines)
 
 
 def _emit(text: str, out: str | None) -> None:

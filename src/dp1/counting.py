@@ -28,20 +28,25 @@ class Stratum(NamedTuple):
     """B^{2k} as columns, in search order: each stratum vector v as its coefficient
     9-tuple, with alpha = -2K - v, and its quadratic value q.  `columns` are the
     coefficient columns of the vs (`lattice.Columns`), and `xs` the search's
-    coordinate columns over the simple roots, as packed ints (`Columns.pack`)."""
+    coordinate columns over the simple roots (`Columns`), where a search built it."""
 
     k: int
     vs: tuple[tuple[int, ...], ...]
     qs: tuple[int, ...]
     columns: Columns
-    xs: list[int] | None
+    xs: Columns | None
 
 
 def stratum(k: int, vs: tuple[tuple[int, ...], ...], qs: tuple[int, ...],
-            columns: Columns | None = None, xs: list[int] | None = None) -> Stratum:
+            columns: Columns | None = None, xs: Columns | None = None) -> Stratum:
     """The one constructor: it packs the columns of vs where the search did not
     (`Sublattice.pic_columns`)."""
-    return Stratum(k, vs, qs, columns or Columns.pack(len(vs), list(zip(*vs)) or [()] * RANK), xs)
+    return Stratum(k, vs, qs, columns or _pack(vs), xs)
+
+
+def _pack(vs) -> Columns:
+    # The RANK coefficient columns of a list of 9-tuples.
+    return Columns.pack(len(vs), list(zip(*vs)) or [()] * RANK)
 
 
 def twist(c: DeformationClass) -> tuple[int, ...]:
@@ -59,8 +64,7 @@ def b_classes_cached(class_id: str, k: int) -> Stratum:
     lat = lambda_basis(class_id)
     coords = enumerate_coordinates(lat, -2 * k)
     xs, columns = lat.pic_columns(coords)
-    vs = tuple(zip(*(columns.lanes(col.packed) for col in columns.cols)))
-    return stratum(k, vs, tuple(qhat_columns(xs, len(coords), -2 * k, twist(c))), columns, xs)
+    return stratum(k, tuple(columns.rows()), tuple(qhat_columns(xs, -2 * k, twist(c))), columns, xs)
 
 
 def b_classes(c: DeformationClass, k: int) -> Stratum:
@@ -81,7 +85,7 @@ def signed_sum(c: DeformationClass, k: int, twist: tuple[int, ...] | None = None
     Given a twist on the class's simple roots, q is read with it off the stratum's
     coordinate columns instead of its stored qs (the cross-model records)."""
     s = b_classes(c, k)
-    qs = s.qs if twist is None else qhat_columns(s.xs, len(s.vs), -2 * k, twist)
+    qs = s.qs if twist is None else qhat_columns(s.xs, -2 * k, twist)
     zeros, twos = qs.count(0), qs.count(2)
     return zeros - twos if zeros + twos == len(qs) else sum(map(sign_of, qs))
 
@@ -129,28 +133,25 @@ class TableRow(NamedTuple):
         return self.level % 2, sum(s % 2 for s in self.signature)
 
 
-def _table_rows(c: DeformationClass, k: int, read: Callable[[Stratum], list]) -> list[TableRow]:
+def _table_rows(c: DeformationClass, k: int, read: Callable[[Stratum], Columns]) -> list[TableRow]:
     """Rows by (level, signature, pair, q) of the code coordinates of the columns
     read(B^{2k}): a q that varies on a coefficient type gives it one row per value.
-    Real columns become byte lanes u - low (low -128 on signed byte columns, else the
-    least u: int tuples must span less than 256); each present lane value's 0/1 lanes
-    sum to its count per vector, so rows are counted over the counts in C and each
+    Real lanes become bytes u + 128, order kept; each present byte's 0/1 lanes sum
+    to its count per vector, so rows are counted over the counts in C and each
     signature is rebuilt from its counts."""
     code = c.code
     if code is None:
         raise LatticeError(f"{c.id} has no blowup-model code")
     s = b_classes(c, k)
     columns = code_columns(code, read(s))
-    real = columns[1 : code.n_real + 1]
-    signed = all(isinstance(col, memoryview) for col in real)
-    low = -128 if signed else min(set().union(*real), default=0)
-    lanes = [bytes(col).translate(ORDERED) if signed else bytes([u - low for u in col]) for col in real]
-    marks = bytes(range(255, -1, -1)).translate(None, bytes(range(256)).translate(None, b"".join(lanes)))
+    lanes = [columns.lanes(col.packed) for col in columns.cols]
+    real = [bytes(lane).translate(ORDERED) for lane in lanes[1 : code.n_real + 1]]
+    marks = bytes(range(255, -1, -1)).translate(None, bytes(range(256)).translate(None, b"".join(real)))
     counts = [sum(int.from_bytes(lane.translate(bytes(m) + b"\1" + bytes(255 - m)), "little")
-                  for lane in lanes).to_bytes(len(s.qs), "little") for m in marks]
-    pairs = columns[-1] if code.r == 1 else [None] * len(s.qs)
-    rows = [TableRow(level, sum(((low + m,) * n for m, n in zip(marks, ns)), ()), pair, count, q)
-            for (level, pair, q, *ns), count in Counter(zip(columns[0], pairs, s.qs, *counts)).items()]
+                  for lane in real).to_bytes(len(s.qs), "little") for m in marks]
+    pairs = lanes[-1] if code.r == 1 else [None] * len(s.qs)
+    rows = [TableRow(level, sum(((m - 128,) * n for m, n in zip(marks, ns)), ()), pair, count, q)
+            for (level, pair, q, *ns), count in Counter(zip(lanes[0], pairs, s.qs, *counts)).items()]
     rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
     return rows
 
@@ -160,19 +161,18 @@ def alpha_of(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(sub, MINUS_2K.coeffs, v))
 
 
-def alpha_columns(s: Stratum) -> list:
-    """The RANK coefficient columns of alpha = -2K - v over the stratum: the lanes of
-    m - column, m the coefficient of -2K, each one `Columns.combine`."""
+def alpha_columns(s: Stratum) -> Columns:
+    """The RANK coefficient columns of alpha = -2K - v over the stratum: m - column,
+    m the coefficient of -2K, each one `Columns.combine`."""
     what, cols = f"an alpha of B^{2 * s.k}", s.columns
-    alphas = (cols.combine(((-1, c),), what, m) for m, c in zip(MINUS_2K.coeffs, cols.cols))
-    return [cols.lanes(a.packed) for a in alphas]
+    return cols._replace(cols=tuple(cols.combine(((-1, c),), what, m)
+                                    for m, c in zip(MINUS_2K.coeffs, cols.cols)))
 
 
 def classify_roots(c: DeformationClass) -> list[TableRow]:
     """Root table of a code class: rows by (level, type), roots folded by sign (the
     lex-positive of v and -v is the larger tuple)."""
-    return _table_rows(c, 1, lambda s: list(zip(*[v if v > ZERO.coeffs else tuple(map(neg, v))
-                                                   for v in s.vs])) or [()] * RANK)
+    return _table_rows(c, 1, lambda s: _pack([max(v, tuple(map(neg, v))) for v in s.vs]))
 
 
 def count_report(c: DeformationClass) -> tuple[list[list[int]], list[list[int]]]:

@@ -42,10 +42,6 @@ class PicClass(NamedTuple("PicClass", [("coeffs", tuple)])):
     def square(self) -> int:
         return self.dot(self)
 
-    @property
-    def degree(self) -> int:
-        return -self.dot(K)
-
     def __add__(self, other: "PicClass") -> "PicClass":
         return PicClass(tuple(map(add, self.coeffs, other.coeffs)))
 
@@ -112,6 +108,10 @@ class Columns(NamedTuple):
         """The n signed lanes of a column of this list, or of a sum formed by `combine`."""
         return memoryview(((packed + self.half) ^ self.half).to_bytes(self.n, "little")).cast("b")
 
+    def rows(self) -> list[tuple[int, ...]]:
+        """The n vectors as tuples: the lanes of every column, read across."""
+        return list(zip(*(self.lanes(c.packed) for c in self.cols)))
+
     def combine(self, terms, what: str, constant: int = 0) -> Column:
         """constant + sum c * column over the (c, column) terms, with its lane bound
         |constant| + sum |c| * top as its top: past LANE a lane could wrap, so it raises
@@ -169,20 +169,18 @@ class Sublattice(NamedTuple):
         rows = ([n * c for c in b.coeffs] for n, b in zip(coords, self.basis))
         return PicClass(tuple(map(sum, zip([0] * RANK, *rows))))
 
-    def pic_columns(self, coords: list[tuple[int, ...]]) -> tuple[list[int], Columns]:
-        """The packed coordinate columns of a whole list, and the `Columns` of
-        `from_coordinates` over it: each ambient column is the `Columns.combine` of the
-        coordinate columns by one coefficient of every basis vector."""
+    def pic_columns(self, coords: list[tuple[int, ...]]) -> tuple[Columns, Columns]:
+        """The `Columns` of a whole coordinate list, and those of `from_coordinates`
+        over it: each ambient column is the `Columns.combine` of the coordinate
+        columns by one coefficient of every basis vector."""
         xs = Columns.pack(len(coords), list(zip(*coords)) or [()] * self.rank)
         ambient = [xs.combine(zip(c, xs.cols), "a coefficient of the list").packed
                    for c in list(zip(*(b.coeffs for b in self.basis))) or [()] * RANK]
-        return [x.packed for x in xs.cols], xs.read(ambient)
+        return xs, xs.read(ambient)
 
     def pic_coordinates(self, coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """The coefficient tuples of `from_coordinates` for a whole list: the lanes of
-        `pic_columns`."""
-        columns = self.pic_columns(coords)[1]
-        return list(zip(*(columns.lanes(c.packed) for c in columns.cols)))
+        """The coefficient tuples of `from_coordinates` for a whole list: `pic_columns`' rows."""
+        return self.pic_columns(coords)[1].rows()
 
     def coordinates_of(self, x: PicClass) -> tuple[int, ...]:
         """Integer coordinates of x in this basis; raises if x is outside the span.

@@ -80,14 +80,15 @@ def code_coordinates(code: Code, c: tuple[int, ...]) -> tuple[int, ...]:
     return coords
 
 
-def code_columns(code: Code, columns: list) -> list:
-    """The columns of `code_coordinates` over a list given by its RANK coefficient
+def code_columns(code: Code, columns: Columns) -> Columns:
+    """The `Columns` of `code_coordinates` over a list given by its RANK coefficient
     columns: where the two columns of an imaginary pair differ, the walk names the
     first non-real class."""
-    if any(columns[i] != columns[j] for i, j in PAIRS[: code.r]):
-        for c in zip(*columns):
+    cols = columns.cols
+    if any(cols[i].packed != cols[j].packed for i, j in PAIRS[: code.r]):
+        for c in columns.rows():
             code_coordinates(code, c)
-    return columns[: code.n_real + 1] + [columns[i] for i, _ in PAIRS[: code.r]]
+    return columns._replace(cols=cols[: code.n_real + 1] + tuple(cols[i] for i, _ in PAIRS[: code.r]))
 
 
 def qhat_code(code: Code, x: PicClass) -> int:
@@ -100,15 +101,15 @@ def qhat_from_coordinates(coords: tuple[int, ...], square: int, twist: tuple[int
     return (square + sum(map(mul, coords, twist))) % 4
 
 
-def qhat_columns(columns: list[int], n: int, square: int, twist: tuple[int, ...]) -> bytes:
-    """`qhat_from_coordinates` of n vectors of one square, one byte each, off their
-    coordinate columns as packed ints (`lattice.Columns`, or any lanes congruent to them mod 4).
-    Lanes are reduced mod 4 before the multiply-add: none passes 3 + 9 * 9 = 84."""
-    acc, lanes = int.from_bytes(bytes((square % 4,)) * n, "little"), Columns.pack(n, ()).lanes
-    for t, column in zip(twist, columns):
+def qhat_columns(xs: Columns, square: int, twist: tuple[int, ...]) -> bytes:
+    """`qhat_from_coordinates` of the xs.n vectors of one square, one byte each, off
+    their coordinate `Columns` (or any lanes congruent to them mod 4).  Lanes are
+    reduced mod 4 before the multiply-add: none passes 3 + 9 * 9 = 84."""
+    acc = int.from_bytes(bytes((square % 4,)) * xs.n, "little")
+    for t, (column, _) in zip(twist, xs.cols):
         if t % 4:
-            acc += t % 4 * int.from_bytes(bytes(lanes(column)).translate(MOD4), "little")
-    return acc.to_bytes(n, "little").translate(MOD4)
+            acc += t % 4 * int.from_bytes(bytes(xs.lanes(column)).translate(MOD4), "little")
+    return acc.to_bytes(xs.n, "little").translate(MOD4)
 
 
 def moves(code: Code) -> list[Move]:

@@ -136,14 +136,13 @@ def cremona_compatibility() -> PropertyResult:
         basis = real_forms.lambda_basis(c.id).basis
         n, what = len(basis), f"an image of a simple root of {c.id}"
         cols = Columns.pack(n, list(zip(*(b.coeffs for b in basis))))
-        columns = [x.packed for x in cols.cols]
-        old = pin.qhat_columns(pin.code_columns(c.code, columns), n, -2, c.code.twist)  # x.x = -2
+        old = pin.qhat_columns(pin.code_columns(c.code, cols), -2, c.code.twist)  # x.x = -2
         for move in pin.moves(c.code):
             e, new = pin.move_root(move), pin.Code(pin.apply_move(c.code.residues, move))
             t = cols.combine(zip(form_row(e), cols.cols), what)
-            images = pin.code_columns(new, [(cols.combine(((1, x), (y, t)), what) if y else x).packed
-                                            for x, y in zip(cols.cols, e.coeffs)])
-            fails += sum(map(ne, old, pin.qhat_columns(images, n, -2, new.twist)))
+            images = cols._replace(cols=tuple(cols.combine(((1, x), (y, t)), what) if y else x
+                                              for x, y in zip(cols.cols, e.coeffs)))
+            fails += sum(map(ne, old, pin.qhat_columns(pin.code_columns(new, images), -2, new.twist)))
             checks += n
     return PropertyResult("cremona_compatibility", checks, fails)
 

@@ -20,11 +20,11 @@ q(E) = 0 it shifts q by 2 iff |v.E| = 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ne
 from typing import NamedTuple
 
 from . import golden
-from .lattice import (FORM, K, MINUS_K, MINUS_2K, Column, Columns, LatticeError, PicClass, dot_tuples,
-                      form_row)
+from .lattice import FORM, K, MINUS_K, MINUS_2K, Column, Columns, LatticeError, PicClass, form_row
 from .counting import alpha_of, b_classes, sign_of
 from .pin import MOD4
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
@@ -52,43 +52,43 @@ def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
 def q_index_cached(class_id: str) -> dict[tuple[int, ...], int]:
     """{v: q} of the B^2 stratum vectors of the class, after checking on every simple
     root b that B^2 and B^4 are closed under s_b(v) = v + (v.b)b with q(s_b v) = q(v)
-    + (v.b)(q(b) + 2) mod 4: one packed pass per (b, stratum) forms every v.b, image
-    and predicted q by `Columns.combine` and looks each image's q up by its l1..l8
-    (`_keys`).  Where the packed v.K is 0 and no two keys collide, a key names one
+    + (v.b)(q(b) + 2) mod 4.  Each stratum is checked once first: its packed v.K is
+    0 and its keys, each class's l1..l8 (`_keys`), are distinct.  So a key names one
     class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the n images
-    are the n classes.  Else, or where an image is missing or its q differs, the
-    exact walk names the first failure; B^4's {v: q} is built only for that walk."""
-    c = get_class(class_id)
-    strata = [b_classes(c, k) for k in (1, 2)]
+    are the n classes.  Then one packed pass per (b, stratum) forms every v.b, image
+    and predicted q by `Columns.combine`, looks each image's q up by its key, and
+    names the first class whose image is missing or whose q differs."""
+    strata = [b_classes(get_class(class_id), k) for k in (1, 2)]
     q_of = dict(zip(strata[0].vs, strata[0].qs))
     packs = []
     for s in strata:
-        cols, what = s.columns, f"a reflection of B^{2 * s.k} of {class_id}"
+        cols, name = s.columns, f"B^{2 * s.k} of {class_id}"
+        what = f"a reflection of {name}"
+        v_k = cols.combine(zip(form_row(K), cols.cols), what).packed
+        if v_k:  # its lowest set bit lies in the lane of the first class off K-perp
+            w = PicClass(s.vs[((v_k & -v_k).bit_length() - 1) // 8])
+            raise LatticeError(f"{w} in {name} is not in K-perp")
         own = dict(zip(_keys(cols, cols.cols[1:]), s.qs))
-        keyed = not cols.combine(zip(form_row(K), cols.cols), what).packed and len(own) == cols.n
-        packs.append((cols, Columns.pack(cols.n, [s.qs]).cols[0], own, what) if keyed else None)
+        if len(own) < cols.n:
+            raise LatticeError(f"{name} lists a class twice")
+        packs.append((s.vs, cols, Columns.pack(cols.n, [s.qs]).cols[0], own, what))
     for b in lambda_basis(class_id).basis:
         bc, row = b.coeffs, form_row(b)
         q_b = q_of.get(bc)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
-        for s, pack in zip(strata, packs):
-            if pack:
-                cols, qs, own, what = pack
-                t = cols.combine(zip(row, cols.cols), what)
-                q_images = cols.lanes(cols.combine(((1, qs), ((q_b + 2) % 4, t)), what).packed)
-                images = [cols.combine(((1, x), (y, t)), what) if y else x
-                          for x, y in zip(cols.cols[1:], bc[1:])]
-                if list(map(own.get, _keys(cols, images))) == list(bytes(q_images).translate(MOD4)):
-                    continue
-            by_v = q_of if s.k == 1 else dict(zip(s.vs, s.qs))
-            for vc, q in by_v.items():
-                t = dot_tuples(vc, bc)
-                q_image = by_v.get(tuple(x + t * y for x, y in zip(vc, bc)))
-                if q_image is None:
-                    raise LatticeError(f"reflection left the stratum: {PicClass(vc)} by {b}")
-                if q_image != (q + t * (q_b + 2)) % 4:
-                    raise LatticeError(f"reflection law failed at {PicClass(vc)} by {b}")
+        for vs, cols, qs, own, what in packs:
+            t = cols.combine(zip(row, cols.cols), what)
+            q_images = cols.combine(((1, qs), ((q_b + 2) % 4, t)), what)
+            want = list(bytes(cols.lanes(q_images.packed)).translate(MOD4))
+            images = [cols.combine(((1, x), (y, t)), what) if y else x
+                      for x, y in zip(cols.cols[1:], bc[1:])]
+            got = list(map(own.get, _keys(cols, images)))
+            if got != want:
+                i = list(map(ne, got, want)).index(True)
+                v = PicClass(vs[i])
+                raise LatticeError(f"reflection left the stratum: {v} by {b}" if got[i] is None
+                                   else f"reflection law failed at {v} by {b}")
     return q_of
 
 

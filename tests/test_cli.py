@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -14,8 +15,8 @@ import pytest
 
 import dp1
 from conftest import break_the_enumerator, clear_model_caches, corrupt_4a1_embedding
-from dp1 import cli, golden, real_forms, report, wallcross
-from dp1.lattice import PicClass, pic
+from dp1 import cli, counting, golden, real_forms, report, wallcross
+from dp1.lattice import K, PicClass, pic
 
 BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -108,7 +109,7 @@ def test_enumerate_stratum(capsys):
     assert (block["count"], block["signed_sum"]) == (4, 4)
     for item in block["classes"]:
         alpha = pic(*item["alpha"])
-        assert alpha.degree == 2 and alpha.square == 0
+        assert -alpha.dot(K) == 2 and alpha.square == 0
 
 
 def test_enumerate_rejects_unknown_class(capsys):
@@ -279,6 +280,27 @@ def test_verify_md_format(capsys):
     code, out = run_cli(capsys, "verify", "--class", "M-1-split", "--format", "md")
     assert code == 0
     assert out.startswith("| name | anchor | provenance | expected | actual | passed |")
+
+
+def test_md_escapes_a_bar_inside_a_cell(fresh_caches, monkeypatch, capsys):
+    # Spoil E8's B^4 as test_a_lane_beyond_the_cauchy_schwarz_bound_raises does: the
+    # failed records read "... have |v.E| > 2 for ...", and every row keeps 6 cells.
+    e8 = real_forms.get_class("M-connected")
+    root = wallcross.vanishing_roots(e8)[0]
+    u = next(PicClass(v) for v in counting.b_classes(e8, 1).vs if PicClass(v).dot(root) == 1)
+    wallcross.q_index_cached(e8.id)  # the reflection facts, before the stratum is spoiled
+    good = wallcross.b_classes
+
+    def spoiled(c, k):
+        s = good(c, k)
+        return counting.stratum(k, s.vs + ((3 * u).coeffs,), s.qs + (0,)) if k == 2 else s
+
+    monkeypatch.setattr(wallcross, "b_classes", spoiled)
+    code, out = run_cli(capsys, "verify", "--format", "md")
+    assert code == 1 and "\\|v.E\\| > 2" in out
+    for line in out.splitlines():
+        first, *cells, last = re.split(r"(?<!\\)\|", line)
+        assert (first, last, len(cells)) == ("", "", 6), line
 
 
 def test_out_file(tmp_path, capsys):

@@ -31,7 +31,7 @@ from dp1.counting import (
     signed_total,
     stratum,
 )
-from dp1.lattice import MINUS_2K, LatticeError, PicClass, Sublattice, enumerate_coordinates
+from dp1.lattice import MINUS_2K, K, LatticeError, PicClass, Sublattice, enumerate_coordinates
 from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code
 from dp1.real_forms import get_class, lambda_basis
 from dp1.report import build_records
@@ -70,7 +70,7 @@ def test_b_class_invariants():
     s = b_classes(E8, 2)
     for v, q in list(zip(s.vs, s.qs))[:100]:
         alpha = PicClass(alpha_of(v))
-        assert alpha.degree == 2
+        assert -alpha.dot(K) == 2
         assert alpha.square == 0
         assert q % 2 == 0
         assert qhat_code(POSITIVE_CODE, alpha) == q
@@ -145,9 +145,9 @@ def test_signed_sums_name_the_first_odd_value_in_stratum_order(monkeypatch):
         s = strata(c, k)
         return stratum(k, s.vs, tuple(odd.get(i, q) for i, q in enumerate(s.qs)))
 
-    def odd_values(columns, n, square, twist):
+    def odd_values(xs, square, twist):
         # The evaluator's output, with the odd values at the same vectors, in search order.
-        return bytes(odd.get(i, q) for i, q in enumerate(evaluate(columns, n, square, twist)))
+        return bytes(odd.get(i, q) for i, q in enumerate(evaluate(xs, square, twist)))
 
     monkeypatch.setattr(counting, "b_classes", odd_strata)
     with pytest.raises(LatticeError, match="odd quadratic value 3 on"):
@@ -184,7 +184,7 @@ def _per_vector_qs(coords, square, twist):
 
 def _residue_columns(coords):
     # Each coordinate column packed as its residues mod 4: exact for coordinates of any size.
-    return [int.from_bytes(bytes(x % 4 for x in column), "little") for column in zip(*coords)]
+    return lattice.Columns.pack(len(coords), [tuple(x % 4 for x in column) for column in zip(*coords)])
 
 
 def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypatch, all_classes):
@@ -203,7 +203,7 @@ def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypat
             assert b_classes(c, k).qs == _per_vector_qs(coords, -2 * k, counting.twist(c))
             xs = lat.pic_columns(coords)[0]
             for t in twists(lat.rank):
-                got = pin.qhat_columns(xs, len(coords), -2 * k, t)
+                got = pin.qhat_columns(xs, -2 * k, t)
                 assert tuple(got) == _per_vector_qs(coords, -2 * k, t), (c.id, k, t)
                 even = tuple(2 * (x // 2) for x in t)
                 assert signed_sum(c, k, even) == sum(map(sign_of, _per_vector_qs(coords, -2 * k, even)))
@@ -221,10 +221,10 @@ def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypat
                 widest = max(widest, *(max(map(abs, x)) for x in coords))
                 for t in twists(lat.rank) + [(2,) * lat.rank]:
                     want = _per_vector_qs(coords, -2 * k, t)
-                    got = pin.qhat_columns(_residue_columns(coords), len(coords), -2 * k, t)
+                    got = pin.qhat_columns(_residue_columns(coords), -2 * k, t)
                     assert tuple(got) == want, (c.id, k, t)
                 even = tuple(2 * (x // 2) for x in t)
-                got = pin.qhat_columns(_residue_columns(coords), len(coords), -2 * k, even)
+                got = pin.qhat_columns(_residue_columns(coords), -2 * k, even)
                 assert sum(map(sign_of, got)) == sum(map(sign_of, _per_vector_qs(coords, -2 * k, even)))
     assert widest > lattice.LANE
     # A packed wall-crossing stratum names its first odd value in stratum order, in
@@ -251,7 +251,7 @@ def test_alpha_columns_equal_alpha_of_per_vector(all_classes):
     strata = [b_classes(c, k) for c in all_classes for k in (0, 1, 2)]
     strata += [stratum(1, (v,), (0,)) for v in ((-121,) + (0,) * 8, (0,) * 8 + (125,), (0,) * 8 + (-125,))]
     for s in strata:
-        assert list(zip(*counting.alpha_columns(s))) == list(map(alpha_of, s.vs))
+        assert counting.alpha_columns(s).rows() == list(map(alpha_of, s.vs))
     for v in ((-122,) + (0,) * 8, (0,) * 8 + (126,), (0,) * 8 + (-126,)):
         with pytest.raises(LatticeError, match="^an alpha of B\\^2 may pass the lane bound 127$"):
             counting.alpha_columns(stratum(1, (v,), (0,)))
@@ -327,21 +327,24 @@ def _sorted_signature_rows(c, k, read):
     """Table rows with each vector's signature a sorted tuple: the reference of the
     histogram rows of `counting._table_rows`."""
     code, s = c.code, counting.b_classes(c, k)
-    columns = pin.code_columns(code, read(s))
-    pairs = columns[-1] if code.r == 1 else [None] * len(s.qs)
-    signatures = (tuple(sorted(x, reverse=True)) for x in zip(*columns[1 : code.n_real + 1]))
-    counts = Counter(zip(columns[0], signatures, pairs, s.qs))
+    counts = Counter((x[0], tuple(sorted(x[1 : code.n_real + 1], reverse=True)),
+                      x[-1] if code.r == 1 else None, q)
+                     for x, q in zip(pin.code_columns(code, read(s)).rows(), s.qs))
     rows = [TableRow(level, sig, pair, count, q) for (level, sig, pair, q), count in counts.items()]
     rows.sort(key=lambda t: (t.level, tuple(-s for s in t.signature), -(t.pair_coeff or 0), t.qhat))
     return rows
 
 
+def _packed(vs):
+    return lattice.Columns.pack(len(vs), list(zip(*vs)) or [()] * 9)
+
+
 def _folded_roots(s):
-    return list(zip(*(max(v, tuple(map(neg, v))) for v in s.vs))) or [()] * 9
+    return _packed([max(v, tuple(map(neg, v))) for v in s.vs])
 
 
-def _alpha_tuples(s):
-    return list(zip(*map(alpha_of, s.vs))) or [()] * 9
+def _alpha_packed(s):
+    return _packed(list(map(alpha_of, s.vs)))
 
 
 def test_histogram_rows_equal_sorted_signature_rows():
@@ -350,8 +353,8 @@ def test_histogram_rows_equal_sorted_signature_rows():
         for k in (1, 2):
             rows = classify_levels(c, k)
             assert rows == _sorted_signature_rows(c, k, counting.alpha_columns)
-            # Columns as int tuples, as classify_roots gives them.
-            assert counting._table_rows(c, k, _alpha_tuples) == rows
+            # Alphas packed from alpha_of per vector, as classify_roots packs its roots.
+            assert counting._table_rows(c, k, _alpha_packed) == rows
 
 
 def _spread(c, k, width, wide=()):
@@ -371,25 +374,31 @@ def _spread(c, k, width, wide=()):
 
 def test_histogram_rows_off_coefficients_past_the_table_range(monkeypatch):
     # Today's real alpha coefficients lie in [-4, 0]: spread them to about +-60 on
-    # byte columns, and past a byte lane (200 - 2) on int tuples, the columns that
-    # classify_roots hands the row builder.  Such a stratum does not pack: building
-    # it raises, naming the bound, so its int tuples ride on a bare Stratum.
+    # byte lanes.  Past a byte lane (200 - 2) a stratum does not pack, and neither do
+    # its alphas: the row builder reads byte lanes alone, so both raise, naming the bound.
     cases = [(c, k, width, wide) for c in (E8, E7) for k in (1, 2)
              for width, wide in ((60, ()), (3, (2,)), (30, (1, 7, 8)))]
+    past = "^a packed value passes the lane bound 127$"
     for c, k, width, wide in cases:
         vs, qs = _spread(c, k, width, wide)
         if wide:
-            with pytest.raises(LatticeError, match="^a packed value passes the lane bound 127$"):
+            with pytest.raises(LatticeError, match=past):
                 stratum(k, vs, qs)
-        s = counting.Stratum(k, vs, qs, None, None) if wide else stratum(k, vs, qs)
+            bare = counting.Stratum(k, vs, qs, None, None)
+            monkeypatch.setattr(counting, "b_classes", lambda cc, kk: bare)
+            with pytest.raises(LatticeError, match=past):
+                counting._table_rows(c, k, _alpha_packed)
+            monkeypatch.undo()
+            continue
+        s = stratum(k, vs, qs)
         monkeypatch.setattr(counting, "b_classes", lambda cc, kk: s)
-        values = {x for col in pin.code_columns(c.code, _alpha_tuples(s))[1 : c.code.n_real + 1] for x in col}
+        values = {x for row in pin.code_columns(c.code, _alpha_packed(s)).rows()
+                  for x in row[1 : c.code.n_real + 1]}
         assert min(values) < -4 and max(values) > 0
-        rows = counting._table_rows(c, k, _alpha_tuples)
-        assert rows == _sorted_signature_rows(c, k, _alpha_tuples), (c.id, k, width)
+        rows = counting._table_rows(c, k, _alpha_packed)
+        assert rows == _sorted_signature_rows(c, k, _alpha_packed), (c.id, k, width)
         assert sum(r.count for r in rows) == len(vs)
-        if not wide:
-            assert classify_levels(c, k) == rows == _sorted_signature_rows(c, k, counting.alpha_columns)
+        assert classify_levels(c, k) == rows == _sorted_signature_rows(c, k, counting.alpha_columns)
         monkeypatch.undo()
 
 
@@ -577,9 +586,8 @@ def _perturb_evaluator(shift):
     def patch(monkeypatch):
         good = counting.qhat_columns
 
-        def bad(columns, n, square, twist):
-            coords = zip(*map(lattice.Columns.pack(n, ()).lanes, columns))
-            return bytes((q + shift(x)) % 4 for q, x in zip(good(columns, n, square, twist), coords))
+        def bad(xs, square, twist):
+            return bytes((q + shift(x)) % 4 for q, x in zip(good(xs, square, twist), xs.rows()))
 
         monkeypatch.setattr(counting, "qhat_columns", bad)
     return patch

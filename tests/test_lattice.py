@@ -58,9 +58,9 @@ def test_intersect_symmetric_bilinear():
 
 
 def test_degree():
-    assert MINUS_K.degree == 1
-    assert MINUS_2K.degree == 2
-    assert L[0].degree == 1
+    assert -MINUS_K.dot(K) == 1
+    assert -MINUS_2K.dot(K) == 2
+    assert -L[0].dot(K) == 1
     assert MINUS_2K.square == 4
 
 

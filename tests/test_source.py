@@ -1,8 +1,10 @@
 """Source hygiene: every name a dp1 module imports is used in that module, only
 the modules that own the class table name a class id, no module reads the
-process environment, and only `lattice` names the byte-lane bound."""
+process environment, only `lattice` names the byte-lane bound, and every
+definition is reached from the CLI or a benchmark layer."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,6 +33,9 @@ ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
 # against them, and every other module reaches the lanes through it.
 LANE_NAMES = {"LANE", "ABS"}
 LANE_OWNER = "lattice.py"
+
+# The benchmark's tracer names its layers in dp1, so they are roots of the walk.
+BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,6 +75,55 @@ def environment_reads(source: str) -> list[str]:
     return names_read(source, ENVIRONMENT_NAMES)
 
 
+def unreached(sources: dict[str, str], roots: list[str]) -> list[str]:
+    """The top-level functions, classes, methods and module constants of the modules
+    (name: source) that no walk from the roots, given as "module.name" or
+    "module.Class.method", reaches, sorted.  The walk goes by name: a reached
+    definition reaches each definition, in any module, that a Name or an Attribute
+    in its body names.  A class reaches its dunder methods, and a module's other
+    top-level statements are roots."""
+    defs = {}  # key: (name, the nodes it reads, the keys it reaches by itself)
+    for module, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            if isinstance(node, ast.ClassDef):
+                methods = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+                rest = [n for n in node.body if n not in methods]
+                dunders = [f"{module}.{node.name}.{f.name}" for f in methods if f.name.startswith("__")]
+                reads = [*node.bases, *node.keywords, *node.decorator_list, *rest]
+                defs[f"{module}.{node.name}"] = (node.name, reads, dunders)
+                defs.update((f"{module}.{node.name}.{f.name}", (f.name, [f], [])) for f in methods)
+            elif isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = (node.name, [node], [])
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update((f"{module}.{n.id}", (n.id, [node], [])) for t in targets
+                            for n in ast.walk(t) if isinstance(n, ast.Name))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                defs[f"{module}:{i}"] = (None, [node], [])
+                roots = [*roots, f"{module}:{i}"]
+    assert set(roots) <= set(defs), sorted(set(roots) - set(defs))
+    by_name = {}
+    for key, (name, _, _) in defs.items():
+        by_name.setdefault(name, []).append(key)
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            _, nodes, implied = defs[key]
+            todo += implied
+            for n in (n for node in nodes for n in ast.walk(node)):
+                todo += by_name.get(n.id if isinstance(n, ast.Name) else getattr(n, "attr", None), [])
+    return sorted(key for key, (name, _, _) in defs.items() if name is not None and key not in seen)
+
+
+def tracer_layers() -> list[str]:
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [f"{module}.{path}" for module, path in tracer.LAYERS]
+
+
 def test_the_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom dataclasses import dataclass\nos.sep\n") == ["dataclass"]
 
@@ -86,6 +140,24 @@ def test_the_scan_sees_an_environment_read():
 def test_the_scan_sees_a_lane_name():
     source = "from .lattice import LANE as bound\nx = lattice.ABS\nLANES = 2\n"
     assert names_read(source, LANE_NAMES) == ["ABS", "LANE"]
+
+
+def test_the_walk_sees_an_unreached_definition():
+    sources = {
+        "a": "import b\nLIMIT = 3\nSPARE = 4\ndef main():\n    return b.Box(LIMIT).size\n"
+             "if __name__ == '__main__':\n    main()\n",
+        "b": "class Box:\n    def __init__(self, n):\n        self.n = n\n"
+             "    @property\n    def size(self):\n        return self.n\n"
+             "    def volume(self):\n        return helper(self.n)\n"
+             "def helper(n):\n    return n ** 3\n",
+    }
+    assert unreached(sources, []) == ["a.SPARE", "b.Box.volume", "b.helper"]
+    assert unreached(sources, ["b.Box.volume"]) == ["a.SPARE"]
+
+
+def test_every_definition_is_reached_from_the_cli_or_a_bench_layer():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreached(sources, ["cli.main", *tracer_layers()]) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -241,8 +241,8 @@ def test_a_b2_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypa
 
 @pytest.mark.parametrize("scale", [3, 40, 100, 200])
 def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monkeypatch, scale):
-    # scale * u lies in no stratum.  At 3 and 40 the first packed pass sees it and the
-    # exact walk names it.  At 100 its lanes pack but may pass 127 in v.K, and at 200
+    # scale * u lies in no stratum.  At 3 and 40 the first packed pass sees it and
+    # names it.  At 100 its lanes pack but may pass 127 in v.K, and at 200
     # they do not pack: either way the check raises, naming the lane bound, and never
     # reads a wrapped lane.
     u = MINUS_2K - _alpha_with(E8, 2, 1, vanishing_roots(E8)[0])
@@ -254,32 +254,31 @@ def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monke
         wallcross.q_index_cached(E8.id)
 
 
-def test_the_packed_pass_decides_every_green_reflection(monkeypatch):
-    # The exact walk reads each v.b through dot_tuples; on green data the packed
-    # pass decides every (simple root, stratum), so a silent fallback shows here.
-    walked = []
-    exact = wallcross.dot_tuples
-    monkeypatch.setattr(wallcross, "dot_tuples", lambda a, b: walked.append(a) or exact(a, b))
-    classes = [c for c in deformation_classes() if c.rank]
-    for c in classes:
-        wallcross.q_index_cached.__wrapped__(c.id)
-    assert len(classes) == 10 and walked == []
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_class_off_k_perp_fails_the_reflection_check(monkeypatch, k):
     # w = v + H has the l1..l8 of the stratum vector v, so its 64-bit key is v's,
-    # and w.K = -3: the packed pass may not decide the stratum, and the exact walk
-    # names w.
+    # and w.K = -3: the set-up's v.K guard names w before the keys are read.
     w = PicClass(b_classes(E8, k).vs[0]) + H
     monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, k, w))
-    with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {w} by (")):
+    message = f"{w} in B^{2 * k} of M-connected is not in K-perp"
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        wallcross.q_index_cached.__wrapped__(E8.id)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_class_listed_twice_fails_the_reflection_check(monkeypatch, k):
+    # v appended once more keeps v.K = 0 and every lane in bound, but two keys
+    # collide: the images could no longer be the n classes.
+    v = PicClass(b_classes(E8, k).vs[7])
+    monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, k, v))
+    with pytest.raises(LatticeError, match=f"^B\\^{2 * k} of M-connected lists a class twice$"):
         wallcross.q_index_cached.__wrapped__(E8.id)
 
 
 def test_a_class_off_k_perp_that_keeps_every_key_fails_the_reflection_check(monkeypatch):
     # M-4's simple roots have no h, so replacing -b by w = -b + H with q(-b) keeps
-    # every key and every predicted q: only the v.K = 0 guard tells w from -b.
+    # every key and every predicted q: only the v.K = 0 guard tells w from -b, and
+    # it names w.
     b = lambda_basis(M4.id).basis[0]
     w = -b + H
     good = wallcross.b_classes
@@ -289,7 +288,8 @@ def test_a_class_off_k_perp_that_keeps_every_key_fails_the_reflection_check(monk
         return stratum(k, tuple(w.coeffs if v == (-b).coeffs else v for v in s.vs), s.qs)
 
     monkeypatch.setattr(wallcross, "b_classes", spoiled)
-    with pytest.raises(LatticeError, match=re.escape(f"reflection left the stratum: {w} by {b}")):
+    message = f"{w} in B^2 of M-4 is not in K-perp"
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
         wallcross.q_index_cached.__wrapped__(M4.id)
 
 
