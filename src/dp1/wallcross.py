@@ -12,9 +12,10 @@ E sum to rank-linear values; `delta_table` counts both at one root.
 
 The reflection facts belong to the class, not to E: `q_index_cached` checks on
 the class's simple roots b that B^2 and B^4 are closed under s_b with q(s_b v) =
-q(v) + (v.b)(q(b) + 2) mod 4.  The simple reflections generate the Weyl group and
-every root is conjugate to a simple one, so this is the law for every root E; for
-q(E) = 0 it shifts q by 2 iff |v.E| = 1.
+q(v) + (v.b)(q(b) + 2) mod 4, on the search's coordinates, where s_b moves one.
+The simple reflections generate the Weyl group and every root is conjugate to a
+simple one, so this is the law for every root E; for q(E) = 0 it shifts q by 2
+iff |v.E| = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import ne
 from typing import NamedTuple
 
 from . import golden
-from .lattice import FORM, K, MINUS_K, MINUS_2K, Column, Columns, LatticeError, PicClass, form_row
+from .lattice import FORM, MINUS_K, MINUS_2K, Column, Columns, LatticeError, PicClass
 from .counting import alpha_of, b_classes, sign_of
 from .pin import MOD4
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
@@ -51,49 +52,44 @@ def vanishing_roots_cached(class_id: str) -> tuple[PicClass, ...]:
 @lru_cache(maxsize=None)
 def q_index_cached(class_id: str) -> dict[tuple[int, ...], int]:
     """{v: q} of the B^2 stratum vectors of the class, after checking on every simple
-    root b that B^2 and B^4 are closed under s_b(v) = v + (v.b)b with q(s_b v) = q(v)
-    + (v.b)(q(b) + 2) mod 4.  Each stratum is checked once first: its packed v.K is
-    0 and its keys, each class's l1..l8 (`_keys`), are distinct.  So a key names one
-    class of K-perp (v.K = 0 fixes h; b.K = 0), and s_b is injective: the n images
-    are the n classes.  Then one packed pass per (b, stratum) forms every v.b, image
-    and predicted q by `Columns.combine`, looks each image's q up by its key, and
-    names the first class whose image is missing or whose q differs."""
-    strata = [b_classes(get_class(class_id), k) for k in (1, 2)]
+    root b_i that B^2 and B^4 are closed under s_i(v) = v + (v.b_i)b_i with q(s_i v) =
+    q(v) + (v.b_i)(q(b_i) + 2) mod 4.  The check reads each stratum's search
+    coordinates x over the simple roots (`Stratum.xs`), whose keys (`_keys`) name
+    their vectors and must be distinct: s_i is injective, so the n images are the n
+    classes.  s_i moves x_i alone, by t = v.b_i off the Cartan row of b_i, so one
+    packed pass per (b_i, stratum) forms t, the predicted q and the image column
+    x_i + t by `Columns.combine`, looks each image's q up by its key, and names the
+    first class whose image is missing or whose q differs."""
+    lat, strata = lambda_basis(class_id), [b_classes(get_class(class_id), k) for k in (1, 2)]
     q_of = dict(zip(strata[0].vs, strata[0].qs))
     packs = []
     for s in strata:
-        cols, name = s.columns, f"B^{2 * s.k} of {class_id}"
-        what = f"a reflection of {name}"
-        v_k = cols.combine(zip(form_row(K), cols.cols), what).packed
-        if v_k:  # its lowest set bit lies in the lane of the first class off K-perp
-            w = PicClass(s.vs[((v_k & -v_k).bit_length() - 1) // 8])
-            raise LatticeError(f"{w} in {name} is not in K-perp")
-        own = dict(zip(_keys(cols, cols.cols[1:]), s.qs))
-        if len(own) < cols.n:
+        xs, name = s.xs, f"B^{2 * s.k} of {class_id}"
+        own = dict(zip(_keys(xs, xs.cols), s.qs))
+        if len(own) < xs.n:
             raise LatticeError(f"{name} lists a class twice")
-        packs.append((s.vs, cols, Columns.pack(cols.n, [s.qs]).cols[0], own, what))
-    for b in lambda_basis(class_id).basis:
-        bc, row = b.coeffs, form_row(b)
-        q_b = q_of.get(bc)
+        packs.append((s.vs, xs, Columns.pack(xs.n, [s.qs]).cols[0], own, f"a reflection of {name}"))
+    for i, (b, row) in enumerate(zip(lat.basis, lat.gram)):
+        q_b = q_of.get(b.coeffs)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
-        for vs, cols, qs, own, what in packs:
-            t = cols.combine(zip(row, cols.cols), what)
-            q_images = cols.combine(((1, qs), ((q_b + 2) % 4, t)), what)
-            want = list(bytes(cols.lanes(q_images.packed)).translate(MOD4))
-            images = [cols.combine(((1, x), (y, t)), what) if y else x
-                      for x, y in zip(cols.cols[1:], bc[1:])]
-            got = list(map(own.get, _keys(cols, images)))
+        for vs, xs, qs, own, what in packs:
+            t = xs.combine(zip(row, xs.cols), what)
+            q_images = xs.combine(((1, qs), ((q_b + 2) % 4, t)), what)
+            want = list(bytes(xs.lanes(q_images.packed)).translate(MOD4))
+            images = list(xs.cols)
+            images[i] = xs.combine(((1, images[i]), (1, t)), what)
+            got = list(map(own.get, _keys(xs, images)))
             if got != want:
-                i = list(map(ne, got, want)).index(True)
-                v = PicClass(vs[i])
-                raise LatticeError(f"reflection left the stratum: {v} by {b}" if got[i] is None
+                j = list(map(ne, got, want)).index(True)
+                v = PicClass(vs[j])
+                raise LatticeError(f"reflection left the stratum: {v} by {b}" if got[j] is None
                                    else f"reflection law failed at {v} by {b}")
     return q_of
 
 
 def _keys(cols: Columns, images: list[Column]) -> memoryview:
-    # The l1..l8 lanes of n classes, given as their 8 packed columns, as one 64-bit int each.
+    # The coordinate lanes of n vectors, given as at most 8 packed columns, as one 64-bit int each.
     rows = bytearray(8 * cols.n)
     for j, col in enumerate(images):
         rows[j::8] = cols.lanes(col.packed)

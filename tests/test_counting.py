@@ -593,9 +593,12 @@ def _perturb_evaluator(shift):
     return patch
 
 
-def _flip_sixth_d6_four_vector(monkeypatch):
-    sixth = _d6_four_coords()[5]
-    _perturb_evaluator(lambda coords: 2 * (coords == sixth))(monkeypatch)
+def _flip_sixth_four_vector(c):
+    # q shifted by 2 on the sixth B^4 vector of c, in search order.
+    def patch(monkeypatch):
+        sixth = enumerate_coordinates(lambda_basis(c.id), -4)[5]
+        _perturb_evaluator(lambda coords: 2 * (coords == sixth))(monkeypatch)
+    return patch
 
 
 D6_FOUR = {f"{name}:M-2-connected" for name in (
@@ -646,7 +649,12 @@ FAULTS = {
     # Stratum closure and the reflection law, checked once per class on its simple roots.
     "d6_four_vector_pair_dropped": (D6.id, _drop_first_d6_four_vector, D6_FOUR | {
         "card_four_vectors:M-2-connected"}),
-    "d6_four_vector_q_flipped": (D6.id, _flip_sixth_d6_four_vector, D6_FOUR),
+    "d6_four_vector_q_flipped": (D6.id, _flip_sixth_four_vector(D6), D6_FOUR),
+    # The same on a code class, whose tables and cross-model sums read q too.
+    "e7_four_vector_q_flipped": (E7.id, _flip_sixth_four_vector(E7), {
+        f"{name}:M-1-connected" for name in (
+            "delta_table", "four_sum", "cross_model_four", "pair_total_96", "total_30")} | {
+        "table5_rows", "table5_bilevel_rule", "table6:M-1:c4_plus"}),
     "non_quadratic_evaluator": (D6.id, _perturb_evaluator(
         lambda coords: 2 * (coords[0] % 2) * (coords[1] % 2)), {
         f"{name}:M-2-connected" for name in ("delta_table", "pair_total_96")} | {
@@ -670,13 +678,15 @@ FAULTS = {
 }
 
 
-# The reflection check's text for the faults it catches, taken before it became a
-# packed pass: the exact walk names the first failing vector and simple root.
+# The reflection check's text for the faults it catches, as the exact walk that
+# preceded the packed pass names them: the first failing vector and simple root.
 REFLECTION_ERRORS = {
     "d6_four_vector_pair_dropped": "error: LatticeError: reflection left the stratum: "
                                    "(-2; 0,0,0,2,1,1,1,1) by (1; -1,-1,-1,0,0,0,0,0)",
     "d6_four_vector_q_flipped": "error: LatticeError: reflection law failed at "
                                 "(-3; 0,1,2,2,1,1,1,1) by (0; 0,1,-1,0,0,0,0,0)",
+    "e7_four_vector_q_flipped": "error: LatticeError: reflection law failed at "
+                                "(-4; 2,1,1,2,2,2,1,1) by (0; 0,0,1,-1,0,0,0,0)",
     "non_quadratic_evaluator": "error: LatticeError: reflection law failed at "
                                "(-3; 1,1,2,1,1,1,1,1) by (1; -1,-1,-1,0,0,0,0,0)",
 }
@@ -687,7 +697,7 @@ def test_the_reflection_check_names_the_first_failing_vector(fresh_caches, monke
     scope, perturb, _ = FAULTS[fault]
     perturb(monkeypatch)
     actual = {r.name: r.actual for r in _records(scope) if not r.passed and isinstance(r.actual, str)}
-    assert actual == {"delta_table:M-2-connected": REFLECTION_ERRORS[fault]}
+    assert actual == {f"delta_table:{scope}": REFLECTION_ERRORS[fault]}
 
 
 def test_clear_model_caches_finds_every_cache():

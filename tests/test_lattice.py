@@ -103,6 +103,15 @@ def test_span_rejects_non_kperp_and_dependent():
         Sublattice.span([e, 2 * e])
 
 
+def test_span_names_the_first_basis_vector_off_k_perp():
+    # Every stratum vector is spanned by a class's basis, so this guard is what keeps
+    # each of them in K-perp: the reflection check reads coordinates and trusts it.
+    e = pic(0, 1, -1, 0, 0, 0, 0, 0, 0)
+    message = r"^basis vector \(1; 1,-1,0,0,0,0,0,0\) is not orthogonal to K$"
+    with pytest.raises(LatticeError, match=message):
+        Sublattice.span([e, e + H, H])
+
+
 def test_enumerate_rejects_bad_norm(kperp):
     with pytest.raises(LatticeError):
         enumerate_vectors(kperp, 0)

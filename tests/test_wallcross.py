@@ -1,14 +1,16 @@
 import random
 import re
+from operator import ne
 
 import pytest
 
-from conftest import l, vanishing_qhat
+from conftest import vanishing_qhat
+from test_counting import FAULTS, REFLECTION_ERRORS
 from dp1 import wallcross
 from dp1.counting import alpha_of, b_classes, sign_of, stratum
 from dp1.golden import SPLITTING_TABLE
-from dp1.lattice import MINUS_2K, MINUS_K, LatticeError, PicClass, dot_tuples
-from dp1.pin import POSITIVE_CODE, qhat_code
+from dp1.lattice import K, MINUS_2K, MINUS_K, Columns, LatticeError, PicClass, dot_tuples, form_row
+from dp1.pin import MOD4, POSITIVE_CODE, qhat_code
 from dp1.real_forms import deformation_classes, get_class, lambda_basis
 from dp1.report import build_records
 from dp1.wallcross import (
@@ -21,7 +23,6 @@ from dp1.wallcross import (
 )
 
 RNG = random.Random(7)
-H = l(0)
 
 E8 = get_class("M-connected")
 M4 = get_class("M-4")
@@ -49,10 +50,15 @@ def _alpha_with(c, stratum, t, root):
 
 
 def _with_extra(good, k, w):
-    """The strata of good with the class w, q = 0, appended to B^{2k}."""
+    """The strata of good with the class w, q = 0, appended to B^{2k}: its ambient
+    coefficients to vs, and its coordinates over the simple roots to xs."""
     def spoiled(c, j):
         s = good(c, j)
-        return stratum(j, s.vs + (w.coeffs,), s.qs + (0,)) if j == k else s
+        if j != k:
+            return s
+        rows = s.xs.rows() + [lambda_basis(c.id).coordinates_of(w)]
+        xs = Columns.pack(len(rows), list(zip(*rows)))
+        return stratum(j, s.vs + (w.coeffs,), s.qs + (0,), xs=xs)
     return spoiled
 
 
@@ -239,58 +245,87 @@ def test_a_b2_lane_beyond_the_cauchy_schwarz_bound_raises(fresh_caches, monkeypa
         delta_table(E8, root)
 
 
-@pytest.mark.parametrize("scale", [3, 40, 100, 200])
+@pytest.mark.parametrize("scale", [3, 40, 100, 120, 200])
 def test_a_spoiled_stratum_vector_fails_the_reflection_check(fresh_caches, monkeypatch, scale):
-    # scale * u lies in no stratum.  At 3 and 40 the first packed pass sees it and
-    # names it.  At 100 its lanes pack but may pass 127 in v.K, and at 200
-    # they do not pack: either way the check raises, naming the lane bound, and never
-    # reads a wrapped lane.
+    # u is the simple root b_7, so scale * u has the coordinates scale * e_7 and lies
+    # in no stratum.  The pass by b_6 meets it first, with lane bounds 14 + scale on
+    # t and 18 + scale on the image x_6 + t: up to 109 it names scale * u.  At 120
+    # its lanes pack but t may pass 127, and at 200 they do not pack: either way the
+    # check raises, naming the lane bound, and never reads a wrapped lane.
     u = MINUS_2K - _alpha_with(E8, 2, 1, vanishing_roots(E8)[0])
     monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, 2, scale * u))
     left = re.escape(f"reflection left the stratum: {scale * u} by (")
-    message = {100: r"^a reflection of B\^4 of M-connected may pass the lane bound 127$",
+    message = {120: r"^a reflection of B\^4 of M-connected may pass the lane bound 127$",
                200: "^a packed value passes the lane bound 127$"}.get(scale, left)
     with pytest.raises(LatticeError, match=message):
         wallcross.q_index_cached(E8.id)
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_a_class_off_k_perp_fails_the_reflection_check(monkeypatch, k):
-    # w = v + H has the l1..l8 of the stratum vector v, so its 64-bit key is v's,
-    # and w.K = -3: the set-up's v.K guard names w before the keys are read.
-    w = PicClass(b_classes(E8, k).vs[0]) + H
-    monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, k, w))
-    message = f"{w} in B^{2 * k} of M-connected is not in K-perp"
-    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
-        wallcross.q_index_cached.__wrapped__(E8.id)
-
-
-@pytest.mark.parametrize("k", [1, 2])
 def test_a_class_listed_twice_fails_the_reflection_check(monkeypatch, k):
-    # v appended once more keeps v.K = 0 and every lane in bound, but two keys
-    # collide: the images could no longer be the n classes.
+    # v appended once more keeps every lane in bound, but two keys collide: the
+    # images could no longer be the n classes.
     v = PicClass(b_classes(E8, k).vs[7])
     monkeypatch.setattr(wallcross, "b_classes", _with_extra(wallcross.b_classes, k, v))
     with pytest.raises(LatticeError, match=f"^B\\^{2 * k} of M-connected lists a class twice$"):
         wallcross.q_index_cached.__wrapped__(E8.id)
 
 
-def test_a_class_off_k_perp_that_keeps_every_key_fails_the_reflection_check(monkeypatch):
-    # M-4's simple roots have no h, so replacing -b by w = -b + H with q(-b) keeps
-    # every key and every predicted q: only the v.K = 0 guard tells w from -b, and
-    # it names w.
-    b = lambda_basis(M4.id).basis[0]
-    w = -b + H
-    good = wallcross.b_classes
+def _ambient_reflection_check(class_id):
+    """The reflection check on the strata's ambient columns, as it stood before it
+    read the search's coordinates: a key l1..l8 names a class only after a
+    whole-stratum v.K = 0 guard, and each image sums one column per nonzero
+    coefficient of b.  Returns `q_index_cached`'s {v: q} or raises its texts."""
+    strata = [b_classes(get_class(class_id), k) for k in (1, 2)]
+    q_of = dict(zip(strata[0].vs, strata[0].qs))
+    packs = []
+    for s in strata:
+        cols, name = s.columns, f"B^{2 * s.k} of {class_id}"
+        what = f"a reflection of {name}"
+        v_k = cols.combine(zip(form_row(K), cols.cols), what).packed
+        if v_k:  # its lowest set bit lies in the lane of the first class off K-perp
+            w = PicClass(s.vs[((v_k & -v_k).bit_length() - 1) // 8])
+            raise LatticeError(f"{w} in {name} is not in K-perp")
+        own = dict(zip(wallcross._keys(cols, cols.cols[1:]), s.qs))
+        if len(own) < cols.n:
+            raise LatticeError(f"{name} lists a class twice")
+        packs.append((s.vs, cols, Columns.pack(cols.n, [s.qs]).cols[0], own, what))
+    for b in lambda_basis(class_id).basis:
+        bc, row = b.coeffs, form_row(b)
+        q_b = q_of.get(bc)
+        if q_b is None:
+            raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
+        for vs, cols, qs, own, what in packs:
+            t = cols.combine(zip(row, cols.cols), what)
+            q_images = cols.combine(((1, qs), ((q_b + 2) % 4, t)), what)
+            want = list(bytes(cols.lanes(q_images.packed)).translate(MOD4))
+            images = [cols.combine(((1, x), (y, t)), what) if y else x
+                      for x, y in zip(cols.cols[1:], bc[1:])]
+            got = list(map(own.get, wallcross._keys(cols, images)))
+            if got != want:
+                i = list(map(ne, got, want)).index(True)
+                v = PicClass(vs[i])
+                raise LatticeError(f"reflection left the stratum: {v} by {b}" if got[i] is None
+                                   else f"reflection law failed at {v} by {b}")
+    return q_of
 
-    def spoiled(c, k):
-        s = good(c, k)
-        return stratum(k, tuple(w.coeffs if v == (-b).coeffs else v for v in s.vs), s.qs)
 
-    monkeypatch.setattr(wallcross, "b_classes", spoiled)
-    message = f"{w} in B^2 of M-4 is not in K-perp"
-    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
-        wallcross.q_index_cached.__wrapped__(M4.id)
+def test_the_coordinate_check_equals_the_ambient_pass_on_every_class():
+    ids = [c.id for c in deformation_classes() if c.rank]
+    assert len(ids) == 10
+    for class_id in ids:
+        assert wallcross.q_index_cached(class_id) == _ambient_reflection_check(class_id)
+
+
+@pytest.mark.parametrize("fault", list(REFLECTION_ERRORS))
+def test_the_coordinate_check_and_the_ambient_pass_name_the_same_failure(fresh_caches, monkeypatch,
+                                                                         fault):
+    scope, perturb, _ = FAULTS[fault]
+    perturb(monkeypatch)
+    message = re.escape(REFLECTION_ERRORS[fault].removeprefix("error: LatticeError: "))
+    for check in (wallcross.q_index_cached.__wrapped__, _ambient_reflection_check):
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            check(scope)
 
 
 def test_orth_root_sum_values():
