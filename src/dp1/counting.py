@@ -17,7 +17,7 @@ from operator import neg, sub
 from typing import Callable, NamedTuple
 
 from . import golden
-from .lattice import MINUS_2K, RANK, ZERO, Columns, LatticeError, enumerate_coordinates
+from .lattice import MINUS_2K, RANK, Columns, LatticeError, enumerate_coordinates
 from .pin import code_columns, qhat_code, qhat_columns
 from .real_forms import DeformationClass, bertini_dual, get_class, lambda_basis
 
@@ -26,22 +26,15 @@ ORDERED = bytes(range(128, 256)) + bytes(range(128))  # a signed byte lane as va
 
 class Stratum(NamedTuple):
     """B^{2k} as columns, in search order: each stratum vector v as its coefficient
-    9-tuple, with alpha = -2K - v, and its quadratic value q.  `columns` are the
-    coefficient columns of the vs (`lattice.Columns`), and `xs` the search's
-    coordinate columns over the simple roots (`Columns`), where a search built it."""
+    9-tuple, with alpha = -2K - v, and its quadratic value q, one byte each.
+    `columns` are the coefficient columns of the vs (`lattice.Columns`), and `xs`
+    the search's coordinate columns over the simple roots (`Columns`)."""
 
     k: int
     vs: tuple[tuple[int, ...], ...]
-    qs: tuple[int, ...]
+    qs: bytes
     columns: Columns
-    xs: Columns | None
-
-
-def stratum(k: int, vs: tuple[tuple[int, ...], ...], qs: tuple[int, ...],
-            columns: Columns | None = None, xs: Columns | None = None) -> Stratum:
-    """The one constructor: it packs the columns of vs where the search did not
-    (`Sublattice.pic_columns`)."""
-    return Stratum(k, vs, qs, columns or _pack(vs), xs)
+    xs: Columns
 
 
 def _pack(vs) -> Columns:
@@ -58,17 +51,13 @@ def twist(c: DeformationClass) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def b_classes_cached(class_id: str, k: int) -> Stratum:
-    c = get_class(class_id)
-    if k == 0:
-        return stratum(0, (ZERO.coeffs,), (0,))
-    lat = lambda_basis(class_id)
-    coords = enumerate_coordinates(lat, -2 * k)
-    xs, columns = lat.pic_columns(coords)
-    return stratum(k, tuple(columns.rows()), tuple(qhat_columns(xs, -2 * k, twist(c))), columns, xs)
+    c, lat = get_class(class_id), lambda_basis(class_id)
+    xs, columns = lat.pic_columns(enumerate_coordinates(lat, -2 * k) if k else [(0,) * lat.rank])
+    return Stratum(k, tuple(columns.rows()), qhat_columns(xs, -2 * k, twist(c)), columns, xs)
 
 
 def b_classes(c: DeformationClass, k: int) -> Stratum:
-    """The stratum B^{2k} of the class, k in {0, 1, 2}, with quadratic values filled."""
+    """The stratum B^{2k} of the class, k in {0, 1, 2}; B^0 is the coordinate row 0."""
     if k not in (0, 1, 2):
         raise LatticeError(f"stratum index must be 0, 1 or 2, got {k}")
     return b_classes_cached(c.id, k)

@@ -54,32 +54,33 @@ def q_index_cached(class_id: str) -> dict[tuple[int, ...], int]:
     """{v: q} of the B^2 stratum vectors of the class, after checking on every simple
     root b_i that B^2 and B^4 are closed under s_i(v) = v + (v.b_i)b_i with q(s_i v) =
     q(v) + (v.b_i)(q(b_i) + 2) mod 4.  The check reads each stratum's search
-    coordinates x over the simple roots (`Stratum.xs`), whose keys (`_keys`) name
-    their vectors and must be distinct: s_i is injective, so the n images are the n
-    classes.  s_i moves x_i alone, by t = v.b_i off the Cartan row of b_i, so one
-    packed pass per (b_i, stratum) forms t, the predicted q and the image column
-    x_i + t by `Columns.combine`, looks each image's q up by its key, and names the
-    first class whose image is missing or whose q differs."""
+    coordinates x over the simple roots (`Stratum.xs`), whose key rows (`_keys`, built
+    once) name their vectors and must be distinct: s_i is injective, so the n images
+    are the n classes.  s_i moves x_i alone, by t = v.b_i off the Cartan row of b_i, so
+    one packed pass per (b_i, stratum) forms t, the predicted q and x_i + t by
+    `Columns.combine`, looks each image's q up by the key rows with lane i set to
+    x_i + t, and names the first class whose image is missing or whose q differs."""
     lat, strata = lambda_basis(class_id), [b_classes(get_class(class_id), k) for k in (1, 2)]
     q_of = dict(zip(strata[0].vs, strata[0].qs))
     packs = []
     for s in strata:
         xs, name = s.xs, f"B^{2 * s.k} of {class_id}"
-        own = dict(zip(_keys(xs, xs.cols), s.qs))
+        own = dict(zip(keys := _keys(xs, xs.cols), s.qs))
         if len(own) < xs.n:
             raise LatticeError(f"{name} lists a class twice")
-        packs.append((s.vs, xs, Columns.pack(xs.n, [s.qs]).cols[0], own, f"a reflection of {name}"))
+        qs = Columns.pack(xs.n, [s.qs]).cols[0]
+        packs.append((s.vs, xs, qs, keys.obj, own, f"a reflection of {name}"))
     for i, (b, row) in enumerate(zip(lat.basis, lat.gram)):
         q_b = q_of.get(b.coeffs)
         if q_b is None:
             raise LatticeError(f"simple root {b} is missing from B^2 of {class_id}")
-        for vs, xs, qs, own, what in packs:
+        for vs, xs, qs, rows, own, what in packs:
             t = xs.combine(zip(row, xs.cols), what)
             q_images = xs.combine(((1, qs), ((q_b + 2) % 4, t)), what)
             want = list(bytes(xs.lanes(q_images.packed)).translate(MOD4))
-            images = list(xs.cols)
-            images[i] = xs.combine(((1, images[i]), (1, t)), what)
-            got = list(map(own.get, _keys(xs, images)))
+            images = bytearray(rows)  # the key rows, with lane i moved to x_i + t
+            images[i::8] = xs.lanes(xs.combine(((1, xs.cols[i]), (1, t)), what).packed)
+            got = list(map(own.get, memoryview(images).cast("q")))
             if got != want:
                 j = list(map(ne, got, want)).index(True)
                 v = PicClass(vs[j])
@@ -102,7 +103,7 @@ def packed_stratum(class_id: str, k: int) -> tuple[int, int, tuple[int, ...]]:
     order: base, one translate of the q bytes, holds BIAS plus NEG where q = 2 mod 4
     (`sign_of` names the first odd q); sum_j x_j columns_j packs every v.x at once."""
     s = b_classes(get_class(class_id), k)
-    lanes = bytes(s.qs).translate(SIGN_LANES)
+    lanes = s.qs.translate(SIGN_LANES)
     if 0 in lanes:
         sign_of(s.qs[lanes.index(0)])
     columns = tuple(f * x for f, (x, _) in zip(FORM, s.columns.cols))  # FORM_j times packed column j

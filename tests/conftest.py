@@ -6,7 +6,8 @@ import pytest
 
 import dp1
 from dp1 import lattice, real_forms
-from dp1.lattice import LatticeError, PicClass, Sublattice, pic
+from dp1.counting import Stratum
+from dp1.lattice import RANK, Columns, LatticeError, PicClass, Sublattice, pic
 from dp1.pin import qhat_from_coordinates
 
 
@@ -33,6 +34,12 @@ def break_the_enumerator(monkeypatch) -> None:
         raise LatticeError(f"search of rank {len(gram)} at norm {norm} broke")
 
     monkeypatch.setattr(lattice, "_search", broken)
+
+
+def stratum(k: int, vs, qs, xs: Columns | None = None) -> Stratum:
+    """A stratum built by hand, to spoil or to repack one: qs as bytes, and the
+    coefficient columns of vs packed (so past a lane it raises)."""
+    return Stratum(k, vs, bytes(qs), Columns.pack(len(vs), list(zip(*vs)) or [()] * RANK), xs)
 
 
 def model_caches() -> list:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import pytest
 
 import dp1
-from conftest import break_the_enumerator, clear_model_caches, corrupt_4a1_embedding
+from conftest import break_the_enumerator, clear_model_caches, corrupt_4a1_embedding, stratum
 from dp1 import cli, counting, golden, real_forms, report, wallcross
 from dp1.lattice import K, PicClass, pic
 
@@ -293,7 +293,7 @@ def test_md_escapes_a_bar_inside_a_cell(fresh_caches, monkeypatch, capsys):
 
     def spoiled(c, k):
         s = good(c, k)
-        return counting.stratum(k, s.vs + ((3 * u).coeffs,), s.qs + (0,)) if k == 2 else s
+        return stratum(k, s.vs + ((3 * u).coeffs,), (*s.qs, 0)) if k == 2 else s
 
     monkeypatch.setattr(wallcross, "b_classes", spoiled)
     code, out = run_cli(capsys, "verify", "--format", "md")

@@ -11,6 +11,7 @@ from conftest import (
     clear_model_caches,
     corrupt_4a1_embedding,
     model_caches,
+    stratum,
     unimodular,
     vanishing_qhat,
 )
@@ -29,7 +30,6 @@ from dp1.counting import (
     sign_of,
     signed_sum,
     signed_total,
-    stratum,
 )
 from dp1.lattice import MINUS_2K, K, LatticeError, PicClass, Sublattice, enumerate_coordinates
 from dp1.pin import NEGATIVE_CODE, POSITIVE_CODE, Code, qhat_code
@@ -46,14 +46,26 @@ def test_b_class_cardinalities():
     assert len(b_classes(E7, 2).vs) == 756
     for k in (1, 2):
         s = b_classes(get_class("M-split"), k)
-        assert (s.vs, s.qs) == ((), ())
+        assert (s.vs, s.qs) == ((), b"")
 
 
 def test_b0_is_minus_2k(all_classes):
+    # B^0 comes off the search's path like B^2 and B^4: its columns are those of its
+    # one vector, v = 0, packed again.
     for c in all_classes:
         s = b_classes(c, 0)
         ((v,), (q,)) = s.vs, s.qs
         assert alpha_of(v) == MINUS_2K.coeffs and q == 0 and s.k == 0
+        assert s.columns == stratum(0, s.vs, s.qs).columns
+
+
+def test_b0_is_the_one_coordinate_row_zero(all_classes):
+    # n = 1 and c.rank zero coordinate columns, none at rank 0 (M-split): the twisted
+    # sum reads q = 0 off them as the stored one does.
+    for c in all_classes:
+        assert signed_sum(c, 0, (2,) * c.rank) == signed_sum(c, 0) == 1, c.id
+        xs = b_classes(c, 0).xs
+        assert (xs.n, xs.cols) == (1, (lattice.Column(0, 0),) * c.rank), c.id
 
 
 def test_each_stratum_holds_the_packed_columns_of_its_vectors(all_classes):
@@ -172,7 +184,7 @@ def test_a_value_other_than_0_and_2_is_summed_through_sign_of(monkeypatch):
     monkeypatch.setattr(counting, "b_classes", lifted)
     assert {4, 6} <= set(lifted(d6, 2).qs)
     assert [signed_sum(d6, k) for k in (1, 2)] == want
-    last_odd = lambda c, k: stratum(k, strata(c, k).vs, strata(c, k).qs[:-1] + (5,))
+    last_odd = lambda c, k: stratum(k, strata(c, k).vs, (*strata(c, k).qs[:-1], 5))
     monkeypatch.setattr(counting, "b_classes", last_odd)
     with pytest.raises(LatticeError, match="odd quadratic value 5 on"):
         signed_sum(d6, 2)
@@ -200,7 +212,7 @@ def test_the_column_evaluator_equals_the_per_vector_rule(fresh_caches, monkeypat
             coords = enumerate_coordinates(lat, -2 * k)
             if not coords:
                 continue
-            assert b_classes(c, k).qs == _per_vector_qs(coords, -2 * k, counting.twist(c))
+            assert tuple(b_classes(c, k).qs) == _per_vector_qs(coords, -2 * k, counting.twist(c))
             xs = lat.pic_columns(coords)[0]
             for t in twists(lat.rank):
                 got = pin.qhat_columns(xs, -2 * k, t)
@@ -725,7 +737,8 @@ def test_a_full_build_reads_q_and_alpha_off_columns(fresh_caches):
     # q and alpha come off packed columns for whole strata: alpha_of runs once per
     # splitting witness (E8's 11 keys), the per-vector evaluator only under qhat_code,
     # and qhat_code only in twist, once per simple root of each code class's B^2 and
-    # B^4 (8 + 7, twice).  The Cremona property reflects nothing class by class.
+    # B^4 (8 + 7, twice) and of E8's B^0, which the splitting witnesses read (8).
+    # The Cremona property reflects nothing class by class.
     names = {counting.alpha_of.__code__: "alpha_of", pin.qhat_from_coordinates.__code__: "qhat",
              pin.qhat_code.__code__: "qhat_code", lattice.reflect.__code__: "reflect"}
     calls = Counter()
@@ -744,7 +757,7 @@ def test_a_full_build_reads_q_and_alpha_off_columns(fresh_caches):
     assert sum(n for (name, _), n in calls.items() if name == "alpha_of") <= 11
     assert {(name, "twist" if caller in twist else caller.co_name): n
             for (name, caller), n in calls.items() if name != "alpha_of"} == {
-        ("qhat", "qhat_code"): 30, ("qhat_code", "twist"): 30}
+        ("qhat", "qhat_code"): 38, ("qhat_code", "twist"): 38}
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

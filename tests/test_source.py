@@ -1,7 +1,8 @@
 """Source hygiene: every name a dp1 module imports is used in that module, only
 the modules that own the class table name a class id, no module reads the
-process environment, only `lattice` names the byte-lane bound, and every
-definition is reached from the CLI or a benchmark layer."""
+process environment, only `lattice` names the byte-lane bound, one function
+builds every stratum, and every definition is reached from the CLI or a
+benchmark layer."""
 
 import ast
 import importlib.util
@@ -33,6 +34,9 @@ ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
 # against them, and every other module reaches the lanes through it.
 LANE_NAMES = {"LANE", "ABS"}
 LANE_OWNER = "lattice.py"
+
+# The one function that builds a `counting.Stratum`: B^0, B^2 and B^4 alike.
+STRATUM_BUILDER = "counting.b_classes_cached"
 
 # The benchmark's tracer names its layers in dp1, so they are roots of the walk.
 BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -73,6 +77,41 @@ def names_read(source: str, names: set[str]) -> list[str]:
 
 def environment_reads(source: str) -> list[str]:
     return names_read(source, ENVIRONMENT_NAMES)
+
+
+def callers_of(source: str, name: str) -> list[str]:
+    """The functions of the module, by dotted path through their classes and
+    enclosing functions, whose bodies call `name` as a name or an attribute, sorted;
+    a call outside any function is the module's own, "<module>"."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def optional_fields(source: str, cls: str) -> list[str]:
+    """The annotated fields of the module's class `cls` whose annotation admits
+    None (a None or an Optional in it, a string annotation parsed first)."""
+    fields = []
+    for node in (n for c in ast.parse(source).body if isinstance(c, ast.ClassDef) and c.name == cls
+                 for n in c.body if isinstance(n, ast.AnnAssign)):
+        note = node.annotation
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            note = ast.parse(note.value, mode="eval")
+        if any(isinstance(n, ast.Constant) and n.value is None or "Optional" in (
+                getattr(n, "id", None), getattr(n, "attr", None)) for n in ast.walk(note)):
+            fields.append(node.target.id)
+    return fields
 
 
 def unreached(sources: dict[str, str], roots: list[str]) -> list[str]:
@@ -140,6 +179,27 @@ def test_the_scan_sees_an_environment_read():
 def test_the_scan_sees_a_lane_name():
     source = "from .lattice import LANE as bound\nx = lattice.ABS\nLANES = 2\n"
     assert names_read(source, LANE_NAMES) == ["ABS", "LANE"]
+
+
+def test_the_scan_sees_each_caller_of_a_constructor():
+    source = ("x = Box(1)\nclass Shelf:\n    def fill(self):\n        return [mod.Box(n) for n in (1, 2)]\n"
+              "def build():\n    def inner():\n        return Box(0)\n    return inner\n"
+              "def read(box):\n    return box.Box\n")
+    assert callers_of(source, "Box") == ["<module>", "Shelf.fill", "build.inner"]
+
+
+def test_the_scan_sees_a_field_that_admits_none():
+    source = ("class Box(NamedTuple):\n    n: int\n    a: Columns | None\n    b: Optional[int]\n"
+              "    c: 'bytes | None'\n    d: typing.Optional[str]\n    e: tuple[int, ...]\n"
+              "class Other:\n    f: None\n")
+    assert optional_fields(source, "Box") == ["a", "b", "c", "d"]
+
+
+def test_one_function_builds_every_stratum():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    builders = [f"{module}.{f}" for module, source in sources.items() for f in callers_of(source, "Stratum")]
+    assert builders == [STRATUM_BUILDER]
+    assert optional_fields(sources["counting"], "Stratum") == []
 
 
 def test_the_walk_sees_an_unreached_definition():

@@ -4,10 +4,10 @@ from operator import ne
 
 import pytest
 
-from conftest import vanishing_qhat
+from conftest import stratum, vanishing_qhat
 from test_counting import FAULTS, REFLECTION_ERRORS
 from dp1 import wallcross
-from dp1.counting import alpha_of, b_classes, sign_of, stratum
+from dp1.counting import alpha_of, b_classes, sign_of
 from dp1.golden import SPLITTING_TABLE
 from dp1.lattice import K, MINUS_2K, MINUS_K, Columns, LatticeError, PicClass, dot_tuples, form_row
 from dp1.pin import MOD4, POSITIVE_CODE, qhat_code
@@ -58,7 +58,7 @@ def _with_extra(good, k, w):
             return s
         rows = s.xs.rows() + [lambda_basis(c.id).coordinates_of(w)]
         xs = Columns.pack(len(rows), list(zip(*rows)))
-        return stratum(j, s.vs + (w.coeffs,), s.qs + (0,), xs=xs)
+        return stratum(j, s.vs + (w.coeffs,), (*s.qs, 0), xs=xs)
     return spoiled
 
 
@@ -104,6 +104,8 @@ def test_splitting_fixed_cases():
     ((_, b0, _),) = _classes(E8, 0)
     ((r, _, _, d_dot_e),) = splittings(b0, root)
     assert (r, b0 - r * root, d_dot_e) == (1, MINUS_2K - root, 2)
+    # B^0's one class, v = 0, is orthogonal to every root: it witnesses the key (0, 0).
+    assert wallcross.splitting_witnesses(E8, root)[(0, 0)] == (0,) * 9
     b = _alpha_with(E8, 4, 2, root)
     ((r, stratum, _, d_dot_e),) = splittings(b, root)
     assert (r, stratum, d_dot_e) == (2, 4, 2)
