@@ -13,14 +13,37 @@ import argparse
 import io
 import json
 import sys
-from itertools import chain
-from typing import Iterable, NamedTuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple
 
 from . import counting, golden, real_forms, report, wallcross
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 FORMATS = ("json", "csv", "md")
+
+
+class Lanes(NamedTuple):
+    """Uniform rows of exact ints, one lane per int of a row: each (key, width) field is an
+    int (width 0) or a list of width ints.  `_write_json` writes `json`; `dicts` are the rows."""
+
+    fields: tuple[tuple[str, int], ...]
+    lanes: list
+
+    def dicts(self) -> Iterator[dict]:
+        return ({key: list(islice(values, w)) if w else next(values) for key, w in self.fields}
+                for values in map(iter, zip(*self.lanes)))
+
+    def json(self, indent: str) -> str:
+        """The list as `_write_json` writes it at indent: one template, filled from the lanes."""
+        n, inner, deeper = len(self.lanes[0]), indent + "  ", indent + "    "
+        items = (",\n  " + deeper).join  # a list field's values, one level deeper
+        fields = (",\n" + deeper).join(_ENCODE(key).replace("%", "%%") + ": "
+                                       + (f"[\n  {deeper}{items(['%d'] * w)}\n{deeper}]" if w else "%d")
+                                       for key, w in self.fields)
+        rows = (",\n" + inner).join(["{\n" + deeper + fields + "\n" + inner + "}"] * n).encode()
+        values = (rows % tuple(chain.from_iterable(zip(*self.lanes)))).decode()
+        return f"[\n{inner}{values}\n{indent}]" if n else "[]"
 
 
 class Output(NamedTuple):
@@ -54,22 +77,21 @@ def classes_output() -> Output:
 
 def enumerate_output(class_id: str, stratum: int | None) -> Output:
     strata = (0, 2, 4) if stratum is None else (stratum,)
-    ids = [c.id for c in real_forms.deformation_classes()] if class_id == "all" else [class_id]
+    classes = real_forms.deformation_classes() if class_id == "all" else [real_forms.get_class(class_id)]
     blocks = []
-    for cid in ids:
-        c = real_forms.get_class(cid)
+    for c in classes:
         for s in strata:
             st = counting.b_classes(c, s // 2)
+            alpha, v = counting.alpha_columns(st).unpack(), st.columns.unpack()
             blocks.append({
-                "class": cid,
+                "class": c.id,
                 "stratum": s,
                 "count": len(st.vs),
                 "signed_sum": counting.signed_sum(c, s // 2),
-                "classes": [{"alpha": alpha, "v": v, "qhat": q}
-                            for alpha, v, q in zip(counting.alpha_columns(st).rows(), st.vs, st.qs)],
+                "classes": Lanes((("alpha", len(alpha)), ("v", len(v)), ("qhat", 0)), [*alpha, *v, st.qs]),
             })
     return Output({"enumeration": blocks}, ["class", "stratum", "alpha", "v", "qhat"],
-                  ({**b, **item} for b in blocks for item in b["classes"]))
+                  ({**b, **item} for b in blocks for item in b["classes"].dicts()))
 
 
 def _row_dict(n: int, r: counting.TableRow) -> dict:
@@ -147,18 +169,18 @@ def _cell(v) -> str:
 
 def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
     """Append json.dumps(obj, indent=2, ensure_ascii=False)'s pieces to parts (keys
-    are str); a list of exact ints is one join, since type() keeps bools out of it,
-    and a list of uniform int rows is one %-format (`_int_rows`)."""
+    are str, and `Lanes` is its list of dicts); a list of exact ints is one join,
+    since type() keeps bools out of it, and `Lanes` is one %-format."""
     inner = indent + "  "
-    if isinstance(obj, dict) and obj:
+    if type(obj) is Lanes:
+        parts.append(obj.json(indent))
+    elif isinstance(obj, dict) and obj:
         for i, (key, value) in enumerate(obj.items()):
             parts += (",\n" if i else "{\n", inner, _ENCODE(key), ": ")
             _write_json(value, inner, parts)
         parts += ("\n", indent, "}")
     elif isinstance(obj, (list, tuple)) and obj and all(type(x) is int for x in obj):
         parts += ("[\n", inner, (",\n" + inner).join(map(str, obj)), "\n", indent, "]")
-    elif isinstance(obj, (list, tuple)) and obj and (rows := _int_rows(obj, inner)):
-        parts += ("[\n", inner, rows, "\n", indent, "]")
     elif isinstance(obj, (list, tuple)) and obj:
         for i, value in enumerate(obj):
             parts += (",\n" if i else "[\n", inner)
@@ -167,32 +189,6 @@ def _write_json(obj, indent: str, parts: list[str]) -> list[str]:
     else:  # a scalar, {} or []
         parts.append(str(obj) if type(obj) is int else _ENCODE(obj))
     return parts
-
-
-def _int_rows(rows, indent: str) -> str | None:
-    """`_write_json`'s rows at indent, joined, through one bytes template built by its own
-    rules, where every row is a dict with the first row's keys in its order and each
-    value an exact int or a non-empty list or tuple of exact ints, of one length at
-    that key, checked and read column by column.  None otherwise: the recursion."""
-    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
-    if not keys or set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}:
-        return None
-    sizes, flat = [], []  # flat: one column per %d slot
-    for column in zip(*map(dict.values, rows)):
-        lengths = set(map(len, column)) if set(map(type, column)) <= {list, tuple} else {0}
-        if len(lengths) != 1:
-            return None
-        sizes.append(lengths.pop())
-        flat += zip(*column) if sizes[-1] else (column,)
-    if not set(map(type, chain.from_iterable(flat))) <= {int}:
-        return None
-    inner, deeper = indent + "  ", indent + "    "
-    slots = ["[\n" + deeper + (",\n" + deeper).join(["%d"] * size) + "\n" + inner + "]"
-             if size else "%d" for size in sizes]
-    fields = (",\n" + inner).join(_ENCODE(key).replace("%", "%%") + ": " + slot
-                                  for key, slot in zip(keys, slots))
-    template = (",\n" + indent).join(["{\n" + inner + fields + "\n" + indent + "}"] * len(rows))
-    return (template.encode() % tuple(chain.from_iterable(zip(*flat)))).decode()
 
 
 def render(out: Output, fmt: str) -> str:

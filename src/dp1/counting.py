@@ -133,7 +133,7 @@ def _table_rows(c: DeformationClass, k: int, read: Callable[[Stratum], Columns])
         raise LatticeError(f"{c.id} has no blowup-model code")
     s = b_classes(c, k)
     columns = code_columns(code, read(s))
-    lanes = [columns.lanes(col.packed) for col in columns.cols]
+    lanes = columns.unpack()
     real = [bytes(lane).translate(ORDERED) for lane in lanes[1 : code.n_real + 1]]
     marks = bytes(range(255, -1, -1)).translate(None, bytes(range(256)).translate(None, b"".join(real)))
     counts = [sum(int.from_bytes(lane.translate(bytes(m) + b"\1" + bytes(255 - m)), "little")

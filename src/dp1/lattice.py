@@ -108,9 +108,13 @@ class Columns(NamedTuple):
         """The n signed lanes of a column of this list, or of a sum formed by `combine`."""
         return memoryview(((packed + self.half) ^ self.half).to_bytes(self.n, "little")).cast("b")
 
+    def unpack(self) -> list[memoryview]:
+        """The signed lanes of every column: `pack`'s columns back."""
+        return [self.lanes(c.packed) for c in self.cols]
+
     def rows(self) -> list[tuple[int, ...]]:
         """The n vectors as tuples: the lanes of every column, read across."""
-        return list(zip(*(self.lanes(c.packed) for c in self.cols)))
+        return list(zip(*self.unpack()))
 
     def combine(self, terms, what: str, constant: int = 0) -> Column:
         """constant + sum c * column over the (c, column) terms, with its lane bound

@@ -16,7 +16,7 @@ import pytest
 import dp1
 from conftest import break_the_enumerator, clear_model_caches, corrupt_4a1_embedding, stratum
 from dp1 import cli, counting, golden, real_forms, report, wallcross
-from dp1.lattice import K, PicClass, pic
+from dp1.lattice import K, Columns, PicClass, pic
 
 BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -438,8 +438,8 @@ class _Pair(NamedTuple):
 
 # Payloads where a hand-written writer could part from json: empty containers,
 # tuples and named tuples as lists, bools beside ints, None, and strings to escape.
-# From edge12 on, lists of rows: uniform int rows take one template, and every row
-# that breaks uniformity must send the whole list back to the recursion.
+# From edge12 on, lists of dict rows, uniform or not: the recursion writes every
+# one of them, since only a `cli.Lanes` table is written by a template.
 JSON_EDGES = [{}, [], (), {"a": {}, "b": [], "c": (), "d": [[], {}, [()]]}, _Pair(-2, "x"),
               [1, True, 0, -3], [False], None, True, -7, {"n": None, "i": -12, "t": (True, 5)},
               {"s": 'caf\u00e9 "q" \\ back\nline', "\u00fc\u00df": ["\u2192", "\t", ""]},
@@ -460,23 +460,57 @@ JSON_EDGES = [{}, [], (), {"a": {}, "b": [], "c": (), "d": [[], {}, [()]]}, _Pai
               [{"a": 1}, {"a": 1.5}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, [1]], [{}, {}],
               {"blocks": [{"rows": [{"x": [1, -1]}, {"x": [2, -2]}], "n": 2}]}]
 
+# Lane tables where the template could part from json: no rows, scalar fields
+# alone, a key to escape or holding %, ints past a byte, and a table in a dict.
+LANE_EDGES = [cli.Lanes((("a", 2), ("b", 0)), [b"", b"", b""]),
+              cli.Lanes((("n", 0),), [(0, -1, 7)]),
+              cli.Lanes((("d20%", 1), ("%d", 0), ("\u00fc\"", 2)), [(1, -2), (3, 4), (-10 ** 30, 0), (2 ** 64, 5)]),
+              {"rows": cli.Lanes((("x", 3), ("q", 0)), [(1,), (-1,), (0,), (2,)]), "n": 1}]
+
+# The enumerate builders cover every block shape: rank-0 B^0 (one row, M-split),
+# M-split's empty B^2 and B^4, and E8's 2,160-row B^4.
 JSON_BUILDERS = {
     "classes": cli.classes_output,
     "enumerate --class M-4": partial(cli.enumerate_output, "M-4", None),
+    "enumerate --class M-split": partial(cli.enumerate_output, "M-split", None),
+    "enumerate --class all": partial(cli.enumerate_output, "all", None),
     **{f"tables {n}": partial(cli.tables_output, n) for n in range(2, 8)},
     "verify --class M-4": partial(cli.verify_output, "M-4"),
     "wallcross": partial(cli.wallcross_output, "all"),
 }
 
 
+def _plain(payload):
+    # The payload with each lane table as the list of dicts it stands for.
+    if type(payload) is cli.Lanes:
+        return list(payload.dicts())
+    if isinstance(payload, dict):
+        return {key: _plain(value) for key, value in payload.items()}
+    return [_plain(value) for value in payload] if type(payload) in (list, tuple) else payload
+
+
 def _assert_json_dumps(payload):
-    want = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    want = json.dumps(_plain(payload), indent=2, ensure_ascii=False) + "\n"
     assert cli.render(cli.Output(payload, [], []), "json") == want
 
 
 @pytest.mark.parametrize("payload", JSON_EDGES, ids=[f"edge{i}" for i in range(len(JSON_EDGES))])
 def test_json_of_edge_payloads_is_indented_json_dumps(payload):
     _assert_json_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", LANE_EDGES, ids=[f"lanes{i}" for i in range(len(LANE_EDGES))])
+def test_json_of_lane_tables_is_indented_json_dumps_of_their_dicts(payload):
+    _assert_json_dumps(payload)
+
+
+def test_lane_tables_read_the_rows_of_the_strata():
+    # Each block's table is alpha, v and q of its stratum, row by row in search order.
+    for block in cli.enumerate_output("all", None).payload["enumeration"]:
+        st = counting.b_classes(real_forms.get_class(block["class"]), block["stratum"] // 2)
+        assert list(block["classes"].dicts()) == [
+            {"alpha": list(alpha), "v": list(v), "qhat": q}
+            for alpha, v, q in zip(counting.alpha_columns(st).rows(), st.vs, st.qs)]
 
 
 @pytest.mark.parametrize("name", list(JSON_BUILDERS))
@@ -486,7 +520,7 @@ def test_json_of_each_builder_is_indented_json_dumps(name):
 
 def test_render_writes_each_list_of_uniform_rows_in_one_call(monkeypatch):
     # The 3,859 stratum items are (alpha, v, qhat) rows of exact ints: each block's
-    # list is one template, so a silent fallback to the per-value recursion shows here.
+    # table is one template, so a silent fallback to the per-value recursion shows here.
     calls = []
     write = cli._write_json
 
@@ -514,3 +548,20 @@ def test_enumerate_builds_no_class_per_stratum_vector(fresh_caches, monkeypatch)
     out = cli.enumerate_output("all", None)
     assert sum(b["count"] for b in out.payload["enumeration"]) == 3859
     assert 0 < len(built) < 1000
+
+
+def test_enumerate_json_reads_no_rows_off_the_strata(monkeypatch):
+    # With the strata built, the JSON is written from their packed lanes: no stratum
+    # is read out as row tuples.
+    cli.enumerate_output("all", None)
+    calls = []
+    rows = Columns.rows
+
+    def counted(self):
+        calls.append(self.n)
+        return rows(self)
+
+    monkeypatch.setattr(Columns, "rows", counted)
+    assert hashlib.sha256(cli.render(cli.enumerate_output("all", None), "json").encode()).hexdigest() \
+        == STDOUT_SHA256[("enumerate", "--class", "all")]
+    assert calls == []
